@@ -20,6 +20,7 @@ from .fracop import (
     normalization_constant,
     periodic_plan,
     plan_2d,
+    plan_for,
 )
 from .potential import Forcing, ForcingTerm, PeriodicPotential
 from .layer import (

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fracop import normalization_constant, periodic_plan
+from .fracop import plan_for
 from .potential import Forcing, PeriodicPotential, eval_potential, sup_norms
 
 __all__ = [
@@ -135,13 +135,10 @@ class CellTrace:
 
 
 def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
-    s = spec.s
     q = spec.torus_period
     n = spec.n
-    g = spec.g_const if spec.g_const is not None else normalization_constant(s)
     h = q / n
-    m = max(2, int(round(min(1.0, 0.25 * q) / h)))
-    plan = periodic_plan(n, float(q), s, float(g), m)
+    plan = plan_for("periodic", n, 0.5 * q, spec.s, spec.g_const)
 
     x = h * np.arange(n)
     px = float(spec.slope) * x  # enters only through 1-periodic functions
@@ -239,14 +236,14 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
     )
 
 
-def hbar(spec: CellProblemSpec, fit_window=(0.5, 1.0), tol: float = 1e-3) -> SpeedFit:
+def hbar(spec: CellProblemSpec, tol: float = 1e-3) -> SpeedFit:
     """Effective speed for one (slope, drive) pair."""
-    return estimate_lambda(solve_cell_evolution(spec), fit_window, tol)
+    return estimate_lambda(solve_cell_evolution(spec), tol=tol)
 
 
 def _table_worker(args):
-    spec, fit_window, tol = args
-    fit = hbar(spec, fit_window, tol)
+    spec, tol = args
+    fit = hbar(spec, tol)
     return {
         "slope_num": spec.slope.numerator,
         "slope_den": spec.slope.denominator,
@@ -264,7 +261,6 @@ def hbar_table(
     base: CellProblemSpec,
     slopes,
     drives,
-    fit_window=(0.5, 1.0),
     tol: float = 1e-3,
     workers: int = 1,
 ) -> list:
@@ -276,7 +272,7 @@ def hbar_table(
     """
     slopes = [as_rational(p) for p in slopes]
     jobs = [
-        (replace(base, slope=p, drive=float(F)), fit_window, tol)
+        (replace(base, slope=p, drive=float(F)), tol)
         for p in sorted(set(slopes))
         for F in sorted({float(F) for F in drives})
     ]

@@ -115,23 +115,12 @@ def _run_hbar(cfg, out_dir, base, workers):
     num = cfg.numeric
     fit_tol = float(num.get("fit_tol", 1e-3))
     spec = _cell_spec(cfg, num["slope"], num["drive"])
-    fit = cell.hbar(spec, tol=fit_tol)
-    row = {
-        "slope_num": spec.slope.numerator,
-        "slope_den": spec.slope.denominator,
-        "drive": spec.drive,
-        "speed": fit.speed,
-        "uncertainty": fit.uncertainty,
-        "corrector_amplitude": fit.corrector_amplitude,
-        "converged": fit.converged,
-        "horizon": spec.horizon,
-        "n": spec.n,
-    }
+    [row] = cell.hbar_table(spec, [spec.slope], [spec.drive], tol=fit_tol)
     meta = runio.make_meta(cfg, _g_const(cfg), {"fit_tol": fit_tol})
     path = os.path.join(out_dir, _OUT_NAMES["hbar"].format(p=cfg.prefix))
     runio.write_csv(path, cell.TABLE_COLUMNS, [row], meta)
-    print(f"wrote {path}  (speed = {fit.speed:.6g}, converged = {fit.converged})")
-    return (0 if fit.converged else 1), [path]
+    print(f"wrote {path}  (speed = {row['speed']:.6g}, converged = {row['converged']})")
+    return (0 if row["converged"] else 1), [path]
 
 
 def _run_hbar_table(cfg, out_dir, base, workers):

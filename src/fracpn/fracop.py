@@ -54,6 +54,7 @@ __all__ = [
     "levy_apply_spectral",
     "levy_apply_quadrature_2d",
     "split_consistency_check",
+    "plan_for",
     "periodic_plan",
     "line_plan",
     "plan_2d",
@@ -387,19 +388,6 @@ def _pair_weights(s: float, h: float, n_pairs: int, m_inner: int) -> np.ndarray:
     return np.maximum(c, 0.0)
 
 
-def _default_inner_cells(h: float, extent: float, r) -> int:
-    r = _coerce_r(r)
-    if r is None:
-        r = min(1.0, 0.5 * extent)
-    if r < 2.0 * h:
-        raise ValueError(
-            f"split radius r = {r:.3g} is below 2h = {2*h:.3g}: too few near cells"
-        )
-    if r > extent + 1e-12:
-        raise ValueError(f"split radius r = {r:.3g} exceeds the quadrature extent {extent:.3g}")
-    return max(2, min(int(round(r / h)), int(extent / h)))
-
-
 # ---------------------------------------------------------------------------
 # periodic plan
 # ---------------------------------------------------------------------------
@@ -545,12 +533,30 @@ def line_plan(n: int, half_width: float, s: float, g_const: float, m_inner: int)
 # ---------------------------------------------------------------------------
 
 
-def _plan_for(field: GridField, s: float, g_const: float, r):
-    if field.geometry == "periodic":
-        m = _default_inner_cells(field.h, 0.5 * field.period, r)
-        return periodic_plan(field.n, float(field.period), s, g_const, m)
-    m = _default_inner_cells(field.h, field.half_width, r)
-    return line_plan(field.n, float(field.half_width), s, g_const, m)
+def _split_radius(r, extent: float) -> float:
+    """The split radius: ``r`` when given, else min(1, extent/2)."""
+    return min(1.0, 0.5 * extent) if r is None else _coerce_r(r)
+
+
+def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
+    """The quadrature plan for an n-point grid: the one place that picks
+    the split radius and the inner-cell count.
+
+    ``extent`` is half the period for ``geometry="periodic"`` and the
+    half-width for ``geometry="line"``.  ``g=None`` is C(1,s); ``r=None`` is
+    min(1, extent/2).  The inner-cell count round(r/h) is clamped to
+    [2, extent/h], so a grid with h > r/2 gets two cells
+    (``levy_apply_quadrature`` rejects such a radius instead).
+    """
+    s = _coerce_s(s)
+    g_const = normalization_constant(s) if g is None else _coerce_g_const(g)
+    h = 2.0 * extent / n
+    m = max(2, min(int(round(_split_radius(r, extent) / h)), int(extent / h)))
+    if geometry == "periodic":
+        return periodic_plan(n, 2.0 * extent, s, g_const, m)
+    if geometry == "line":
+        return line_plan(n, float(extent), s, g_const, m)
+    raise ValueError(f"geometry must be 'periodic' or 'line' (got {geometry!r})")
 
 
 def levy_apply_quadrature(field: GridField, s, g, r=None) -> GridField:
@@ -563,7 +569,15 @@ def levy_apply_quadrature(field: GridField, s, g, r=None) -> GridField:
     g_const = _coerce_g_const(g)
     if not np.all(np.isfinite(field.values)):
         raise ValueError("field contains non-finite samples")
-    plan = _plan_for(field, s, g_const, r)
+    extent = 0.5 * field.period if field.geometry == "periodic" else field.half_width
+    r = _split_radius(r, extent)
+    if r < 2.0 * field.h:
+        raise ValueError(
+            f"split radius r = {r:.3g} is below 2h = {2*field.h:.3g}: too few near cells"
+        )
+    if r > extent + 1e-12:
+        raise ValueError(f"split radius r = {r:.3g} exceeds the quadrature extent {extent:.3g}")
+    plan = plan_for(field.geometry, field.n, extent, s, g_const, r)
     if field.geometry == "periodic":
         out = plan.apply(field.values)
         return GridField.periodic(out, field.period)

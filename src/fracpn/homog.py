@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracop import normalization_constant, periodic_plan
+from .fracop import plan_for
 from .potential import Forcing, PeriodicPotential, eval_potential, sup_norms
 
 __all__ = [
@@ -171,12 +171,9 @@ def _run_checkpointed(w0, rhs_fn, dt, times_out):
 
 
 def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory:
-    s = spec.s
     n = spec.n
-    g = spec.g_const if spec.g_const is not None else normalization_constant(s)
     h = 1.0 / n
-    m_inner = max(2, int(round(0.25 / h)))
-    plan = periodic_plan(n, 1.0, s, float(g), m_inner)
+    plan = plan_for("periodic", n, 0.5, spec.s, spec.g_const)
 
     a_op, a_W, a_t = spec.exponents
     eps = spec.eps
@@ -349,9 +346,7 @@ def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajec
             return law(0.5 * (fwd + bwd)) + 0.5 * nu * (fwd - bwd)
 
     else:
-        s = spec.s
-        g = spec.g_const if spec.g_const is not None else normalization_constant(s)
-        plan = periodic_plan(n, 1.0, s, float(g), max(2, int(round(0.25 / h))))
+        plan = plan_for("periodic", n, 0.5, spec.s, spec.g_const)
         lip = law.lipschitz
         dt = min(0.9 / (lip * plan.stiffness) if lip > 0 else math.inf,
                  T / (4.0 * (checkpoints - 1)))

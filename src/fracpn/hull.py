@@ -39,9 +39,8 @@ from .cell import CellProblemSpec, as_rational, hbar
 from .fracop import (
     GridField,
     TailModel,
-    line_plan,
     pair_product_form,
-    periodic_plan,
+    plan_for,
 )
 from .layer import CorrectorSolution, LayerSolution, _fit_amplitude
 from .potential import eval_potential
@@ -183,15 +182,14 @@ class CutoffFunction:
         return 2.0 * self.R
 
 
-def cutoff_operator_values(tau: CutoffFunction, z, s: float, g_const: float,
-                           n_quad: int = 256):
+def cutoff_operator_values(tau: CutoffFunction, z, s: float, g_const: float):
     """I[tau](z) for |z| > 2R (outside the support): there the principal
     value is an ordinary integral g * int tau(y)/|z-y|^(1+2s) dy over the
-    support, done by Gauss-Legendre."""
+    support, done by a 256-point Gauss-Legendre rule."""
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(z) <= tau.support_radius):
         raise ValueError("cutoff_operator_values needs |z| outside the support")
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
     y = tau.support_radius * nodes
     wy = tau.support_radius * weights * tau(y)
     return g_const * np.sum(wy / np.abs(z[:, None] - y[None, :]) ** (1.0 + 2.0 * s),
@@ -496,8 +494,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
 
     if ansatz.kind == "single":
         n = layer.field.n
-        plan = line_plan(n, layer.half_width, s, layer.g_const,
-                         max(2, int(round(min(1.0, 0.25 * layer.half_width) / layer.field.h))))
+        plan = plan_for("line", n, layer.half_width, s, layer.g_const)
         Ih = plan.apply(layer.field.values, layer.field.tail)
         hp = layer.phi_prime
         values = lam * hp - d**two_s * L0 - (d * abs(ansatz.p0))**two_s * Ih \
@@ -514,8 +511,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
         raise HullTailError("h - x is not bounded on the grid; closure invalid")
     n = g.size
     hx = ansatz.period / n
-    plan = periodic_plan(n, ansatz.period, s, layer.g_const,
-                         max(2, int(round(0.25 / hx))))
+    plan = plan_for("periodic", n, 0.5 * ansatz.period, s, layer.g_const, r=0.25)
     Ih = plan.apply(g)
     hp = 1.0 + (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * hx)
     h = ansatz.grid + g

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .fracop import GridField, TailModel, line_plan, normalization_constant
+from .fracop import GridField, TailModel, plan_for
 from .potential import PeriodicPotential, eval_potential
 
 __all__ = [
@@ -165,9 +165,9 @@ def _recenter(values: np.ndarray, x: np.ndarray) -> np.ndarray:
         if d == 0:
             break
         x0 -= f / d
-    shifted = sp(x + x0)
-    # clamp the (tiny) extrapolation at the window ends
-    return shifted
+    # x + x0 reaches |x0| past one window end; the spline extrapolates its
+    # end cubic there (no clamp)
+    return sp(x + x0)
 
 
 def solve_layer(
@@ -178,9 +178,6 @@ def solve_layer(
     flow_time: float = 60.0,
     tol: float = 1e-7,
     g: float | None = None,
-    r: float | None = None,
-    c_cfl: float = 0.9,
-    recenter_every: int = 50,
 ) -> LayerSolution:
     """Gradient-flow solve of the layer equation I[phi] = W'(phi).
 
@@ -197,16 +194,12 @@ def solve_layer(
     if alpha <= 0.0:
         raise ValueError(f"potential curvature at the wells must be positive (got {alpha})")
     s = float(s)
-    if g is None:
-        g = normalization_constant(s)
+    plan = plan_for("line", n, R_dom, s, g)
+    g = plan.g_const
     two_s = 2.0 * s
 
     h = 2.0 * R_dom / n
     x = h * (np.arange(n) - n // 2)
-    if r is None:
-        r = min(1.0, 0.25 * R_dom)
-    m = max(2, int(round(r / h)))
-    plan = line_plan(n, float(R_dom), s, float(g), m)
 
     A_theory = g / (two_s * alpha)
 
@@ -222,7 +215,7 @@ def solve_layer(
     phi = 0.5 + np.arctan(x) / math.pi
 
     sup_wpp = W.derivative_bound(2)
-    dt = c_cfl / (plan.stiffness + sup_wpp)
+    dt = 0.9 / (plan.stiffness + sup_wpp)
     inner = slice(n // 10, n - n // 10)
 
     steps_total = 0
@@ -238,7 +231,7 @@ def solve_layer(
                 return phi, True
             phi = phi + dt * rhs
             steps_total += 1
-            if (k + 1) % recenter_every == 0:
+            if (k + 1) % 50 == 0:
                 phi = _recenter(phi, x)
         rhs = plan.apply(phi, tail) - eval_potential(W, phi, 1)
         res = float(np.max(np.abs(rhs[inner])))
@@ -494,7 +487,7 @@ def solve_corrector_psi(
     W = layer.potential
     n = layer.field.n
     x = layer.nodes
-    plan = line_plan(n, float(layer.half_width), s, layer.g_const, _plan_m(layer))
+    plan = plan_for("line", n, layer.half_width, s, layer.g_const)
     zero_tail = TailModel.zero()
 
     alpha = W.curvature_at_zero
@@ -570,12 +563,6 @@ def solve_corrector_psi(
         cg_info={"iterations": iters["count"], "passes": 2, "tail_exponent": beta},
         odd_tail_amplitude=odd_amp,
     )
-
-
-def _plan_m(layer: LayerSolution) -> int:
-    h = layer.field.h
-    r = min(1.0, 0.25 * layer.half_width)
-    return max(2, int(round(r / h)))
 
 
 def _cg(A, b, M, tol, max_iter, cb, x0=None):

@@ -19,8 +19,8 @@ from fracpn.fracop import (
     TailModel,
     levy_apply_quadrature,
     levy_apply_spectral,
-    line_plan,
     normalization_constant,
+    plan_for,
 )
 from fracpn.homog import (
     BRANCH_STRONG,
@@ -164,8 +164,7 @@ def test_criterion_06_hull_residual_decay(layer_s075, psi_s075, layer_s03, psi_s
 def test_criterion_07_product_identity(layer_half):
     layer = layer_half
     n = layer.field.n
-    m = max(2, int(round(min(1.0, 0.25 * layer.half_width) / layer.field.h)))
-    plan = line_plan(n, layer.half_width, layer.s, layer.g_const, m)
+    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     zero = TailModel.zero()
     bump = np.exp(-0.5 * layer.nodes**2)

@@ -16,6 +16,7 @@ from fracpn.fracop import (
     pair_product_form,
     periodic_plan,
     plan_2d,
+    plan_for,
     split_consistency_check,
 )
 
@@ -129,6 +130,43 @@ def test_tail_model_eval_and_shift():
 def test_line_plan_rejects_bad_sizes():
     with pytest.raises(ValueError):
         line_plan(100, 10.0, 0.5, INV_PI, 0)
+
+
+@pytest.mark.parametrize(
+    "geometry, n, extent, r, m_inner",
+    [
+        ("periodic", 512, 1.0, None, 128),   # cell torus q = 2
+        ("periodic", 512, 10.0, None, 26),   # cell torus q = 20
+        ("periodic", 256, 0.5, None, 64),    # eps and effective problems, period 1
+        ("line", 2048, 20.0, None, 51),      # s = 1/2 layer
+        ("line", 4096, 40.0, None, 51),      # s = 0.75 and s = 0.3 layers
+        ("periodic", 1024, 1.0, 0.25, 128),  # hull lattice grid, period 2
+    ],
+)
+def test_plan_for_inner_cells(geometry, n, extent, r, m_inner):
+    plan = plan_for(geometry, n, extent, 0.5, r=r)
+    assert plan.m_inner == m_inner
+    assert plan.g_const == normalization_constant(0.5)
+    if geometry == "periodic":
+        assert plan.period == 2.0 * extent
+    else:
+        assert plan.half_width == extent
+
+
+def test_plan_for_clamps_coarse_grids_but_quadrature_rejects_them():
+    # a q = 20 cell torus on 16 nodes has h = 1.25 > r/2: the solvers get
+    # two inner cells, the field-level quadrature refuses the radius
+    assert plan_for("periodic", 16, 10.0, 0.5).m_inner == 2
+    field = GridField.periodic(np.sin(2 * np.pi * np.arange(16) / 16), 20.0)
+    with pytest.raises(ValueError, match="below 2h"):
+        levy_apply_quadrature(field, 0.5, INV_PI)
+    fine = GridField.periodic(np.zeros(64), 1.0)
+    with pytest.raises(ValueError, match="below 2h"):
+        levy_apply_quadrature(fine, 0.5, INV_PI, r=0.02)
+    with pytest.raises(ValueError, match="exceeds"):
+        levy_apply_quadrature(fine, 0.5, INV_PI, r=0.6)
+    with pytest.raises(ValueError, match="geometry"):
+        plan_for("torus", 64, 0.5, 0.5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracpn.fracop import GridField, TailModel, line_plan
+from fracpn.fracop import GridField, TailModel, plan_for
 from fracpn.hull import (
     CutoffFunction,
     HullTailError,
@@ -177,8 +177,7 @@ def test_claim2_scaling(layer_half):
 def test_bilinear_form_identity(layer_half):
     layer = layer_half
     n = layer.field.n
-    m = max(2, int(round(min(1.0, 0.25 * layer.half_width) / layer.field.h)))
-    plan = line_plan(n, layer.half_width, layer.s, layer.g_const, m)
+    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     f_tail = layer.field.tail
     bump = CutoffFunction(R=3.0)
@@ -201,8 +200,7 @@ def test_bilinear_form_bound_off_support(layer_half):
     """Where the bump vanishes, |B(f, g)| <= 2 sup|f| I[g]."""
     layer = layer_half
     n = layer.field.n
-    m = max(2, int(round(min(1.0, 0.25 * layer.half_width) / layer.field.h)))
-    plan = line_plan(n, layer.half_width, layer.s, layer.g_const, m)
+    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     bump = CutoffFunction(R=2.0)
     g_vals = bump(layer.nodes)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fracpn import cli, runio
 
 A1 = 0.025330295910584444  # 1/(4 pi^2): curvature-one single-cosine well
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
 
 def layer_cfg_dict(**numeric):
@@ -48,6 +50,17 @@ def test_config_round_trip():
     cfg2 = runio.parse_config_text(text)
     assert runio.serialize_config(cfg2) == text
     assert runio.config_sha256(cfg) == runio.config_sha256(cfg2)
+
+
+def test_shipped_configs_parse_and_chain():
+    """Every config in scripts/configs is valid, and every input it names
+    is the output of another shipped config."""
+    assert SHIPPED_CONFIGS
+    cfgs = [runio.parse_config(p) for p in SHIPPED_CONFIGS]
+    assert all(c.command in runio.COMMANDS for c in cfgs)
+    produced = {cli._OUT_NAMES[c.command].format(p=c.prefix) for c in cfgs}
+    for c in cfgs:
+        assert set(c.inputs.values()) <= produced, c.command
 
 
 def test_config_sha_ignores_formatting():
