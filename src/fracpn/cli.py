@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import cell, homog, hull, layer, runio
-from .fracop import normalization_constant
+from .fracop import kernel_constant
 from .potential import sup_norms
 
 _OUT_NAMES = {
@@ -49,11 +49,6 @@ def _load_corrector(path: str) -> layer.CorrectorSolution:
     if not os.path.exists(path):
         raise runio.MissingArtifactError(path, "corrector")
     return layer.corrector_from_dict(runio.read_json_result(path)["result"])
-
-
-def _g_const(cfg: runio.RunConfig) -> float:
-    g = cfg.g_const
-    return float(g) if g is not None else normalization_constant(cfg.s)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +111,7 @@ def _run_hbar(cfg, out_dir, base, workers):
     fit_tol = float(num.get("fit_tol", 1e-3))
     spec = _cell_spec(cfg, num["slope"], num["drive"])
     [row] = cell.hbar_table(spec, [spec.slope], [spec.drive], tol=fit_tol)
-    meta = runio.make_meta(cfg, _g_const(cfg), {"fit_tol": fit_tol})
+    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": fit_tol})
     path = os.path.join(out_dir, _OUT_NAMES["hbar"].format(p=cfg.prefix))
     runio.write_csv(path, cell.TABLE_COLUMNS, [row], meta)
     print(f"wrote {path}  (speed = {row['speed']:.6g}, converged = {row['converged']})")
@@ -135,7 +130,7 @@ def _run_hbar_table(cfg, out_dir, base, workers):
         tol=fit_tol,
         workers=nworkers,
     )
-    meta = runio.make_meta(cfg, _g_const(cfg), {"fit_tol": fit_tol})
+    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": fit_tol})
     path = os.path.join(out_dir, _OUT_NAMES["hbar-table"].format(p=cfg.prefix))
     runio.write_csv(path, cell.TABLE_COLUMNS, rows, meta)
     bad = sum(1 for r in rows if not r["converged"])
@@ -175,7 +170,9 @@ def _run_homogenize(cfg, out_dir, base, workers):
     report = homog.convergence_report(
         specs, law, checkpoints=int(num.get("checkpoints", 33))
     )
-    meta = runio.make_meta(cfg, _g_const(cfg), {"law_coverage": law.coverage})
+    meta = runio.make_meta(
+        cfg, kernel_constant(cfg.s, cfg.g_const), {"law_coverage": law.coverage}
+    )
     path = os.path.join(out_dir, _OUT_NAMES["homogenize"].format(p=cfg.prefix))
     runio.write_json_result(path, meta, report)
     ok = report["monotone_decreasing"]

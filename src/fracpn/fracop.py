@@ -27,7 +27,11 @@ uniformly in s.
 Periodic fields fold the kernel over all images using the Hurwitz zeta
 function; line fields carry an explicit power-law tail model and close the
 far field with a Gauss-Legendre rule after the substitution z = Z t^(-1/2s)
-(which maps [Z, inf) to (0, 1] with a constant Jacobian factor).
+(which maps [Z, inf) to (0, 1] with a constant Jacobian factor).  That
+closure is affine in the tail's constants, slope and power amplitudes, so
+a line plan caches its basis once per (side, exponent) and an application
+costs one FFT convolution of length n + 2K (rounded up to a power of two)
+plus a few n-length vector operations.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "SplitRadius",
     "SplitConsistencyReport",
     "normalization_constant",
+    "kernel_constant",
     "levy_apply_quadrature",
     "levy_apply_spectral",
     "levy_apply_quadrature_2d",
@@ -221,19 +226,6 @@ class TailModel:
             out = out + np.where(pos, amp * ax ** (-beta), 0.0)
         for amp, beta in self.powers_minus:
             out = out + np.where(pos, 0.0, amp * ax ** (-beta))
-        return out
-
-    def pair_sum(self, x, z):
-        """u_tail(x+z) + u_tail(x-z) for z > max(|x|, window), without the
-        slope*z cancellation being left to floating point: the two slope
-        terms are summed analytically to 2*slope*x."""
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        out = (self.c_plus + self.c_minus) + 2.0 * self.slope * x + np.zeros(np.broadcast_shapes(x.shape, z.shape))
-        for amp, beta in self.powers_plus:
-            out = out + amp * (x + z) ** (-beta)
-        for amp, beta in self.powers_minus:
-            out = out + amp * (z - x) ** (-beta)
         return out
 
 
@@ -457,6 +449,19 @@ class LinePlan:
     arguments x +- z leave the window before the closure takes over) and
     closes [Z, inf) with a 32-point Gauss-Legendre rule in the variable
     t = (Z/z)^(2s), evaluating the integrand on the field's tail model.
+
+    The closure is affine in the tail parameters:
+
+        sum_j w_j [u(x+z_j) + u(x-z_j) - 2u(x)]
+            = (c_+ + c_- + 2 slope x - 2u(x)) sum_j w_j
+              + sum_(+) a_i B(+, beta_i) + sum_(-) a_i B(-, beta_i),
+
+    with B(+, beta) = sum_j w_j (z_j + x)^(-beta) and B(-, beta) =
+    sum_j w_j (z_j - x)^(-beta).  B and the tail-pad powers |pad|^(-beta)
+    depend only on the plan, so they are cached per (side, beta) on first
+    use.  The convolution keeps only the n central outputs of the padded
+    field, which a circular FFT of length n + 2K (rounded up to a power of
+    two) gives free of wrap-around.
     """
 
     def __init__(self, n: int, half_width: float, s: float, g_const: float, m_inner: int):
@@ -479,8 +484,7 @@ class LinePlan:
         kernel[:K] = c[::-1]
         kernel[K] = -2.0 * c.sum()
         self.kernel = kernel
-        L = n + 2 * K + kernel.size - 1
-        self.fft_len = 1 << int(math.ceil(math.log2(L)))
+        self.fft_len = 1 << int(math.ceil(math.log2(n + 2 * K)))
         self.kernel_hat = np.fft.rfft(kernel, self.fft_len)
 
         # far-field closure: int_Z^inf f(z) z^(-1-2s) dz
@@ -490,8 +494,31 @@ class LinePlan:
         self.far_coeff = g_const * self.z_max ** (-two_s) / two_s
         self.stiffness = 2.0 * c.sum() + 2.0 * self.far_coeff
 
+        x = h * (np.arange(n) - n // 2)
+        x.setflags(write=False)
+        self._nodes = x
+        self._w_sum = float(self.far_w.sum())
+        # distances from the origin of the pad nodes on each side (+1 right,
+        # -1 left), where that side's tail powers are sampled
+        self._pad_dist = {
+            1: x[-1] + h * np.arange(1, K + 1),
+            -1: h * np.arange(K, 0, -1) - x[0],
+        }
+        self._powers = {}  # (side, beta) -> (|pad|^(-beta), B(side, beta))
+
     def nodes(self) -> np.ndarray:
-        return self.h * (np.arange(self.n) - self.n // 2)
+        return self._nodes
+
+    def _power_basis(self, side: int, beta: float):
+        """|pad|^(-beta) and B(side, beta) for one tail power, cached."""
+        key = (side, beta)
+        if key not in self._powers:
+            far_dist = self.far_z[None, :] + side * self._nodes[:, None]
+            self._powers[key] = (
+                self._pad_dist[side] ** (-beta),
+                far_dist ** (-beta) @ self.far_w,
+            )
+        return self._powers[key]
 
     def apply(self, values: np.ndarray, tail: TailModel) -> np.ndarray:
         if tail is None:
@@ -499,27 +526,31 @@ class LinePlan:
         u = np.asarray(values, dtype=float)
         if u.size != self.n:
             raise ValueError(f"expected {self.n} samples (got {u.size})")
-        x = self.nodes()
+        x = self._nodes
 
         # subtract the affine part so that exactly-affine data maps to exact
-        # zeros (no catastrophic cancellation in the convolution)
+        # zeros (no catastrophic cancellation in the convolution); the
+        # reduced tail has zero slope and constants c_side - b on the pads
         a = tail.slope
-        b = float(np.mean(u - a * x))
-        red_tail = tail.shifted(b, a)
-        ured = u - (a * x + b)
+        ured = u - a * x
+        b = float(np.mean(ured))
+        ured -= b
+        pad_left = np.full(self.K, tail.c_minus - b)
+        pad_right = np.full(self.K, tail.c_plus - b)
+        # far field on the original (unreduced) tail, slope terms of the
+        # pair u(x+z) + u(x-z) summed analytically to 2 slope x
+        far = (tail.c_plus + tail.c_minus + 2.0 * a * x - 2.0 * u) * self._w_sum
+        for side, powers, pad in ((1, tail.powers_plus, pad_right),
+                                  (-1, tail.powers_minus, pad_left)):
+            for amp, beta in powers:
+                pad_pow, basis = self._power_basis(side, beta)
+                pad += amp * pad_pow
+                far += amp * basis
 
-        pad_x_left = x[0] - self.h * np.arange(self.K, 0, -1)
-        pad_x_right = x[-1] + self.h * np.arange(1, self.K + 1)
-        U = np.concatenate([red_tail.eval(pad_x_left), ured, red_tail.eval(pad_x_right)])
-
+        U = np.concatenate([pad_left, ured, pad_right])
         conv = np.fft.irfft(np.fft.rfft(U, self.fft_len) * self.kernel_hat, n=self.fft_len)
         out = conv[2 * self.K : 2 * self.K + self.n]
-
-        # far field on the original (unreduced) tail: the affine part of the
-        # pair sum cancels analytically inside pair_sum
-        pair = tail.pair_sum(x[:, None], self.far_z[None, :])
-        f = pair - 2.0 * u[:, None]
-        out += self.far_coeff * (f @ self.far_w)
+        out += self.far_coeff * far
         return out
 
 
@@ -531,6 +562,11 @@ def line_plan(n: int, half_width: float, s: float, g_const: float, m_inner: int)
 # ---------------------------------------------------------------------------
 # public operator applications
 # ---------------------------------------------------------------------------
+
+
+def kernel_constant(s, g=None) -> float:
+    """The 1-D angular density as a float; ``g=None`` is C(1,s)."""
+    return normalization_constant(_coerce_s(s)) if g is None else _coerce_g_const(g)
 
 
 def _split_radius(r, extent: float) -> float:
@@ -549,7 +585,7 @@ def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
     (``levy_apply_quadrature`` rejects such a radius instead).
     """
     s = _coerce_s(s)
-    g_const = normalization_constant(s) if g is None else _coerce_g_const(g)
+    g_const = kernel_constant(s, g)
     h = 2.0 * extent / n
     m = max(2, min(int(round(_split_radius(r, extent) / h)), int(extent / h)))
     if geometry == "periodic":

@@ -242,9 +242,10 @@ def validate_raw(raw: dict) -> list:
     for key in ("n", "n_terms", "n_grid", "workers", "checkpoints"):
         if key in numeric and (
             not isinstance(numeric[key], int) or isinstance(numeric[key], bool)
-            or numeric[key] <= 0
+            or numeric[key] < (0 if key == "n_terms" else 1)
         ):
-            errors.append(f"numeric.{key}: must be a positive integer")
+            kind = "nonnegative" if key == "n_terms" else "positive"
+            errors.append(f"numeric.{key}: must be a {kind} integer")
     for key in ("half_width", "flow_time", "tol", "drive", "horizon", "fit_tol",
                 "L0", "delta", "p0", "cauchy_tol", "slope"):
         if key in numeric and not _is_num(numeric[key]):
@@ -292,6 +293,16 @@ def validate_raw(raw: dict) -> list:
         and "corrector" not in inputs
     ):
         errors.append("inputs.corrector: required for ansatz-residual with L0 != 0")
+    # n_terms = 0 is the single-transition diagnostic of hull.build_ansatz
+    if (
+        command == "ansatz-residual"
+        and type(numeric.get("n_terms")) is int and numeric["n_terms"] == 0
+        and all(_is_num(numeric.get(k)) for k in ("L0", "delta", "p0"))
+        and (numeric["L0"] != 0 or numeric["delta"] * abs(numeric["p0"]) != 1.0)
+    ):
+        errors.append(
+            "numeric.n_terms: 0 (single transition) needs L0 = 0 and delta*|p0| = 1"
+        )
 
     out = raw.get("output", {})
     if not isinstance(out, dict) or not all(isinstance(v, str) for v in out.values()):

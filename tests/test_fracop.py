@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracpn.fracop import (
     AnisotropyKernel,
     GridField,
+    LinePlan,
     TailModel,
     levy_apply_quadrature,
     levy_apply_spectral,
@@ -78,6 +79,55 @@ def test_arctan_profile_solves_half_order_layer_equation():
     want = -x / (np.pi * (1.0 + x * x))
     inner = slice(n // 10, n - n // 10)
     assert np.max(np.abs(got[inner] - want[inner])) < 2e-5
+
+
+def _line_apply_reference(plan, u, tail):
+    """LinePlan.apply written out term by term: the affine part of the tail
+    is subtracted, the tail-padded field is convolved directly with the
+    kernel, and the far field is the explicit n x 32 pair sum."""
+    n, K, h = plan.n, plan.K, plan.h
+    x = h * (np.arange(n) - n // 2)
+    a = tail.slope
+    b = float(np.mean(u - a * x))
+    red = tail.shifted(b, a)
+    U = np.concatenate([
+        red.eval(x[0] - h * np.arange(K, 0, -1)),
+        u - (a * x + b),
+        red.eval(x[-1] + h * np.arange(1, K + 1)),
+    ])
+    out = np.convolve(U, plan.kernel, mode="valid")
+    xx, zz = x[:, None], plan.far_z[None, :]
+    pair = tail.c_plus + tail.c_minus + 2.0 * a * xx + np.zeros_like(xx * zz)
+    for amp, beta in tail.powers_plus:
+        pair = pair + amp * (xx + zz) ** (-beta)
+    for amp, beta in tail.powers_minus:
+        pair = pair + amp * (zz - xx) ** (-beta)
+    return out + plan.far_coeff * ((pair - 2.0 * u[:, None]) @ plan.far_w)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_line_apply_matches_direct_reference(s):
+    """The cached far-field basis and the shortened FFT reproduce the direct
+    formula; alternating tails on one plan catches a stale or mis-keyed
+    cache entry."""
+    n, R = 1024, 20.0
+    g = normalization_constant(s)
+    plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
+    x = plan.nodes()
+    amp = g / (2 * s * 0.4)
+    cases = [
+        (TailModel.zero(), np.exp(-x * x / 4) * np.sin(x)),
+        (TailModel(c_minus=0.0, c_plus=1.0,
+                   powers_minus=((amp, 2 * s),), powers_plus=((-amp, 2 * s),)),
+         0.5 + np.arctan(x) / np.pi),
+        (TailModel(c_minus=-0.5, c_plus=2.0, slope=0.3,
+                   powers_plus=((0.7, 0.8), (-0.2, 1.9))),
+         0.3 * x + 0.75 + 1.25 * np.tanh(x)),
+    ]
+    for tail, u in cases + cases[::-1] + cases:
+        ref = _line_apply_reference(plan, u, tail)
+        got = plan.apply(u, tail)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_split_radius_consistency_smooth_field():

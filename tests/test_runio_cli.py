@@ -248,3 +248,40 @@ def test_cli_missing_config_file(tmp_path, capsys):
     rc = cli.main(["layer", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
     assert rc == 2
+
+
+def _ansatz_cfg_dict(**numeric):
+    return {
+        "command": "ansatz-residual",
+        "operator": {"s": 0.5},
+        "potential": {"cosine": [A1]},
+        "numeric": numeric,
+        "inputs": {"layer": "half-layer.json"},
+        "output": {"prefix": "single"},
+    }
+
+
+@pytest.mark.parametrize("numeric", [
+    {"delta": 1.0, "p0": 1.0, "L0": 1.0, "n_terms": 0},
+    {"delta": 0.5, "p0": 1.0, "L0": 0.0, "n_terms": 0},
+    {"delta": 1.0, "p0": 1.0, "L0": 0.0, "n_terms": -1},
+])
+def test_cli_single_transition_needs_unit_scale(tmp_path, capsys, numeric):
+    cfg = write_cfg(tmp_path, _ansatz_cfg_dict(**numeric))
+    rc = cli.main(["ansatz-residual", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "numeric.n_terms" in capsys.readouterr().err
+
+
+def test_cli_single_transition_residual_is_layer_residual(tmp_path, capsys):
+    """n_terms = 0 with L0 = 0 and delta |p0| = 1 reduces the hull residual to
+    the layer equation, evaluated on the README s = 1/2 layer."""
+    [layer_cfg] = [p for p in SHIPPED_CONFIGS if p.name == "layer-half.json"]
+    assert cli.main(["layer", "--config", str(layer_cfg), "--out", str(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, _ansatz_cfg_dict(delta=1.0, p0=1.0, L0=0.0, n_terms=0))
+    rc = cli.main(["ansatz-residual", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    lay = runio.read_json_result(tmp_path / "half-layer.json")["result"]
+    ans = runio.read_json_result(tmp_path / "single-ansatz.json")["result"]
+    assert ans["kind"] == "single" and ans["n_terms"] == 0
+    assert ans["sup_abs"] == pytest.approx(lay["residual_sup_inner"], rel=1e-12, abs=0.0)
