@@ -148,7 +148,15 @@ def _run_homogenize(cfg, out_dir, base, workers):
     if branch == homog.BRANCH_WEAK:
         law = homog.SlopeLaw.from_rows(rows, drive=0.0)
     else:
-        law = homog.DriveLaw.from_rows(rows, slope_num=0, slope_den=1)
+        try:
+            p = cell.as_rational(num["slope"])
+        except ValueError as exc:
+            raise runio.ConfigError([f"numeric.slope: {exc}"]) from exc
+        if not any(r["slope_num"] == p.numerator and r["slope_den"] == p.denominator
+                   for r in rows):
+            raise runio.ConfigError(
+                [f"numeric.slope: {table_path} has no rows at slope {p}"])
+        law = homog.DriveLaw.from_rows(rows, slope_num=p.numerator, slope_den=p.denominator)
     profile = homog.InitialProfile(
         terms=tuple((float(a), int(m), k) for a, m, k in num.get("profile", []))
     )

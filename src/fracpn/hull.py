@@ -39,6 +39,7 @@ from .cell import CellProblemSpec, as_rational, hbar
 from .fracop import (
     GridField,
     TailModel,
+    _em_tail,
     pair_product_form,
     plan_for,
 )
@@ -76,19 +77,6 @@ class HullTailError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin tail closures
 # ---------------------------------------------------------------------------
-
-
-def _em_tail(a: int, c, beta: float):
-    """sum_{i=a}^inf (i+c)^-beta for beta > 1, |c| < a."""
-    if beta <= 1.0:
-        raise ValueError(f"one-sided tail needs beta > 1 (got {beta})")
-    t = a + np.asarray(c, dtype=float)
-    return (
-        t ** (1.0 - beta) / (beta - 1.0)
-        + 0.5 * t ** (-beta)
-        + beta * t ** (-beta - 1.0) / 12.0
-        - beta * (beta + 1.0) * (beta + 2.0) * t ** (-beta - 3.0) / 720.0
-    )
 
 
 def _em_pair(a: int, gamma, beta: float):

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .fracop import GridField, TailModel, plan_for
 from .potential import PeriodicPotential, eval_potential
@@ -57,6 +55,78 @@ class LayerConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_residual = last_residual
         self.monotone = monotone
+
+
+def _tridiagonal_solve(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i] (arrays,
+    sub[0] = sup[-1] = 0) by cyclic reduction: each level eliminates the
+    even-indexed unknowns from the odd-indexed rows, which halves the system
+    in a few vectorised operations.  Stable for strictly diagonally dominant
+    rows."""
+    n = diag.size
+    if n == 1:
+        return rhs / diag
+    if n % 2 == 0:  # a decoupled last row (m = 0) makes the length odd
+        sub, diag, sup, rhs = (np.append(v, e) for v, e in
+                               ((sub, 0.0), (diag, 1.0), (sup, 0.0), (rhs, 0.0)))
+    alpha = -sub[1::2] / diag[:-1:2]
+    gamma = -sup[1::2] / diag[2::2]
+    odd = _tridiagonal_solve(
+        alpha * sub[:-1:2],
+        diag[1::2] + alpha * sup[:-1:2] + gamma * sub[2::2],
+        gamma * sup[2::2],
+        rhs[1::2] + alpha * rhs[:-1:2] + gamma * rhs[2::2],
+    )
+    m = np.empty(diag.size)
+    m[1::2] = odd
+    m[::2] = (rhs[::2] - sub[::2] * np.concatenate(([0.0], odd))
+              - sup[::2] * np.concatenate((odd, [0.0]))) / diag[::2]
+    return m[:n]
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4.
+
+    Reproduces scipy.interpolate.CubicSpline(x, y) to roundoff: the same
+    linear system for the node derivatives (scipy's not-a-knot rows at both
+    ends), the same piecewise cubics, extrapolated past both ends, and the
+    same evaluation order.  Call with nu = 0 for values and nu = 1 for first
+    derivatives.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # end rows dx[1] m[0] + d0 m[1] = r0 and d1 m[-2] + dx[-2] m[-1] = r1;
+        # eliminating m[0] and m[-1] with them leaves a strictly diagonally
+        # dominant system for the interior derivatives
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        r0 = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        r1 = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        diag = 2.0 * (dx[:-1] + dx[1:])
+        diag[0] -= d0
+        diag[-1] -= d1
+        rhs = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] -= r0
+        rhs[-1] -= r1
+        m = _tridiagonal_solve(np.concatenate(([0.0], dx[2:])), diag,
+                               np.concatenate((dx[:-2], [0.0])), rhs)
+        m = np.concatenate(([(r0 - d0 * m[0]) / dx[1]], m, [(r1 - d1 * m[-1]) / dx[-2]]))
+        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.coeffs = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
+
+    def __call__(self, xp, nu: int = 0):
+        xp = np.asarray(xp, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xp, side="right") - 1, 0, self.x.size - 2)
+        z = xp - self.x[i]
+        c3, c2, c1, c0 = self.coeffs[:, i]
+        # ascending powers, summed in scipy's PPoly order
+        if nu == 0:
+            return c0 + c1 * z + c2 * (z * z) + c3 * (z * z * z)
+        return c1 + c2 * z * 2.0 + c3 * (z * z) * 3.0
 
 
 def _power_of_two(n: int) -> bool:
@@ -96,7 +166,6 @@ class LayerSolution:
     tail_amp_plus: float
     diagnostics: dict = dc_field(default_factory=dict)
     _spline: CubicSpline | None = None
-    _spline_d: CubicSpline | None = None
 
     @property
     def half_width(self) -> float:
@@ -106,15 +175,13 @@ class LayerSolution:
     def nodes(self) -> np.ndarray:
         return self.field.nodes
 
-    def _build_splines(self):
+    def _build_spline(self):
         if self._spline is None:
-            x = self.field.nodes
-            self._spline = CubicSpline(x, self.field.values)
-            self._spline_d = self._spline.derivative()
+            self._spline = CubicSpline(self.field.nodes, self.field.values)
 
     def eval_phi(self, x):
         """Profile value anywhere: spline inside the window, tail outside."""
-        self._build_splines()
+        self._build_spline()
         x = np.asarray(x, dtype=float)
         edge = self.half_width - 2.0 * self.field.h
         inside = np.abs(x) <= edge
@@ -129,12 +196,12 @@ class LayerSolution:
         return self.eval_phi(x) - (x >= 0.0)
 
     def eval_phi_prime(self, x):
-        self._build_splines()
+        self._build_spline()
         x = np.asarray(x, dtype=float)
         edge = self.half_width - 2.0 * self.field.h
         inside = np.abs(x) <= edge
         out = np.empty_like(x)
-        out[inside] = self._spline_d(x[inside])
+        out[inside] = self._spline(x[inside], 1)
         ax = np.abs(x[~inside])
         two_s = 2.0 * self.s
         amp = np.where(x[~inside] > 0, -self.tail_amp_plus, self.tail_amp_minus)
@@ -513,8 +580,9 @@ def solve_corrector_psi(
         return project(wpp * v - plan.apply(v, zero_tail))
 
     diag = wpp + plan.stiffness
-    M = LinearOperator((n, n), matvec=lambda v: project(v / diag))
-    A = LinearOperator((n, n), matvec=matvec)
+
+    def psolve(v):
+        return project(v / diag)
 
     iters = {"count": 0}
 
@@ -522,7 +590,7 @@ def solve_corrector_psi(
         iters["count"] += 1
 
     b = project(-rhs0)
-    psi, info = _cg(A, b, M, tol, max_iter, cb)
+    psi, info = _cg(matvec, b, psolve, tol, max_iter, cb)
     if info != 0:
         raise RuntimeError(f"corrector CG did not converge (info={info})")
     psi = project(psi)
@@ -539,7 +607,7 @@ def solve_corrector_psi(
 
     tail_infl = plan.apply(np.zeros(n), tail)  # operator applied to the tail extension alone
     b2 = project(-(rhs0) + tail_infl)
-    psi, info = _cg(A, b2, M, tol, max_iter, cb, x0=psi)
+    psi, info = _cg(matvec, b2, psolve, tol, max_iter, cb, x0=psi)
     if info != 0:
         raise RuntimeError(f"corrector CG (tail pass) did not converge (info={info})")
     psi = project(psi)
@@ -565,14 +633,35 @@ def solve_corrector_psi(
     )
 
 
-def _cg(A, b, M, tol, max_iter, cb, x0=None):
-    scale = float(np.linalg.norm(b))
-    if scale == 0.0:
+def _cg(matvec, b, psolve, tol, max_iter, callback, x0=None):
+    """Preconditioned conjugate gradients for a symmetric positive
+    semidefinite operator, as scipy.sparse.linalg.cg (scipy 1.17) runs it
+    with rtol=tol, atol=0: the same iterates, the stop once ||r|| < tol ||b||
+    (tested before each iteration) and callback(x) after each iteration.
+    Returns (x, 0) on convergence and (x, max_iter) otherwise."""
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
         return np.zeros_like(b), 0
-    try:
-        return cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
-    except TypeError:  # older scipy spells it 'tol'
-        return cg(A, b, x0=x0, tol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
+    atol = tol * bnorm
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    for it in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        callback(x)
+    return x, max_iter
 
 
 # ---------------------------------------------------------------------------

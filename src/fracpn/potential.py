@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "PeriodicPotential",
@@ -27,6 +26,44 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _golden_min(f, bracket, xtol: float = 1e-12):
+    """(x, f(x)) at a local minimum of f inside the bracket (xa, xb, xc).
+
+    A port of scipy.optimize.minimize_scalar(method="golden") for a
+    three-point bracket (scipy's _minimize_scalar_golden): the same bracket
+    check, the same iterates and the same stopping rule
+    |x3 - x0| <= xtol (|x1| + |x2|), so it returns the same numbers.
+    """
+    xa, xb, xc = bracket
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb < xc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill "
+                         "this requirement: (xa < xb) and (xb < xc)")
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill "
+                         "this requirement: (f(xb) < f(xa)) and (f(xb) < f(xc))")
+    gr = 0.61803399  # scipy's rounded golden ratio conjugate
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 @dataclass(frozen=True)
@@ -72,13 +109,11 @@ class PeriodicPotential:
         i = int(np.argmax(vals))
         v0 = vs[i]
         dh = vs[1] - vs[0]
-        res = minimize_scalar(
+        _, fmin = _golden_min(
             lambda v: -abs(float(eval_potential(self, v, order))),
-            bracket=(v0 - dh, v0, v0 + dh),
-            method="golden",
-            options={"xtol": 1e-12},
+            (v0 - dh, v0, v0 + dh),
         )
-        return max(float(vals[i]), -float(res.fun))
+        return max(float(vals[i]), -fmin)
 
     def derivative_bound(self, order: int = 1) -> float:
         """Cheap upper bound sum_k |a_k| (2 pi k)^order (used for CFL)."""
@@ -176,16 +211,8 @@ class Forcing:
         best = float(grid[it, iy])
         dh = 1.0 / 256.0
         for _ in range(3):
-            res = minimize_scalar(
-                lambda t: -abs(float(self(t, y0))),
-                bracket=(t0 - dh, t0, t0 + dh), method="golden", options={"xtol": 1e-12},
-            )
-            t0 = float(res.x)
-            res = minimize_scalar(
-                lambda y: -abs(float(self(t0, y))),
-                bracket=(y0 - dh, y0, y0 + dh), method="golden", options={"xtol": 1e-12},
-            )
-            y0 = float(res.x)
+            t0, _ = _golden_min(lambda t: -abs(float(self(t, y0))), (t0 - dh, t0, t0 + dh))
+            y0, _ = _golden_min(lambda y: -abs(float(self(t0, y))), (y0 - dh, y0, y0 + dh))
             best = max(best, abs(float(self(t0, y0))))
         return best
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracpn import cli, runio
+from fracpn.cell import TABLE_COLUMNS
 
 A1 = 0.025330295910584444  # 1/(4 pi^2): curvature-one single-cosine well
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
@@ -285,3 +286,48 @@ def test_cli_single_transition_residual_is_layer_residual(tmp_path, capsys):
     ans = runio.read_json_result(tmp_path / "single-ansatz.json")["result"]
     assert ans["kind"] == "single" and ans["n_terms"] == 0
     assert ans["sup_abs"] == pytest.approx(lay["residual_sup_inner"], rel=1e-12, abs=0.0)
+
+
+def _write_drive_table(path, laws):
+    """hbar-table CSV with rows speed = gain * drive at each (slope, drives, gain)."""
+    rows = [
+        {"slope_num": num, "slope_den": den, "drive": F, "speed": gain * F,
+         "uncertainty": 0.0, "corrector_amplitude": 0.0, "converged": True,
+         "horizon": 1.0, "n": 64}
+        for (num, den), drives, gain in laws for F in drives
+    ]
+    runio.write_csv(path, TABLE_COLUMNS, rows, {"command": "hbar-table"})
+
+
+def _homog_sub_cfg_dict(slope):
+    """Strong branch at s = 1/2, where slope / eps must be an integer."""
+    return {
+        "command": "homogenize",
+        "operator": {"s": 0.5},
+        "potential": {"cosine": [A1]},
+        "numeric": {"branch": "sub", "eps_list": [0.5, 0.25], "slope": slope,
+                    "horizon": 0.05, "n": 64, "profile": [[0.1, 1, "sin"]]},
+        "inputs": {"hbar_table": "t-hbar-table.csv"},
+        "output": {"prefix": "t"},
+    }
+
+
+def test_cli_homogenize_sub_uses_rows_at_config_slope(tmp_path, capsys):
+    _write_drive_table(tmp_path / "t-hbar-table.csv", [
+        ((0, 1), [-1.0, 0.0, 1.0], 1.0),
+        ((1, 2), [-3.0, 0.0, 3.0], 2.0),
+    ])
+    cfg = write_cfg(tmp_path, _homog_sub_cfg_dict(0.5))
+    # the exit code reports the error trend of this short run, not the law
+    cli.main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)])
+    meta = runio.read_json_result(tmp_path / "t-homog.json")["meta"]
+    assert meta["tolerances"]["law_coverage"] == [-3.0, 3.0]  # the slope-1/2 drives
+
+
+def test_cli_homogenize_sub_missing_slope_exits_2(tmp_path, capsys):
+    _write_drive_table(tmp_path / "t-hbar-table.csv", [((0, 1), [-1.0, 0.0, 1.0], 1.0)])
+    cfg = write_cfg(tmp_path, _homog_sub_cfg_dict(0.25))
+    rc = cli.main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numeric.slope" in err and "slope 1/4" in err
