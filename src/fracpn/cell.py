@@ -17,11 +17,41 @@ and |mean(v)(t) - mean(v)(0) - F t| <= (sup|W'| + sup|sigma|) t along the
 discrete flow; a violation beyond roundoff slack aborts the run.
 
 The effective speed for (p, F) is the long-time slope of mean(v), fitted
-by least squares over the second half of the horizon.  The reported
-uncertainty is the spread between the slopes fitted on the two halves of
-the fit window, and the corrector amplitude is the half-range of the
-residual mean(v) - speed * t there.  Results carry an explicit
-``converged`` flag; nothing is clamped or hidden.
+by least squares over the second half [T/2, T] of the time T the run
+covered.  The reported uncertainty is the spread between the slopes fitted
+on the two halves of the fit window, and the corrector amplitude is the
+half-range of the residual mean(v) - speed * t there.  Results carry an
+explicit ``converged`` flag; nothing is clamped or hidden.
+
+The spec's ``horizon`` is a cap.  At the checkpoints t = horizon * 2^-j,
+j = 6, ..., 1 (only those at least 64 steps in, so that a fit window holds
+at least 32 samples), a run stops as soon as its speed is certified, and
+T is then that checkpoint; a run that is never certified runs to the cap.
+Two certificates exist:
+
+(a) Exact zero.  Without forcing, the speed is exactly 0 when F = 0, and
+    when p = 0 and |F| <= sup|W'|.  At F = 0 the flow is the gradient flow
+    of E(v) = -1/2 <v, I v> + sum W(p x + v): both terms are bounded below
+    (I is negative semi-definite and W is bounded) and E is unchanged by v -> v + 1,
+    so mean(v) cannot drift linearly in t.  The discrete scheme inherits
+    this: E has gradient Lipschitz constant at most Lambda + sup W'', and
+    the CFL step 0.9 / (Lambda + sup W'') is below 2 / (Lambda + sup W''),
+    so each explicit Euler step decreases E.  At p = 0 the uniform states
+    solve the scalar ODE c' = F - W'(c), which has rest points when
+    |F| <= sup|W'| (W' is odd for the cosine potentials); by comparison any
+    state stays between two of them.  Such a run stops at the first
+    checkpoint where max|v_t| <= 1e-9, which confirms that the discrete
+    flow has settled as the argument says, and reports speed 0.0 with
+    uncertainty 0.0.  A run that fails to settle runs to the cap and is
+    fitted as usual.
+(b) Travelling wave.  The fit over [t/2, t] at a checkpoint certifies the
+    speed when its uncertainty is at most 1e-12 * max(1, |speed|), it agrees
+    with the previous checkpoint's speed to the same bound, and mean(v)
+    advanced by at least 1/q over the window.  A moving state is periodic
+    up to v(x) -> v(x + a) + p a + b, and mean(v) advances by 1/q per
+    period, so the last condition asks for at least one whole period in
+    the window: a pinned-looking run near depinning, whose mean has barely
+    moved, never passes it.
 """
 
 from __future__ import annotations
@@ -60,6 +90,11 @@ TABLE_COLUMNS = (
     "horizon",
     "n",
 )
+
+SETTLE_TOL = 1e-9  # certificate (a): max|v_t| of a settled run
+CERTIFY_RTOL = 1e-12  # certificate (b): fit spread and drift, relative to max(1, |speed|)
+CHECKPOINT_LEVELS = range(6, 0, -1)  # checkpoints at horizon * 2^-j
+MIN_CHECKPOINT_STEPS = 64
 
 
 class CellStabilityError(RuntimeError):
@@ -132,6 +167,8 @@ class CellTrace:
     v_final: np.ndarray
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
+    horizon: float  # the time the run covered: the cap or a checkpoint
+    certified_zero: bool  # stopped by certificate (a): the speed is exactly 0
 
 
 def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
@@ -150,6 +187,12 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     wpp = W.derivative_bound(2) if W is not None else 0.0
     dt = spec.dt if spec.dt is not None else 0.9 / (plan.stiffness + wpp)
     nsteps = int(math.ceil(spec.horizon / dt))
+    checkpoints = {}  # step index -> checkpoint time
+    for j in CHECKPOINT_LEVELS:
+        t_j = spec.horizon * 2.0**-j
+        k_j = int(math.ceil(t_j / dt))
+        if k_j >= MIN_CHECKPOINT_STEPS:
+            checkpoints[k_j] = t_j
 
     if initial is None:
         v = np.zeros(n)
@@ -162,6 +205,8 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     means[0] = v.mean()
     mean0 = means[0]
     F = spec.drive
+    exact_zero = sigma is None and (F == 0.0 or (spec.slope == 0 and abs(F) <= K))
+    horizon, certified_zero, last_speed = spec.horizon, False, None
     check_every = max(1, nsteps // 64)
     slack = 1e-8
 
@@ -182,10 +227,30 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
                     f"{bound:.3e} * t at t = {t:.3f} (slope {spec.slope}, "
                     f"drive {F})"
                 )
+        t_j = checkpoints.get(k + 1)
+        if t_j is None:
+            continue
+        m = k + 2
+        if exact_zero:
+            if float(np.max(np.abs(rhs))) <= SETTLE_TOL:
+                horizon, certified_zero = t_j, True
+                break
+            continue
+        times = dt * np.arange(m)
+        fit = estimate_lambda(CellTrace(spec, times, means[:m], v, dt, bound, t_j, False))
+        rtol = CERTIFY_RTOL * max(1.0, abs(fit.speed))
+        start = int(np.searchsorted(times, fit.fit_window[0]))
+        if (fit.uncertainty <= rtol and last_speed is not None
+                and abs(fit.speed - last_speed) <= rtol
+                and abs(means[k + 1] - means[start]) >= 1.0 / q):
+            horizon = t_j
+            break
+        last_speed = fit.speed
+    else:
+        m = nsteps + 1
 
-    times = dt * np.arange(nsteps + 1)
-    return CellTrace(spec=spec, times=times, means=means, v_final=v, dt=dt,
-                     envelope_bound=bound)
+    return CellTrace(spec=spec, times=dt * np.arange(m), means=means[:m], v_final=v, dt=dt,
+                     envelope_bound=bound, horizon=horizon, certified_zero=certified_zero)
 
 
 @dataclass(frozen=True)
@@ -197,6 +262,7 @@ class SpeedFit:
     converged: bool
     fit_window: tuple
     envelope_bound: float
+    horizon: float  # the time the run covered
 
 
 def _ls_slope(t, y):
@@ -209,7 +275,9 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
     """Fit the effective speed from the mean trace.
 
     The uncertainty is |slope(first half) - slope(second half)| over the fit
-    window; ``converged`` records whether it is below ``tol``.
+    window; ``converged`` records whether it is below ``tol``.  A trace
+    stopped by the exact-zero certificate reports speed 0.0 and uncertainty
+    0.0, with the window's mean as intercept.
     """
     T = trace.times[-1]
     lo, hi = fit_window[0] * T, fit_window[1] * T
@@ -218,11 +286,14 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
         raise ValueError("fit window contains fewer than 16 samples")
     t = trace.times[sel]
     y = trace.means[sel]
-    speed, intercept = _ls_slope(t, y)
-    mid = t.size // 2
-    s1, _ = _ls_slope(t[:mid], y[:mid])
-    s2, _ = _ls_slope(t[mid:], y[mid:])
-    unc = abs(s1 - s2)
+    if trace.certified_zero:
+        speed, intercept, unc = 0.0, float(y.mean()), 0.0
+    else:
+        speed, intercept = _ls_slope(t, y)
+        mid = t.size // 2
+        s1, _ = _ls_slope(t[:mid], y[:mid])
+        s2, _ = _ls_slope(t[mid:], y[mid:])
+        unc = abs(s1 - s2)
     resid = y - (speed * t + intercept)
     amp = 0.5 * float(resid.max() - resid.min())
     return SpeedFit(
@@ -233,6 +304,7 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
         converged=bool(unc <= tol),
         fit_window=(float(lo), float(hi)),
         envelope_bound=trace.envelope_bound,
+        horizon=trace.horizon,
     )
 
 
@@ -252,7 +324,7 @@ def _table_worker(args):
         "uncertainty": fit.uncertainty,
         "corrector_amplitude": fit.corrector_amplitude,
         "converged": fit.converged,
-        "horizon": spec.horizon,
+        "horizon": fit.horizon,
         "n": spec.n,
     }
 

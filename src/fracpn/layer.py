@@ -344,13 +344,7 @@ def solve_layer(
     res = float(np.max(np.abs(rhs[inner])))
 
     phi_prime = np.gradient(phi, h)
-    grad_sq = float(_trapz(phi_prime**2, x))
-    # tail part: phi' ~ 2 s |a| |x|^(-1-2s) on each side
-    for a in (a_minus, a_plus):
-        amp = two_s * abs(a)
-        grad_sq += amp**2 * R_dom ** (-1.0 - 4.0 * s) / (1.0 + 4.0 * s)
-    if grad_sq < 1e-12:
-        raise LayerConvergenceError("degenerate layer: gradient integral below 1e-12")
+    grad_sq = _gradient_sq_integral(phi_prime, x, R_dom, s, a_minus, a_plus)
     c0 = 1.0 / grad_sq
 
     return LayerSolution(
@@ -376,17 +370,23 @@ def solve_layer(
     )
 
 
-def compute_c0(layer: LayerSolution) -> float:
-    """Mobility constant c0 = (int phi'^2)^-1 (recomputed from the profile)."""
-    x = layer.nodes
-    grad_sq = float(_trapz(layer.phi_prime**2, x))
-    two_s = 2.0 * layer.s
-    for a in (layer.tail_amp_minus, layer.tail_amp_plus):
+def _gradient_sq_integral(phi_prime, x, half_width, s, a_minus, a_plus) -> float:
+    """int phi'^2: the trapezoid rule on the window plus the two tails,
+    where phi' ~ 2 s |a| |x|^(-1-2s)."""
+    grad_sq = float(_trapz(phi_prime**2, x))
+    two_s = 2.0 * s
+    for a in (a_minus, a_plus):
         amp = two_s * abs(a)
-        grad_sq += amp**2 * layer.half_width ** (-1.0 - 4.0 * layer.s) / (1.0 + 4.0 * layer.s)
+        grad_sq += amp**2 * half_width ** (-1.0 - 4.0 * s) / (1.0 + 4.0 * s)
     if grad_sq < 1e-12:
         raise LayerConvergenceError("degenerate layer: gradient integral below 1e-12")
-    return 1.0 / grad_sq
+    return grad_sq
+
+
+def compute_c0(layer: LayerSolution) -> float:
+    """Mobility constant c0 = (int phi'^2)^-1 (recomputed from the profile)."""
+    return 1.0 / _gradient_sq_integral(layer.phi_prime, layer.nodes, layer.half_width,
+                                       layer.s, layer.tail_amp_minus, layer.tail_amp_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,70 @@ def test_table_rows_sorted_and_parallel_consistent():
         assert a == b
 
 
+# criterion 04's grid: s = 1/2, n = 512, horizon 200
+GRID_SLOPES = (Fraction(1, 2), Fraction(1), Fraction(2))
+# the fixed-horizon (200) speeds at F = +1; the F = -1 speeds are their negatives
+GRID_SPEEDS = {Fraction(1, 2): 0.9897817790062319, Fraction(1): 0.9936580085216606,
+               Fraction(2): 0.9974643861577659}
+
+
+@pytest.fixture(scope="module")
+def grid_rows():
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=512, horizon=200.0)
+    rows = hbar_table(base, slopes=GRID_SLOPES, drives=[-1.0, 0.0, 1.0])
+    return {(Fraction(r["slope_num"], r["slope_den"]), r["drive"]): r for r in rows}
+
+
+def test_drive_zero_rows_certify_exact_zero(grid_rows):
+    for p in GRID_SLOPES:
+        row = grid_rows[(p, 0.0)]
+        assert row["speed"] == 0.0
+        assert row["uncertainty"] == 0.0
+        assert row["horizon"] < 200.0
+
+
+def test_travelling_waves_stop_early_with_the_capped_speed(grid_rows):
+    for p in GRID_SLOPES:
+        for F in (-1.0, 1.0):
+            row = grid_rows[(p, F)]
+            assert row["speed"] == pytest.approx(F * GRID_SPEEDS[p], abs=1e-12)
+            assert row["horizon"] <= 25.0
+
+
+def test_slope_zero_below_depinning_is_exactly_pinned():
+    F = 0.1
+    assert F < SUP_WP
+    spec = CellProblemSpec(s=0.4, slope=Fraction(0), drive=F, potential=W_STD,
+                           n=32, horizon=100.0)
+    trace = solve_cell_evolution(spec)
+    fit = estimate_lambda(trace)
+    assert trace.certified_zero
+    assert fit.speed == 0.0
+    assert fit.uncertainty == 0.0
+    assert fit.horizon < spec.horizon
+
+
+def test_oscillating_row_runs_to_the_cap():
+    """Above depinning at slope 0 the uniform state oscillates, the fit
+    never certifies, and the result is the fixed-horizon one bit for bit."""
+    spec = CellProblemSpec(s=0.3, slope=Fraction(0), drive=0.2, potential=W_STD,
+                           n=256, horizon=150.0)
+    fit = hbar(spec)
+    assert fit.speed == 0.12111678960096332
+    assert fit.uncertainty == 7.045485583312139e-04
+    assert fit.horizon == 150.0
+
+
+def test_forcing_excludes_the_exact_zero_certificate():
+    spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.0, potential=W_STD,
+                           forcing=Forcing.zero(), n=64, horizon=20.0)
+    trace = solve_cell_evolution(spec)
+    assert not trace.certified_zero
+    assert trace.horizon == spec.horizon
+    assert trace.times[-1] >= spec.horizon
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CellProblemSpec(s=1.2, slope=Fraction(0), drive=0.0, potential=None)

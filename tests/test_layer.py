@@ -30,7 +30,7 @@ def test_half_order_c0_is_two_pi(layer_half):
     assert layer_half.c0 == pytest.approx(TWO_PI, rel=0.01)
     # and the gradient integral is its reciprocal, 1/(2 pi)
     assert layer_half.gradient_sq_integral == pytest.approx(1.0 / TWO_PI, rel=0.01)
-    assert compute_c0(layer_half) == pytest.approx(layer_half.c0, rel=1e-12)
+    assert compute_c0(layer_half) == layer_half.c0
 
 
 def test_half_order_tail_amplitudes(layer_half):

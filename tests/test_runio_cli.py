@@ -64,6 +64,24 @@ def test_shipped_configs_parse_and_chain():
         assert set(c.inputs.values()) <= produced, c.command
 
 
+def test_shipped_weak_branch_chain(tmp_path):
+    """`hbar-slope-s075` -> `homogenize-super`: every drive-0 speed is a
+    certified zero, stopped well before the cap, and the weak-branch error
+    is the one recorded when the chain was shipped."""
+    configs = SHIPPED_CONFIGS[0].parent
+    out = str(tmp_path)
+    assert cli.main(["hbar-table", "--config", str(configs / "hbar-slope-s075.json"),
+                     "--out", out, "--workers", "2"]) == 0
+    _, _, rows = runio.read_csv(tmp_path / "s075-hbar-table.csv")
+    assert len(rows) == 9
+    assert all(r["speed"] == 0.0 and r["horizon"] < 150.0 for r in rows)
+    assert cli.main(["homogenize", "--config", str(configs / "homogenize-super.json"),
+                     "--out", out]) == 0
+    errors = runio.read_json_result(tmp_path / "s075-homog.json")["result"]["errors"]
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert [round(e, 4) for e in errors] == [0.2083, 0.1717, 0.1418]
+
+
 def test_config_sha_ignores_formatting():
     a = json.dumps(layer_cfg_dict())
     b = json.dumps(layer_cfg_dict(), indent=4, sort_keys=True)
