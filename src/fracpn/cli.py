@@ -69,7 +69,6 @@ def _run_layer(cfg, out_dir, base, workers):
         cfg.s, W,
         R_dom=float(num.get("half_width", 20.0)),
         n=int(num.get("n", 2048)),
-        flow_time=float(num.get("flow_time", 60.0)),
         tol=tol,
         g=cfg.g_const,
     )

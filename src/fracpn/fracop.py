@@ -499,6 +499,14 @@ class LinePlan:
     use.  The convolution keeps only the n central outputs of the padded
     field, which a circular FFT of length n + 2K (rounded up to a power of
     two) gives free of wrap-around.
+
+    With the zero tail the operator is a symmetric Toeplitz matrix on the
+    window: coeffs[k-1] at distance k and -(2 sum(coeffs) + 2 far_coeff
+    sum(far_w)) on the diagonal.  ``symbol`` caches the exact spectrum
+    (rfft) of -I embedded as a circulant of length 2n: zero-padding a window
+    field to 2n, multiplying by ``symbol`` in Fourier and keeping the first
+    n outputs gives -apply(v, TailModel.zero()).  The layer and corrector
+    solves precondition with (alpha + symbol)^-1.
     """
 
     def __init__(self, n: int, half_width: float, s: float, g_const: float, m_inner: int):
@@ -529,7 +537,14 @@ class LinePlan:
         self.far_z = self.z_max * _GL_T ** (-1.0 / two_s)
         self.far_w = _GL_W.copy()
         self.far_coeff = g_const * self.z_max ** (-two_s) / two_s
-        self.stiffness = 2.0 * c.sum() + 2.0 * self.far_coeff
+
+        # symbol of the zero-tail -I on the window, a symmetric Toeplitz
+        # matrix embedded as the circulant of length 2n
+        col = np.zeros(2 * n)
+        col[0] = 2.0 * c.sum() + 2.0 * self.far_coeff * self.far_w.sum()
+        col[1:n] = -c[: n - 1]
+        col[n + 1 :] = -c[n - 2 :: -1]
+        self.symbol = np.fft.rfft(col).real
 
         x = h * (np.arange(n) - n // 2)
         x.setflags(write=False)

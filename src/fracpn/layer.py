@@ -2,19 +2,21 @@
 mobility constant, and the first-order corrector.
 
 The layer profile solves I[phi] = W'(phi) on the line with phi(-inf) = 0,
-phi(+inf) = 1 and phi(0) = 1/2, computed by explicit-Euler gradient flow
-(monotone under the CFL bound dt (Lambda + sup W'') <= 0.9).  Far-field
+phi(+inf) = 1 and phi(0) = 1/2, computed by Newton's method in three
+closure passes (theory tail, then two amplitude refits).  Far-field
 behavior: phi - H ~ -(g/(2 s alpha)) x/|x|^(1+2s) with alpha = W''(0), so
 tail models carry the exponent 2s with least-squares-fitted amplitudes.
 
 The corrector psi solves
 
     I[psi] - W''(phi) psi = (L0/alpha)(W''(phi) - alpha) + c phi',
-    c = L0 / int phi'^2,
+    c = L0 / int phi'^2.
 
-whose symmetric operator M = diag(W''(phi)) - I is a singular M-matrix (its
-near-kernel is spanned by phi' > 0), hence positive semidefinite: conjugate
-gradients with Jacobi preconditioning and deflation of the phi' mode.
+Its operator M = diag(W''(phi)) - I is also the Newton Jacobian of the
+layer equation, and both solves run on one deflated PCG (``_deflated_pcg``):
+M is a singular M-matrix with near-kernel phi' > 0, hence positive
+semidefinite, so CG runs on the complement of phi', preconditioned by the
+circulant inverse (alpha + sigma)^-1 of the plan's zero-tail symbol sigma.
 """
 
 from __future__ import annotations
@@ -46,10 +48,14 @@ __all__ = [
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+_NEWTON_MAX = 20  # Newton steps per layer pass
+_NEWTON_RTOL = 1e-3  # relative PCG tolerance of a Newton step
+_CG_MAX = 400  # PCG iterations per linear solve
+
 
 class LayerConvergenceError(RuntimeError):
-    """Gradient flow did not reach the requested residual; carries the last
-    residual and the monotonicity status."""
+    """A layer or corrector solve did not reach the requested residual; a
+    layer failure carries the last residual and the monotonicity status."""
 
     def __init__(self, message, last_residual=None, monotone=None):
         super().__init__(message)
@@ -242,16 +248,24 @@ def solve_layer(
     W: PeriodicPotential,
     R_dom: float = 20.0,
     n: int = 2048,
-    flow_time: float = 60.0,
     tol: float = 1e-7,
     g: float | None = None,
 ) -> LayerSolution:
-    """Gradient-flow solve of the layer equation I[phi] = W'(phi).
+    """Newton-Krylov solve of the layer equation I[phi] = W'(phi).
 
-    Requires R_dom >= 20 (tail fits need room) and n a power of two.  The
-    theory tail (exponent 2s, amplitude g/(2 s alpha)) seeds the far-field
-    closure; amplitudes are refitted once and the flow is briefly resumed
-    with the fitted closure.
+    Requires R_dom >= 20 (tail fits need room) and n a power of two.  Three
+    closure passes: the theory tail (exponent 2s, amplitude g/(2 s alpha)),
+    then two refits of the tail amplitudes to the profile.  Each pass runs
+    Newton steps from the previous profile, starting from the arctan layer:
+    (W''(phi) - I) delta = I[phi] - W'(phi) with zero-tail perturbations,
+    solved to relative tolerance _NEWTON_RTOL by ``_deflated_pcg``
+    (circulant-preconditioned CG on the complement of phi'), then
+    phi <- phi + delta recentered to phi(0) = 1/2, which fixes the
+    translation the deflation leaves free.  A pass ends once the residual on
+    the inner 80% of the window is <= tol; one whose residual stops
+    decreasing, or that needs more than _NEWTON_MAX steps, raises
+    LayerConvergenceError.  ``steps`` counts the Newton steps and
+    ``diagnostics["passes"]`` the PCG iterations of each.
     """
     if R_dom < 20.0:
         raise ValueError(f"layer window must satisfy R_dom >= 20 (got {R_dom})")
@@ -267,71 +281,45 @@ def solve_layer(
 
     h = 2.0 * R_dom / n
     x = h * (np.arange(n) - n // 2)
+    inner = slice(n // 10, n - n // 10)
 
     A_theory = g / (two_s * alpha)
 
-    def make_tail(a_minus, a_plus):
-        return TailModel(
-            c_minus=0.0,
-            c_plus=1.0,
-            powers_minus=((a_minus, two_s),),
-            powers_plus=((a_plus, two_s),),
-        )
-
-    tail = make_tail(A_theory, -A_theory)
-    phi = 0.5 + np.arctan(x) / math.pi
-
-    sup_wpp = W.derivative_bound(2)
-    dt = 0.9 / (plan.stiffness + sup_wpp)
-    inner = slice(n // 10, n - n // 10)
-
-    steps_total = 0
-    res = math.inf
-
-    def flow(phi, tail, t_budget):
-        nonlocal steps_total, res
-        max_steps = int(math.ceil(t_budget / dt))
-        for k in range(max_steps):
-            rhs = plan.apply(phi, tail) - eval_potential(W, phi, 1)
-            res = float(np.max(np.abs(rhs[inner])))
-            if res <= tol:
-                return phi, True
-            phi = phi + dt * rhs
-            steps_total += 1
-            if (k + 1) % 50 == 0:
-                phi = _recenter(phi, x)
-        rhs = plan.apply(phi, tail) - eval_potential(W, phi, 1)
-        res = float(np.max(np.abs(rhs[inner])))
-        return phi, res <= tol
-
-    # theory-amplitude pass, then two refit/re-equilibrate passes so the
-    # final residual is measured against the closure the flow converged with
+    # theory-amplitude pass, then two refit passes so the final residual is
+    # measured against the closure the profile converged with
     fit = (np.abs(x) >= 0.55 * R_dom) & (np.abs(x) <= 0.9 * R_dom)
     right = fit & (x > 0)
     left = fit & (x < 0)
     a_minus, a_plus = A_theory, -A_theory
-    phi, ok = flow(phi, tail, flow_time)
-    if not ok:
-        raise LayerConvergenceError(
-            f"layer flow stalled at residual {res:.3e} (tol {tol:.1e}) after "
-            f"{steps_total} steps",
-            last_residual=res,
-            monotone=_monotone(phi),
-        )
-    for _ in range(2):
-        a_plus = _fit_amplitude(x[right], phi[right] - 1.0, two_s)
-        a_minus = _fit_amplitude(-x[left], phi[left], two_s)
-        tail = make_tail(a_minus, a_plus)
-        phi, ok = flow(phi, tail, max(5.0, flow_time / 4.0))
-        if not ok:
-            raise LayerConvergenceError(
-                f"layer flow (fitted-tail pass) stalled at residual {res:.3e}",
-                last_residual=res,
-                monotone=_monotone(phi),
-            )
+    phi = 0.5 + np.arctan(x) / math.pi
+    passes = []
+    for label in ("theory tail", "fitted tail", "fitted tail"):
+        if passes:
+            a_plus = _fit_amplitude(x[right], phi[right] - 1.0, two_s)
+            a_minus = _fit_amplitude(-x[left], phi[left], two_s)
+        tail = TailModel(c_minus=0.0, c_plus=1.0, powers_minus=((a_minus, two_s),),
+                         powers_plus=((a_plus, two_s),))
+        pcg, prev = [], math.inf  # PCG iterations of each Newton step
+        while True:
+            F = plan.apply(phi, tail) - eval_potential(W, phi, 1)
+            res = float(np.max(np.abs(F[inner])))
+            if res <= tol:
+                break
+            if res >= prev or len(pcg) == _NEWTON_MAX:
+                raise LayerConvergenceError(
+                    f"layer Newton solve ({label}) stalled at residual {res:.3e} "
+                    f"(tol {tol:.1e}) after {len(pcg)} steps",
+                    last_residual=res,
+                    monotone=_monotone(phi),
+                )
+            delta, its = _deflated_pcg(plan, eval_potential(W, phi, 2), alpha,
+                                       np.gradient(phi, h), F, _NEWTON_RTOL)
+            phi = _recenter(phi + delta, x)
+            prev = res
+            pcg.append(its)
+        passes.append({"newton_steps": len(pcg), "pcg_iterations": pcg})
 
-    phi = _recenter(phi, x)
-    phi[n // 2] = 0.5  # crossing normalized exactly
+    phi[n // 2] = 0.5  # crossing normalized exactly (each step recentered)
     monotone = _monotone(phi)
     if not monotone:
         raise LayerConvergenceError(
@@ -356,14 +344,14 @@ def solve_layer(
         c0=c0,
         gradient_sq_integral=grad_sq,
         residual_sup_inner=res,
-        dt=dt,
-        steps=steps_total,
+        dt=0.0,
+        steps=sum(p["newton_steps"] for p in passes),  # Newton steps
         monotone=monotone,
         tail_amp_minus=a_minus,
         tail_amp_plus=a_plus,
         diagnostics={
             "tail_amp_theory": A_theory,
-            "flow_time": steps_total * dt,
+            "passes": passes,
             "n": n,
             "R_dom": R_dom,
         },
@@ -537,31 +525,25 @@ class CorrectorSolution:
         return out
 
 
-def solve_corrector_psi(
-    layer: LayerSolution,
-    L0: float,
-    tol: float = 1e-9,
-    max_iter: int = 4000,
-) -> CorrectorSolution:
+def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> CorrectorSolution:
     """Solve I[psi] - W''(phi) psi = (L0/alpha)(W''(phi) - alpha) + c phi'.
 
-    Deflated, Jacobi-preconditioned CG on the window with a zero far-field
-    closure, followed by one tail refit and a re-solve with the fitted tail
-    moved to the right-hand side.  psi is linear in L0; L0 = 0 returns the
-    zero corrector.
+    ``_deflated_pcg`` on the window with a zero far-field closure (relative
+    tolerance ``tol``), followed by one tail refit and a re-solve with the
+    fitted tail moved to the right-hand side.  psi is linear in L0; L0 = 0
+    returns the zero corrector.
     """
     s = layer.s
     W = layer.potential
     n = layer.field.n
     x = layer.nodes
     plan = plan_for("line", n, layer.half_width, s, layer.g_const)
-    zero_tail = TailModel.zero()
 
     alpha = W.curvature_at_zero
     c = L0 * layer.c0
     if L0 == 0.0:
         return CorrectorSolution(
-            s=s, L0=0.0, c=0.0, values=np.zeros(n), tail=zero_tail,
+            s=s, L0=0.0, c=0.0, values=np.zeros(n), tail=TailModel.zero(),
             half_width=layer.half_width, residual_sup_inner=0.0,
             cg_info={"iterations": 0, "passes": 0}, odd_tail_amplitude=0.0,
         )
@@ -570,30 +552,7 @@ def solve_corrector_psi(
     wpp = eval_potential(W, phi, 2)
     rhs0 = (L0 / alpha) * (wpp - alpha) + c * layer.phi_prime
 
-    e = layer.phi_prime / np.linalg.norm(layer.phi_prime)
-
-    def project(v):
-        return v - e * np.dot(e, v)
-
-    def matvec(v):
-        v = project(v)
-        return project(wpp * v - plan.apply(v, zero_tail))
-
-    diag = wpp + plan.stiffness
-
-    def psolve(v):
-        return project(v / diag)
-
-    iters = {"count": 0}
-
-    def cb(_):
-        iters["count"] += 1
-
-    b = project(-rhs0)
-    psi, info = _cg(matvec, b, psolve, tol, max_iter, cb)
-    if info != 0:
-        raise RuntimeError(f"corrector CG did not converge (info={info})")
-    psi = project(psi)
+    psi, its0 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, -rhs0, tol)
 
     # fit an even power tail and re-solve with it on the right-hand side
     two_s = 2.0 * s
@@ -606,11 +565,7 @@ def solve_corrector_psi(
     tail = TailModel(powers_minus=((amp_l, beta),), powers_plus=((amp_r, beta),))
 
     tail_infl = plan.apply(np.zeros(n), tail)  # operator applied to the tail extension alone
-    b2 = project(-(rhs0) + tail_infl)
-    psi, info = _cg(matvec, b2, psolve, tol, max_iter, cb, x0=psi)
-    if info != 0:
-        raise RuntimeError(f"corrector CG (tail pass) did not converge (info={info})")
-    psi = project(psi)
+    psi, its1 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, tail_infl - rhs0, tol, x0=psi)
 
     full = plan.apply(psi, tail)
     residual = full - wpp * psi - rhs0
@@ -628,9 +583,42 @@ def solve_corrector_psi(
     return CorrectorSolution(
         s=s, L0=L0, c=c, values=psi, tail=tail, half_width=layer.half_width,
         residual_sup_inner=res,
-        cg_info={"iterations": iters["count"], "passes": 2, "tail_exponent": beta},
+        cg_info={"iterations": its0 + its1, "passes": 2,
+                 "pcg_iterations": [its0, its1], "tail_exponent": beta},
         odd_tail_amplitude=odd_amp,
     )
+
+
+def _deflated_pcg(plan, wpp, alpha, mode, b, tol, x0=None):
+    """Solve (diag(wpp) - I) x = b with zero-tail I on the complement of
+    ``mode`` (the translation mode phi'), by PCG to relative tolerance ``tol``.
+
+    b and the iterates are projected onto phi'^perp, where the operator is
+    positive definite.  The preconditioner (alpha + plan.symbol)^-1,
+    alpha = W''(0), is the operator itself wherever W''(phi) = alpha, i.e.
+    away from the core, so iteration counts stay flat in n.  Returns
+    (x, iterations); raises LayerConvergenceError after _CG_MAX iterations.
+    """
+    n = b.size
+    e = mode / np.linalg.norm(mode)
+    zero_tail = TailModel.zero()
+    shift = alpha + plan.symbol
+
+    def project(v):
+        return v - e * np.dot(e, v)
+
+    def matvec(v):
+        v = project(v)
+        return project(wpp * v - plan.apply(v, zero_tail))
+
+    def psolve(v):
+        return project(np.fft.irfft(np.fft.rfft(v, 2 * n) / shift, 2 * n)[:n])
+
+    steps = []
+    x, info = _cg(matvec, project(b), psolve, tol, _CG_MAX, steps.append, x0=x0)
+    if info != 0:
+        raise LayerConvergenceError(f"deflated PCG did not converge in {_CG_MAX} iterations")
+    return project(x), len(steps)
 
 
 def _cg(matvec, b, psolve, tol, max_iter, callback, x0=None):

@@ -122,7 +122,7 @@ _TOP_KEYS = {"command", "operator", "potential", "forcing", "numeric", "inputs",
              "output"}
 
 _NUMERIC_KEYS = {
-    "layer": {"n", "half_width", "flow_time", "tol"},
+    "layer": {"n", "half_width", "tol"},
     "corrector": {"L0", "tol"},
     "hbar": {"slope", "drive", "n", "horizon", "fit_tol"},
     "hbar-table": {"slopes", "drives", "n", "horizon", "fit_tol", "workers"},
@@ -246,7 +246,7 @@ def validate_raw(raw: dict) -> list:
         ):
             kind = "nonnegative" if key == "n_terms" else "positive"
             errors.append(f"numeric.{key}: must be a {kind} integer")
-    for key in ("half_width", "flow_time", "tol", "drive", "horizon", "fit_tol",
+    for key in ("half_width", "tol", "drive", "horizon", "fit_tol",
                 "L0", "delta", "p0", "cauchy_tol", "slope"):
         if key in numeric and not _is_num(numeric[key]):
             errors.append(f"numeric.{key}: must be a finite number")

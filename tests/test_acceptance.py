@@ -240,7 +240,7 @@ def test_criterion_10_cli_reproducibility(tmp_path, capsys):
         "command": "layer",
         "operator": {"s": 0.5},
         "potential": {"cosine": [A1]},
-        "numeric": {"n": 1024, "half_width": 20.0, "flow_time": 40.0, "tol": 1e-6},
+        "numeric": {"n": 1024, "half_width": 20.0, "tol": 1e-6},
         "output": {"prefix": "t"},
     }))
     outs = [tmp_path / d for d in ("a", "b")]

@@ -130,6 +130,21 @@ def test_line_apply_matches_direct_reference(s):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_line_plan_symbol_is_zero_tail_operator(s):
+    """Zero-padding to 2n, multiplying by the cached circulant symbol and
+    truncating is -I with the zero tail, diagonal (far-field term) included."""
+    n, R = 1024, 20.0
+    plan = plan_for("line", n, R, s)
+    x = plan.nodes()
+    rng = np.random.default_rng(1)
+    v = np.where(np.abs(x) < 0.5 * R, (1.0 - (2.0 * x / R) ** 2) ** 3, 0.0)
+    v *= np.sin(1.3 * x) + 0.5 * rng.normal(size=n)
+    ref = plan.apply(v, TailModel.zero())
+    got = -np.fft.irfft(np.fft.rfft(v, 2 * n) * plan.symbol, 2 * n)[:n]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_split_radius_consistency_smooth_field():
     n, q = 256, 1.0
     x = np.arange(n) / n

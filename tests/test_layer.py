@@ -14,6 +14,7 @@ from fracpn.layer import (
     solve_corrector_psi,
     solve_layer,
 )
+from fracpn.fracop import normalization_constant
 from fracpn.potential import PeriodicPotential
 
 TWO_PI = 2.0 * math.pi
@@ -73,7 +74,7 @@ def test_solve_layer_input_validation(W_std):
 
 def test_unreachable_tolerance_raises(W_std):
     with pytest.raises(LayerConvergenceError):
-        solve_layer(0.5, W_std, n=1024, flow_time=0.2, tol=1e-14)
+        solve_layer(0.5, W_std, n=1024, tol=1e-14)
 
 
 @pytest.mark.parametrize("fix,s", [("layer_s075", 0.75), ("layer_s03", 0.3)])
@@ -156,3 +157,32 @@ def test_corrector_serialization_round_trip(psi_s03):
     np.testing.assert_array_equal(back.values, psi_s03.values)
     x = np.linspace(-30, 30, 17)
     np.testing.assert_allclose(back.eval(x), psi_s03.eval(x), atol=1e-12)
+
+
+def test_iteration_counts_flat_in_n(W_std):
+    """The circulant preconditioner keeps the PCG iterations of every Newton
+    step and corrector solve flat in n.  tol 1e-6: at the default 1e-7 the
+    s = 0.3 theory-tail closure floor lies above tol for n <= 2048 at R = 40."""
+    for s in (0.3, 0.5, 0.75):
+        newton, corrector = {}, {}
+        for n in (1024, 2048, 4096):
+            lay = solve_layer(s, W_std, R_dom=40.0, n=n, tol=1e-6)
+            passes = lay.diagnostics["passes"]
+            assert all(p["newton_steps"] <= 10 for p in passes)
+            assert lay.steps == sum(p["newton_steps"] for p in passes)
+            newton[n] = max(it for p in passes for it in p["pcg_iterations"])
+            corrector[n] = max(solve_corrector_psi(lay, 1.0).cg_info["pcg_iterations"])
+        assert newton[4096] <= 2 * newton[1024], (s, newton)
+        assert corrector[4096] <= 2 * corrector[1024], (s, corrector)
+
+
+@pytest.mark.parametrize("s,R,n,ratios", [(0.5, 20.0, 2048, (1.5, 2.0)),
+                                          (0.75, 40.0, 4096, (1.5,))])
+def test_c0_scales_with_kernel_constant(s, R, n, ratios, W_std):
+    """For g I_1 the layer is phi_1(x / l) with l = g^(1/(2s)), so
+    c0(g) = (g/C)^(1/(2s)) c0(C)."""
+    C = normalization_constant(s)
+    c0 = solve_layer(s, W_std, R_dom=R, n=n).c0
+    for k in ratios:
+        scaled = solve_layer(s, W_std, R_dom=R, n=n, g=k * C).c0
+        assert scaled == pytest.approx(k ** (1.0 / (2.0 * s)) * c0, rel=1e-4)

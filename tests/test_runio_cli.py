@@ -13,7 +13,7 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glo
 
 
 def layer_cfg_dict(**numeric):
-    base = {"n": 1024, "half_width": 20.0, "flow_time": 40.0, "tol": 1e-6}
+    base = {"n": 1024, "half_width": 20.0, "tol": 1e-6}
     base.update(numeric)
     return {
         "command": "layer",
@@ -245,6 +245,15 @@ def test_cli_schema_error_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "operator.s" in err and "(0, 1)" in err
+
+
+def test_cli_layer_rejects_flow_time(tmp_path, capsys):
+    # the layer solve has no time stepping, so flow_time is an unknown key
+    cfg = write_cfg(tmp_path, layer_cfg_dict(flow_time=40.0))
+    rc = cli.main(["layer", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numeric: unknown keys ['flow_time']" in err
 
 
 def test_cli_missing_artifact(tmp_path, capsys):
