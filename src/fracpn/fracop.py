@@ -538,9 +538,7 @@ class LinePlan:
         self.far_w = _GL_W.copy()
         self.far_coeff = g_const * self.z_max ** (-two_s) / two_s
 
-        # symbol of the zero-tail -I on the window, a symmetric Toeplitz
-        # matrix embedded as the circulant of length 2n
-        col = np.zeros(2 * n)
+        col = np.zeros(2 * n)  # circulant embedding of the zero-tail -I
         col[0] = 2.0 * c.sum() + 2.0 * self.far_coeff * self.far_w.sum()
         col[1:n] = -c[: n - 1]
         col[n + 1 :] = -c[n - 2 :: -1]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracpn.fracop import normalization_constant
 from fracpn.layer import (
     LayerConvergenceError,
     check_layer_decay,
@@ -14,7 +15,6 @@ from fracpn.layer import (
     solve_corrector_psi,
     solve_layer,
 )
-from fracpn.fracop import normalization_constant
 from fracpn.potential import PeriodicPotential
 
 TWO_PI = 2.0 * math.pi
