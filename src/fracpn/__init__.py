@@ -1,7 +1,7 @@
 """Numerical laboratory for fractional-operator layer dynamics.
 
 Modules:
-    fracop    -- singular-kernel operator quadrature (line / periodic / 2d)
+    fracop    -- singular-kernel operator quadrature (line / periodic)
     potential -- periodic multi-well potentials and space-time forcing
     layer     -- standing transition profiles and their drive correctors
     cell      -- cell evolutions on the torus and effective speeds
@@ -19,7 +19,6 @@ from .fracop import (
     line_plan,
     normalization_constant,
     periodic_plan,
-    plan_2d,
     plan_for,
 )
 from .potential import Forcing, ForcingTerm, PeriodicPotential

@@ -72,7 +72,7 @@ def _run_layer(cfg, out_dir, base, workers):
         tol=tol,
         g=cfg.g_const,
     )
-    meta = runio.make_meta(cfg, sol.g_const, {"flow_tol": tol})
+    meta = runio.make_meta(cfg, sol.g_const, {"tol": tol})
     path = os.path.join(out_dir, _OUT_NAMES["layer"].format(p=cfg.prefix))
     runio.write_json_result(path, meta, layer.layer_to_dict(sol))
     print(f"wrote {path}  (c0 = {sol.c0:.6f}, residual = {sol.residual_sup_inner:.2e})")

@@ -9,6 +9,22 @@ a single constant; choosing g = C(1,s) (see ``normalization_constant``) makes
 I exactly the negative fractional Laplacian -(-Delta)^s with Fourier symbol
 -|xi|^(2s).
 
+In N = 2 dimensions the operator acts on a profile u(x) = U(e.x) along a
+unit direction e as the 1-D operator with the constant
+
+    g_e = 1/2 int_{S^1} g(theta) |theta.e|^(2s) dtheta ,
+
+so every 1-D plan below also applies the 2-D operator to such profiles,
+exactly, with ``g = AnisotropyKernel.directional_constant(s, e)``.  For
+g(theta) = c + sum_j a_j cos(2 j theta) + b_j sin(2 j theta) and
+e = (cos phi, sin phi) this is the closed form
+
+    g_e = 1/2 [ c M_0 + sum_j (a_j cos(2 j phi) + b_j sin(2 j phi)) M_j ],
+    M_j = int_0^(2 pi) |cos psi|^(2s) cos(2 j psi) dpsi
+        = 2 pi Gamma(2s+1) / ( 2^(2s) Gamma(1+s+j) Gamma(1+s-j) ),
+
+and the isotropic density C(2,s) gives g_e = C(1,s).
+
 Discretisation: pairing +-y symmetrises the integrand into second differences
 
     D_k = u(x + k h) + u(x - k h) - 2 u(x),
@@ -40,28 +56,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
 __all__ = [
-    "FractionalOrder",
     "AnisotropyKernel",
     "TailModel",
     "GridField",
-    "SplitRadius",
     "SplitConsistencyReport",
     "normalization_constant",
     "kernel_constant",
     "levy_apply_quadrature",
     "levy_apply_spectral",
-    "levy_apply_quadrature_2d",
     "split_consistency_check",
     "plan_for",
     "periodic_plan",
     "line_plan",
-    "plan_2d",
 ]
 
 
@@ -82,27 +95,14 @@ def normalization_constant(s: float, dimension: int = 1) -> float:
     )
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order s of the operator, restricted to the open interval (0, 1)."""
-
-    s: float
-
-    def __post_init__(self):
-        if not (isinstance(self.s, (int, float)) and math.isfinite(self.s)):
-            raise ValueError(f"fractional order s must be a finite number (got {self.s!r})")
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"fractional order s must satisfy 0 < s < 1 (got {self.s})")
-
-    @property
-    def two_s(self) -> float:
-        return 2.0 * self.s
-
-
 def _coerce_s(s) -> float:
-    if isinstance(s, FractionalOrder):
-        return s.s
-    return FractionalOrder(float(s)).s
+    """The order s of the operator as a float in the open interval (0, 1)."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"fractional order s must be a finite number (got {s!r})")
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional order s must satisfy 0 < s < 1 (got {s})")
+    return s
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,39 @@ class AnisotropyKernel:
             out += b * np.sin(2 * j * th)
         return out
 
+    def directional_constant(self, s, e) -> float:
+        """The 1-D kernel constant g_e that the operator has along direction e.
+
+        For u(x) = U(e.x), I[u] is the 1-D operator with constant
+        g_e = 1/2 int_{S^1} g(theta) |theta.e|^(2s) dtheta; see the module
+        docstring.  ``e`` is any nonzero vector of the kernel's dimension
+        (only its direction matters); a 1-D kernel returns its constant.
+        """
+        s = _coerce_s(s)
+        e = np.asarray(e, dtype=float).ravel()
+        if e.size != self.dimension or not (np.all(np.isfinite(e)) and np.any(e)):
+            raise ValueError(f"direction must be a nonzero {self.dimension}-vector (got {e})")
+        if self.dimension == 1:
+            return self.constant
+        phi = math.atan2(e[1], e[0])
+        # M_0 by the module docstring's Gamma form; it gives
+        # M_j / M_(j-1) = (s+1-j) / (s+j), which never overflows
+        m = 2.0 * math.pi * math.gamma(2.0 * s + 1.0) / (4.0**s * math.gamma(1.0 + s) ** 2)
+        total = self.constant * m
+        harmonics = zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        for j, (a, b) in enumerate(harmonics, start=1):
+            m *= (s + 1.0 - j) / (s + j)
+            total += (a * math.cos(2 * j * phi) + b * math.sin(2 * j * phi)) * m
+        return 0.5 * total
+
     @classmethod
     def fractional_laplacian(cls, s, dimension: int = 1) -> "AnisotropyKernel":
-        """The kernel whose quadrature operator is exactly -(-Delta)^s."""
+        """The kernel of -(-Delta)^s in the given dimension."""
         return cls(dimension=dimension, constant=normalization_constant(_coerce_s(s), dimension))
 
 
 def _coerce_g_const(g) -> float:
     """1-D angular density as a bare positive float."""
-    if isinstance(g, AnisotropyKernel):
-        if g.dimension != 1:
-            raise ValueError("expected a 1-D kernel")
-        return g.constant
     g = float(g)
     if not (math.isfinite(g) and g > 0.0):
         raise ValueError(f"kernel constant must be positive (got {g})")
@@ -201,10 +222,6 @@ class TailModel:
     @classmethod
     def zero(cls) -> "TailModel":
         return cls()
-
-    @classmethod
-    def constant(cls, c_minus: float, c_plus: float) -> "TailModel":
-        return cls(c_minus=float(c_minus), c_plus=float(c_plus))
 
     def shifted(self, const: float, slope: float = 0.0) -> "TailModel":
         """Tail of u - (slope * x + const); power terms are unaffected."""
@@ -290,35 +307,16 @@ class GridField:
             return self.h * np.arange(self.n)
         return self.h * (np.arange(self.n) - self.n // 2)
 
-    def with_values(self, values) -> "GridField":
-        return GridField(
-            values=np.asarray(values, dtype=float),
-            geometry=self.geometry,
-            period=self.period,
-            half_width=self.half_width,
-            tail=self.tail,
-        )
-
-
-@dataclass(frozen=True)
-class SplitRadius:
-    """Radius separating the gradient-compensated inner quadrature from the
-    plain-difference outer quadrature.  The returned operator value is the
-    sum of both parts and is r-independent up to discretisation error."""
-
-    r: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"split radius must be positive (got {self.r})")
-
 
 def _coerce_r(r) -> float | None:
+    """The split radius, which separates the gradient-compensated inner
+    quadrature from the plain-difference outer one, as a positive float."""
     if r is None:
         return None
-    if isinstance(r, SplitRadius):
-        return r.r
-    return SplitRadius(float(r)).r
+    r = float(r)
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"split radius must be positive (got {r})")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -730,127 +728,6 @@ def split_consistency_check(field: GridField, s, g, r1, r2) -> SplitConsistencyR
     return SplitConsistencyReport(
         r1=r1, r2=r2, sup_diff=fine, sup_diff_coarse=coarse_diff, scale=scale, converged=converged
     )
-
-
-# ---------------------------------------------------------------------------
-# 2-D smoke-test operator (periodic square, bilinear off-grid sampling)
-# ---------------------------------------------------------------------------
-
-
-class Plan2D:
-    """Torus convolution stencil for the 2-D operator (smoke-test grade).
-
-    Radial integration per angle reuses the 1-D pair weights; the inner
-    curvature term is carried by exact on-grid second-difference stencils
-    (angular average of e.e^T against the Hessian), so no off-grid sample is
-    taken where the bilinear interpolation error would be comparable to the
-    integrand itself.
-    """
-
-    def __init__(self, n: int, period: float, s: float, kernel: AnisotropyKernel, n_angles: int):
-        if kernel.dimension != 2:
-            raise ValueError("2-D plan needs a 2-D kernel")
-        self.n = n
-        self.period = period
-        self.s = s
-        self.n_angles = n_angles
-        h = period / n
-        self.h = h
-        two_s = 2.0 * s
-
-        L = n_angles
-        theta = (np.arange(L) + 0.5) * np.pi / L
-        gv = kernel.angular(theta)
-        w_ang = np.pi / L
-
-        # inner region [0, 3h): analytic curvature against exact on-grid
-        # Hessian stencils (off-grid samples there would carry a bilinear
-        # interpolation error comparable to the integrand itself)
-        m = 3
-        K = 8 * n  # radial reach 8 periods; torus wrapping folds the images
-        r_in = m * h
-
-        stencil = np.zeros((n, n))
-
-        # sum_l w g_l (e_l e_l^T : D^2 u) * int_0^r z^(1-2s) dz
-        M2 = r_in ** (2.0 - two_s) / (2.0 - two_s)
-        Axx = w_ang * float(np.sum(gv * np.cos(theta) ** 2)) * M2 / h**2
-        Ayy = w_ang * float(np.sum(gv * np.sin(theta) ** 2)) * M2 / h**2
-        Axy = w_ang * float(np.sum(gv * np.sin(theta) * np.cos(theta))) * M2 / h**2
-        stencil[1, 0] += Axx
-        stencil[-1, 0] += Axx
-        stencil[0, 0] += -2.0 * Axx
-        stencil[0, 1] += Ayy
-        stencil[0, -1] += Ayy
-        stencil[0, 0] += -2.0 * Ayy
-        # cross term 2 Axy u_xy with u_xy =~ (u_{++} + u_{--} - u_{+-} - u_{-+}) / (4 h^2)
-        for di, dj, sgn in ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)):
-            stencil[di % n, dj % n] += sgn * 2.0 * Axy / 4.0
-
-        # outer radial cells [kh, (k+1)h], k = m..K-1: piecewise-linear D
-        # against exact kernel moments, nodes scattered bilinearly
-        ks = np.arange(m, K + 1, dtype=float)
-        a = h * ks[:-1]
-        b = h * ks[1:]
-        M0, M1 = _cell_moments(s, a, b)
-        cs = np.zeros(ks.size)
-        cs[:-1] += M0 - M1 / h
-        cs[1:] += M1 / h
-        total = 0.0
-        for l in range(L):
-            ct, st = math.cos(theta[l]), math.sin(theta[l])
-            for sign in (1.0, -1.0):
-                dx = sign * ct * ks
-                dy = sign * st * ks
-                wgt = w_ang * gv[l] * cs
-                i0 = np.floor(dx).astype(int)
-                j0 = np.floor(dy).astype(int)
-                fx = dx - i0
-                fy = dy - j0
-                for oi, oj, ww in (
-                    (0, 0, (1 - fx) * (1 - fy)),
-                    (1, 0, fx * (1 - fy)),
-                    (0, 1, (1 - fx) * fy),
-                    (1, 1, fx * fy),
-                ):
-                    np.add.at(stencil, ((i0 + oi) % n, (j0 + oj) % n), wgt * ww)
-                total += wgt.sum()
-        stencil[0, 0] -= total
-
-        # remainder beyond K*h, closed against the spatial mean
-        far = w_ang * float(gv.sum()) * 2.0 * (K * h) ** (-two_s) / two_s
-        shat = np.fft.rfft2(stencil)
-        shat -= far
-        shat[0, 0] = 0.0
-        self.stencil_hat = shat
-        self.stiffness = float(np.abs(stencil).sum()) + 2.0 * far
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.n, self.n):
-            raise ValueError(f"expected shape {(self.n, self.n)} (got {v.shape})")
-        v = v - v.mean()
-        return np.fft.irfft2(np.fft.rfft2(v) * self.stencil_hat, s=(self.n, self.n))
-
-
-@lru_cache(maxsize=8)
-def _plan_2d_cached(n, period, s, kernel: AnisotropyKernel, n_angles) -> Plan2D:
-    return Plan2D(n, period, s, kernel, n_angles)
-
-
-def plan_2d(n: int, period: float, s, kernel: AnisotropyKernel, n_angles: int = 16) -> Plan2D:
-    return _plan_2d_cached(int(n), float(period), _coerce_s(s), kernel, int(n_angles))
-
-
-def levy_apply_quadrature_2d(
-    values: np.ndarray, period: float, s, kernel: AnisotropyKernel, n_angles: int = 16
-) -> np.ndarray:
-    """Levy operator on a doubly periodic square grid (smoke-test path)."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("2-D fields must be square arrays")
-    plan = plan_2d(v.shape[0], period, s, kernel, n_angles)
-    return plan.apply(v)
 
 
 # ---------------------------------------------------------------------------

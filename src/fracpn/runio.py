@@ -110,9 +110,6 @@ class RunConfig:
     def prefix(self) -> str:
         return self.output.get("prefix", self.command)
 
-    def numeric_get(self, key, default=None):
-        return self.numeric.get(key, default)
-
 
 # ---------------------------------------------------------------------------
 # validation

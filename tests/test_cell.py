@@ -15,7 +15,7 @@ from fracpn.cell import (
     hbar_table,
     solve_cell_evolution,
 )
-from fracpn.fracop import AnisotropyKernel, plan_2d
+from fracpn.fracop import AnisotropyKernel, plan_for
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential
 
 W_STD = PeriodicPotential.standard()
@@ -201,21 +201,25 @@ def test_spec_validation():
                         horizon=-1.0)
 
 
-def test_two_dimensional_flow_preserves_ordering():
-    """Comparison-principle smoke for the 2-d operator: under the explicit
-    CFL step, ordered initial states stay ordered."""
-    s = 0.5
-    n, q = 32, 1.0
-    kern = AnisotropyKernel.fractional_laplacian(s, dimension=2)
-    plan = plan_2d(n, q, s, kern)
-    xx = q * np.arange(n) / n
-    X, Y = np.meshgrid(xx, xx, indexing="ij")
-    u = 0.2 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y)
-    v = u + 0.1 + 0.05 * np.cos(2 * np.pi * X)
-    dt = 0.5 / plan.stiffness
-    wpp = W_STD.derivative_bound(2)
-    dt = min(dt, 0.5 / wpp)
-    for _ in range(20):
-        u = u + dt * (plan.apply(u) - W_STD.derivative(u))
-        v = v + dt * (plan.apply(v) - W_STD.derivative(v))
-    assert np.all(v >= u - 1e-12)
+def test_cell_flow_preserves_ordering():
+    """Discrete comparison principle (see the module docstring): under the
+    CFL step, ordered initial states stay ordered.  The operator is the
+    anisotropic one along e = (1, 2), i.e. the 1-D operator with g = g_e."""
+    s, n, q = 0.5, 64, 2
+    kern = AnisotropyKernel(dimension=2, constant=0.4, cos_coeffs=(0.15,), sin_coeffs=(-0.1,))
+    g = kern.directional_constant(s, (1.0, 2.0))
+    dt = 0.9 / (plan_for("periodic", n, 0.5 * q, s, g).stiffness + W_STD.derivative_bound(2))
+    # 100 steps: every checkpoint horizon * 2^-j (j >= 1) is under 64 steps
+    # in, so none is set and neither run can stop early
+    spec = CellProblemSpec(s=s, slope=Fraction(1, 2), drive=0.05, potential=W_STD, n=n,
+                           horizon=100 * dt, g_const=g)
+    x = q * np.arange(n) / n
+    u0 = 0.3 * np.sin(np.pi * x) + 0.1 * np.cos(3 * np.pi * x)
+    v0 = u0 + 0.02 * (1.0 + np.cos(np.pi * x))  # touches u0 at x = 1
+    tu = solve_cell_evolution(spec, initial=u0)
+    tv = solve_cell_evolution(spec, initial=v0)
+    assert tu.dt == tv.dt == dt
+    assert tu.times.size == tv.times.size >= 100
+    assert tu.horizon == tv.horizon == spec.horizon
+    assert np.all(tv.means >= tu.means)
+    assert np.all(tv.v_final >= tu.v_final - 1e-12)

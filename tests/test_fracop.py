@@ -16,7 +16,6 @@ from fracpn.fracop import (
     normalization_constant,
     pair_product_form,
     periodic_plan,
-    plan_2d,
     plan_for,
     split_consistency_check,
 )
@@ -251,18 +250,38 @@ def test_periodic_apply_is_linear(a, b, s):
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1.0 + abs(a) + abs(b)) * plan.stiffness
 
 
-def test_plan_2d_isotropic_eigenmode():
-    s = 0.5
-    n, q = 48, 2.0
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_directional_constant_isotropic_is_c1(s):
     kern = AnisotropyKernel.fractional_laplacian(s, dimension=2)
-    plan = plan_2d(n, q, s, kern)
-    xx = q * np.arange(n) / n
-    X, Y = np.meshgrid(xx, xx, indexing="ij")
-    f = np.cos(2 * np.pi * (X + Y) / q)
-    got = plan.apply(f)
-    lam = -((2 * np.pi / q) ** 2 * 2.0) ** s
-    err = np.max(np.abs(got - lam * f)) / abs(lam)
-    assert err < 2e-2
+    for e in [(1.0, 0.0), (0.0, -2.0), (0.3, 0.7)]:
+        assert kern.directional_constant(s, e) == pytest.approx(
+            normalization_constant(s), rel=1e-14
+        )
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_directional_constant_matches_angular_quadrature(s):
+    kern = AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3, -0.1),
+                            sin_coeffs=(0.2, 0.05, -0.04))
+    L = 2**20
+    theta = (np.arange(L) + 0.5) * (2.0 * np.pi / L)
+    g = kern.angular(theta)
+    for e in [(1.0, 0.0), (1.0, 2.0), (-0.6, 0.25)]:
+        proj = np.abs(np.cos(theta) * e[0] + np.sin(theta) * e[1]) / math.hypot(*e)
+        quad = 0.5 * float(np.sum(g * proj ** (2.0 * s))) * (2.0 * np.pi / L)
+        assert kern.directional_constant(s, e) == pytest.approx(quad, rel=1e-8)
+
+
+def test_directional_constant_one_dimensional_and_zero_direction():
+    kern = AnisotropyKernel(dimension=1, constant=2.5)
+    assert kern.directional_constant(0.4, 1.0) == 2.5
+    assert kern.directional_constant(0.4, [-3.0]) == 2.5
+    with pytest.raises(ValueError):
+        kern.directional_constant(0.4, 0.0)
+    kern2 = AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3,))
+    for bad in [(0.0, 0.0), (1.0,), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            kern2.directional_constant(0.4, bad)
 
 
 def test_kernel_validation():
