@@ -26,8 +26,11 @@ explicit ``converged`` flag; nothing is clamped or hidden.
 The spec's ``horizon`` is a cap.  At the checkpoints t = horizon * 2^-j,
 j = 6, ..., 1 (only those at least 64 steps in, so that a fit window holds
 at least 32 samples), a run stops as soon as its speed is certified, and
-T is then that checkpoint; a run that is never certified runs to the cap.
-Two certificates exist:
+T is then that checkpoint; a run that is never certified runs to the cap
+and is fitted as above.  Without forcing, the three certificates split
+the rows by a test made before the run: (a) takes F = 0 and the slope-0
+rows with |F| <= sup|W'|, (c) the slope-0 rows with |F| > sup|W'|, and
+(b) is tried on every other row.
 
 (a) Exact zero.  Without forcing, the speed is exactly 0 when F = 0, and
     when p = 0 and |F| <= sup|W'|.  At F = 0 the flow is the gradient flow
@@ -52,6 +55,28 @@ Two certificates exist:
     period, so the last condition asks for at least one whole period in
     the window: a pinned-looking run near depinning, whose mean has barely
     moved, never passes it.
+(c) Whole-period speed.  Without forcing, at p = 0 and |F| > sup|W'|, a
+    uniform state v = c moves by the scalar map c <- c + dt (F - W'(c)),
+    whose increment never vanishes, and it gains exactly 1/q of mean per
+    period; by comparison any slope-0 state lies between two uniform states
+    (c and c + 1/q), so it has their speed.  Its mean oscillates within a
+    period, so (b) never passes, but it is strictly monotone: d/dt mean(v)
+    = F - mean W'(v) has the sign of F.  So at a checkpoint t, with P the
+    number of whole advances of 1/q that fit in [t/2, t], the time tau with
+    mean(v)(tau) = mean(v)(t) - sign(F) P/q is found by inverse cubic
+    interpolation (t as a cubic in mean(v) through the four samples around
+    the target), and the estimate is lambda = sign(F) (P/q) / (t - tau).
+    The interpolation error is, to leading order, proportional to the
+    fourth derivative of t(mean) at the target.  That is the derivative of
+    a periodic function, whose mean over a period vanishes, so it changes
+    sign within a period.  Repeating the estimate from every sample of the
+    last period (each one P/q above its own target) therefore gives values
+    on both sides of the exact speed, and their spread about lambda bounds
+    its error.  The reported uncertainty is that spread plus the change of
+    lambda from the previous checkpoint's estimate, and the run stops once
+    it is at most a tenth of the fit tolerance.  An estimate needs at least
+    8 samples per advance of 1/q, so that the interpolation resolves the
+    oscillation; a run whose step is too coarse for that runs to the cap.
 """
 
 from __future__ import annotations
@@ -93,6 +118,8 @@ TABLE_COLUMNS = (
 
 SETTLE_TOL = 1e-9  # certificate (a): max|v_t| of a settled run
 CERTIFY_RTOL = 1e-12  # certificate (b): fit spread and drift, relative to max(1, |speed|)
+PERIOD_MIN_SAMPLES = 8  # certificate (c): samples per advance of 1/q
+FIT_TOL = 1e-3  # default fit tolerance; certificate (c) stops at a tenth of it
 CHECKPOINT_LEVELS = range(6, 0, -1)  # checkpoints at horizon * 2^-j
 MIN_CHECKPOINT_STEPS = 64
 
@@ -168,10 +195,45 @@ class CellTrace:
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
     horizon: float  # the time the run covered: the cap or a checkpoint
-    certified_zero: bool  # stopped by certificate (a): the speed is exactly 0
+    # (speed, uncertainty) of a run stopped by certificate (a) or (c); None
+    # when the speed is to be fitted
+    certified: tuple | None
 
 
-def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
+def _whole_period_speed(times, means, q: int):
+    """Certificate (c)'s estimate from a strictly monotone mean trace.
+
+    Returns (speed, spread) as described in the module docstring, or None
+    when [t/2, t] holds no whole advance of 1/q, when the trace holds too
+    little before the targets, or when the last advance holds fewer than
+    PERIOD_MIN_SAMPLES samples.
+    """
+    sgn = 1.0 if means[-1] >= means[0] else -1.0
+    y = sgn * means
+    half = int(np.searchsorted(times, 0.5 * times[-1]))
+    P = math.floor(q * (y[-1] - y[half]))
+    last = int(np.searchsorted(y, y[-1] - 1.0 / q))  # the last advance of 1/q
+    if P < 1 or y[-1] - y[1] <= (P + 1) / q or y.size - last < PERIOD_MIN_SAMPLES:
+        return None
+    targets = y[last:] - P / q
+    # the four samples around each target; y[1] < target <= y[-2] keeps them in range
+    idx = (np.searchsorted(y, targets) - 2)[:, None] + np.arange(4)
+    ym, tm = y[idx], times[idx]
+    tau = np.zeros(targets.size)
+    for a in range(4):
+        w = np.ones(targets.size)
+        for b in range(4):
+            if b != a:
+                w *= (targets - ym[:, b]) / (ym[:, a] - ym[:, b])
+        tau += w * tm[:, a]
+    lam = (P / q) / (times[last:] - tau)
+    return sgn * float(lam[-1]), float(np.max(np.abs(lam - lam[-1])))
+
+
+def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_TOL) -> CellTrace:
+    """Step the torus flow up to ``spec.horizon``, stopping early at a
+    certified checkpoint (module docstring).  ``tol`` is the fit tolerance
+    that ``estimate_lambda`` will apply; certificate (c) stops at a tenth of it."""
     q = spec.torus_period
     n = spec.n
     h = q / n
@@ -206,7 +268,8 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     mean0 = means[0]
     F = spec.drive
     exact_zero = sigma is None and (F == 0.0 or (spec.slope == 0 and abs(F) <= K))
-    horizon, certified_zero, last_speed = spec.horizon, False, None
+    whole_period = sigma is None and spec.slope == 0 and abs(F) > K
+    horizon, certified, last_speed = spec.horizon, None, None
     check_every = max(1, nsteps // 64)
     slack = 1e-8
 
@@ -233,11 +296,20 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
         m = k + 2
         if exact_zero:
             if float(np.max(np.abs(rhs))) <= SETTLE_TOL:
-                horizon, certified_zero = t_j, True
+                horizon, certified = t_j, (0.0, 0.0)
                 break
             continue
         times = dt * np.arange(m)
-        fit = estimate_lambda(CellTrace(spec, times, means[:m], v, dt, bound, t_j, False))
+        if whole_period:
+            est = _whole_period_speed(times, means[:m], q)
+            if est is not None and last_speed is not None:
+                unc = abs(est[0] - last_speed) + est[1]
+                if unc <= 0.1 * tol:
+                    horizon, certified = t_j, (est[0], unc)
+                    break
+            last_speed = None if est is None else est[0]
+            continue
+        fit = estimate_lambda(CellTrace(spec, times, means[:m], v, dt, bound, t_j, None))
         rtol = CERTIFY_RTOL * max(1.0, abs(fit.speed))
         start = int(np.searchsorted(times, fit.fit_window[0]))
         if (fit.uncertainty <= rtol and last_speed is not None
@@ -250,7 +322,7 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
         m = nsteps + 1
 
     return CellTrace(spec=spec, times=dt * np.arange(m), means=means[:m], v_final=v, dt=dt,
-                     envelope_bound=bound, horizon=horizon, certified_zero=certified_zero)
+                     envelope_bound=bound, horizon=horizon, certified=certified)
 
 
 @dataclass(frozen=True)
@@ -271,13 +343,14 @@ def _ls_slope(t, y):
     return float(coef[0]), float(coef[1])
 
 
-def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) -> SpeedFit:
+def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = FIT_TOL) -> SpeedFit:
     """Fit the effective speed from the mean trace.
 
     The uncertainty is |slope(first half) - slope(second half)| over the fit
     window; ``converged`` records whether it is below ``tol``.  A trace
-    stopped by the exact-zero certificate reports speed 0.0 and uncertainty
-    0.0, with the window's mean as intercept.
+    stopped by certificate (a) or (c) reports its certified speed and
+    uncertainty instead of fitting, with the intercept that fits the window
+    best at that speed.
     """
     T = trace.times[-1]
     lo, hi = fit_window[0] * T, fit_window[1] * T
@@ -286,8 +359,9 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
         raise ValueError("fit window contains fewer than 16 samples")
     t = trace.times[sel]
     y = trace.means[sel]
-    if trace.certified_zero:
-        speed, intercept, unc = 0.0, float(y.mean()), 0.0
+    if trace.certified is not None:
+        speed, unc = trace.certified
+        intercept = float(np.mean(y - speed * t))
     else:
         speed, intercept = _ls_slope(t, y)
         mid = t.size // 2
@@ -308,9 +382,9 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = 1e-3) 
     )
 
 
-def hbar(spec: CellProblemSpec, tol: float = 1e-3) -> SpeedFit:
+def hbar(spec: CellProblemSpec, tol: float = FIT_TOL) -> SpeedFit:
     """Effective speed for one (slope, drive) pair."""
-    return estimate_lambda(solve_cell_evolution(spec), tol=tol)
+    return estimate_lambda(solve_cell_evolution(spec, tol=tol), tol=tol)
 
 
 def _table_worker(args):
@@ -333,7 +407,7 @@ def hbar_table(
     base: CellProblemSpec,
     slopes,
     drives,
-    tol: float = 1e-3,
+    tol: float = FIT_TOL,
     workers: int = 1,
 ) -> list:
     """Effective speeds over a (slope, drive) grid, sorted by (slope, drive).

@@ -131,12 +131,31 @@ class AnisotropyKernel:
             if not (math.isfinite(self.constant) and self.constant > 0.0):
                 raise ValueError(f"kernel constant must be positive (got {self.constant})")
         else:
-            theta = np.linspace(0.0, np.pi, 721)
-            gmin = float(np.min(self.angular(theta)))
+            gmin = self._min_lower_bound()
             if not gmin > 0.0:
                 raise ValueError(
-                    f"angular density must be strictly positive (min over sphere = {gmin:.3e})"
+                    f"angular density must be strictly positive (lower bound of its "
+                    f"min over the sphere = {gmin:.3e})"
                 )
+
+    def _min_lower_bound(self) -> float:
+        """A lower bound of min g: the least of N samples at spacing delta =
+        pi / N over a period, less delta * sup|g'| with sup|g'| <= sum 2 j
+        sqrt(a_j^2 + b_j^2); every angle is within delta of a sample.  N grows
+        with the highest harmonic J (N >= 256 J), so the margin stays below
+        pi / 128 of sum sqrt(a_j^2 + b_j^2)."""
+        J = max(len(self.cos_coeffs), len(self.sin_coeffs))
+        a, b = np.zeros(J), np.zeros(J)
+        a[:len(self.cos_coeffs)] = self.cos_coeffs
+        b[:len(self.sin_coeffs)] = self.sin_coeffs
+        n = 1 << max(10, math.ceil(math.log2(256 * max(J, 1))))
+        # g(pi k / n) = c + Re sum_j (a_j - i b_j) e^(2 pi i j k / n)
+        z = np.zeros(n, dtype=complex)
+        z[0] = self.constant
+        z[1:J + 1] = a - 1j * b
+        samples = n * np.fft.ifft(z).real
+        lipschitz = float(np.sum(2.0 * np.arange(1, J + 1) * np.hypot(a, b)))
+        return float(np.min(samples)) - (np.pi / n) * lipschitz
 
     def angular(self, theta):
         """Evaluate g at angles theta (radians)."""

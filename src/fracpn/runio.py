@@ -429,7 +429,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a np.float64 is a float, but its numpy 2 repr is not
     return str(v)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fracpn.cell import (
     CellProblemSpec,
     CellStabilityError,
+    _whole_period_speed,
     as_rational,
     estimate_lambda,
     hbar,
@@ -16,7 +18,7 @@ from fracpn.cell import (
     solve_cell_evolution,
 )
 from fracpn.fracop import AnisotropyKernel, plan_for
-from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential
+from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, eval_potential
 
 W_STD = PeriodicPotential.standard()
 SUP_WP = 1.0 / (2.0 * math.pi)  # sup |W'| for the standard potential
@@ -165,28 +167,84 @@ def test_slope_zero_below_depinning_is_exactly_pinned():
                            n=32, horizon=100.0)
     trace = solve_cell_evolution(spec)
     fit = estimate_lambda(trace)
-    assert trace.certified_zero
+    assert trace.certified == (0.0, 0.0)
     assert fit.speed == 0.0
     assert fit.uncertainty == 0.0
     assert fit.horizon < spec.horizon
 
 
-def test_oscillating_row_runs_to_the_cap():
-    """Above depinning at slope 0 the uniform state oscillates, the fit
-    never certifies, and the result is the fixed-horizon one bit for bit."""
-    spec = CellProblemSpec(s=0.3, slope=Fraction(0), drive=0.2, potential=W_STD,
+def _scalar_map_trace(drives, dt, horizon):
+    """Means of uniform slope-0 states, c <- c + dt (F - W'(c)) from c = 0,
+    one column per drive: the cell flow of a uniform state, without the
+    operator (it vanishes on constants)."""
+    nsteps = int(math.ceil(horizon / dt))
+    F = np.asarray(drives, dtype=float)
+    c = np.zeros((nsteps + 1, F.size))
+    for k in range(nsteps):
+        c[k + 1] = c[k] + dt * (F - eval_potential(W_STD, c[k], 1))
+    return dt * np.arange(nsteps + 1), c
+
+
+def test_whole_period_rows_stop_within_their_uncertainty():
+    """Certificate (c): slope-0 rows above depinning stop before the cap, and
+    the certified speed is within its uncertainty of the same estimate made
+    at t = 1500 (ten times the cap)."""
+    drives, dt = (0.2, 0.6, 1.0, 1.4, 2.0), 0.0318
+    times, means = _scalar_map_trace(drives, dt, 1500.0)
+    for i, F in enumerate(drives):
+        ref, _ = _whole_period_speed(times, means[:, i], 1)
+        spec = CellProblemSpec(s=0.3, slope=Fraction(0), drive=F, potential=W_STD,
+                               n=16, horizon=150.0, dt=dt)
+        trace = solve_cell_evolution(spec)
+        fit = estimate_lambda(trace)
+        assert trace.horizon < spec.horizon
+        assert (fit.speed, fit.uncertainty) == trace.certified
+        assert abs(fit.speed - ref) <= fit.uncertainty <= 1e-4
+        assert fit.converged
+        down = hbar(replace(spec, drive=-F))
+        assert down.speed == pytest.approx(-fit.speed, abs=1e-12)
+        assert down.uncertainty == pytest.approx(fit.uncertainty, abs=1e-12)
+
+
+def test_uncovered_row_runs_to_the_cap():
+    """p != 0 with a small F != 0: no certificate covers the row ((a) and (c)
+    need p = 0 or F = 0, and its mean advances less than 1/q over the fit
+    window, which (b) asks for), so it runs to the cap and is fitted."""
+    spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.01, potential=W_STD,
+                           n=32, horizon=20.0)
+    trace = solve_cell_evolution(spec)
+    fit = estimate_lambda(trace)
+    assert trace.certified is None
+    assert trace.times[-1] >= spec.horizon
+    assert fit.horizon == spec.horizon
+    assert fit.speed == 0.009527448291138715
+    assert fit.uncertainty == 6.938893903907228e-18
+
+
+# criterion 08's strong table: s = 0.3, slope 0, 21 drives, n = 256, horizon 150
+STRONG_DRIVES = [round(-2.0 + 0.2 * k, 10) for k in range(21)]
+
+
+def test_strong_table_step_budget():
+    """Every row of the strong table is certified early: the steps it takes,
+    sum of ceil(horizon / dt) over the rows' covered times, stay under 10,000
+    (94,414 when the 20 moving rows ran to the cap)."""
+    base = CellProblemSpec(s=0.3, slope=Fraction(0), drive=0.0, potential=W_STD,
                            n=256, horizon=150.0)
-    fit = hbar(spec)
-    assert fit.speed == 0.12111678960096332
-    assert fit.uncertainty == 7.045485583312139e-04
-    assert fit.horizon == 150.0
+    rows = hbar_table(base, slopes=[Fraction(0)], drives=STRONG_DRIVES)
+    dt = 0.9 / (plan_for("periodic", 256, 0.5, 0.3).stiffness + W_STD.derivative_bound(2))
+    assert sum(math.ceil(r["horizon"] / dt) for r in rows) <= 10_000
+    assert all(r["converged"] for r in rows)
+    assert max(r["uncertainty"] for r in rows) <= 1e-4
+    zero = next(r for r in rows if r["drive"] == 0.0)
+    assert (zero["speed"], zero["uncertainty"], zero["horizon"]) == (0.0, 0.0, 2.34375)
 
 
 def test_forcing_excludes_the_exact_zero_certificate():
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.0, potential=W_STD,
                            forcing=Forcing.zero(), n=64, horizon=20.0)
     trace = solve_cell_evolution(spec)
-    assert not trace.certified_zero
+    assert trace.certified is None
     assert trace.horizon == spec.horizon
     assert trace.times[-1] >= spec.horizon
 

@@ -293,3 +293,24 @@ def test_kernel_validation():
     k = AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3,))
     th = np.linspace(0, 2 * np.pi, 97)
     assert np.allclose(k.angular(th), k.angular(th + np.pi))  # even on the sphere
+
+
+def test_kernel_positivity_is_checked_between_samples():
+    # min g = -0.5, attained between the 721 samples the old check took
+    with pytest.raises(ValueError):
+        AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.0,) * 719 + (1.5,))
+    # positive high-harmonic kernels (min g = 0.1 and 0.05) are still accepted
+    AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.0,) * 719 + (0.9,))
+    AnisotropyKernel(dimension=2, constant=1.0, sin_coeffs=(0.0,) * 40 + (0.95,))
+    # the kernels the other tests build
+    kernels = [
+        AnisotropyKernel(dimension=2, constant=0.4, cos_coeffs=(0.15,), sin_coeffs=(-0.1,)),
+        AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3, -0.1),
+                         sin_coeffs=(0.2, 0.05, -0.04)),
+        AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3,)),
+        AnisotropyKernel.fractional_laplacian(0.3, dimension=2),
+    ]
+    theta = np.linspace(0.0, np.pi, 100_001)
+    for k in kernels:
+        assert 0.0 < k._min_lower_bound() <= float(np.min(k.angular(theta)))
+

@@ -194,6 +194,17 @@ def test_csv_round_trip(tmp_path):
     assert "name,count,value,flag" in text
 
 
+def test_csv_numpy_floats_are_plain_literals(tmp_path):
+    p = tmp_path / "table.csv"
+    rows = [{"speed": np.float64(0.1) + np.float64(0.2), "uncertainty": np.float64(-2.5e-7)}]
+    runio.write_csv(p, ("speed", "uncertainty"), rows, {})
+    data = p.read_text().splitlines()[-1]
+    assert data == f"{0.1 + 0.2!r},-2.5e-07"
+    _, _, [row] = runio.read_csv(p)
+    assert row == {"speed": 0.1 + 0.2, "uncertainty": -2.5e-7}
+    assert all(type(v) is float for v in row.values())
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
