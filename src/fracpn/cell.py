@@ -6,10 +6,13 @@ solution lives on a q-torus and evolves by
 
     v_t = I[v] + F - W'(p x + v) - sigma(t, x),
 
-with F the constant drive.  The scheme is explicit Euler under the CFL
-bound dt * (Lambda + sup W'') <= 0.9, which keeps the update monotone in
-the initial data (discrete comparison).  The spatial mean of I[v] vanishes
-identically for the periodic plan, so
+with F the constant drive.  ``torus_flow`` builds the right-hand side of
+v_t = a I[v] + F - W'(b (p x + v)) - sigma(c t, y), here a = b = c = 1, and
+its CFL step dt = 0.9 / (a Lambda + b sup W''), which keeps the explicit
+Euler update ``euler_steps`` monotone in the initial data (discrete
+comparison).  ``homog`` steps its eps problems with both (a, b, c powers of
+eps) and its effective equations with ``euler_steps``.  The spatial mean of
+I[v] vanishes identically for the periodic plan, so
 
     d/dt mean(v) = F - mean(W' + sigma)   (exactly),
 
@@ -230,6 +233,37 @@ def _whole_period_speed(times, means, q: int):
     return sgn * float(lam[-1]), float(np.max(np.abs(lam - lam[-1])))
 
 
+def torus_flow(plan, W, sigma, px, y, drive: float = 0.0, a: float = 1.0, b: float = 1.0,
+               c: float = 1.0):
+    """(rhs(t, v), CFL step) of v_t = a I[v] + F - W'(b (px + v)) - sigma(c t, y)
+    (module docstring).  Unit scales are skipped, so cell runs pay nothing."""
+    def rhs(t, v):
+        out = plan.apply(v)
+        if a != 1.0:
+            out *= a
+        out += drive
+        if W is not None:
+            arg = px + v
+            if b != 1.0:
+                arg *= b
+            out -= eval_potential(W, arg, 1)
+        if sigma is not None:
+            out -= sigma(c * t, y)
+        return out
+
+    stiff = a * plan.stiffness + b * (W.derivative_bound(2) if W is not None else 0.0)
+    return rhs, (0.9 / stiff if stiff > 0 else math.inf)
+
+
+def euler_steps(rhs, v, dt: float, nsteps: int):
+    """Explicit Euler v <- v + dt rhs(k dt, v).  Yields (k, v_k, rhs of step
+    k - 1) for k = 1, ..., nsteps; the caller may stop early."""
+    for k in range(nsteps):
+        r = rhs(k * dt, v)
+        v = v + dt * r
+        yield k + 1, v, r
+
+
 def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_TOL) -> CellTrace:
     """Step the torus flow up to ``spec.horizon``, stopping early at a
     certified checkpoint (module docstring).  ``tol`` is the fit tolerance
@@ -246,8 +280,8 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
     K, K_sigma = sup_norms(W, sigma)
     bound = K + K_sigma
 
-    wpp = W.derivative_bound(2) if W is not None else 0.0
-    dt = spec.dt if spec.dt is not None else 0.9 / (plan.stiffness + wpp)
+    flow, dt_cfl = torus_flow(plan, W, sigma, px, x, drive=spec.drive)
+    dt = spec.dt if spec.dt is not None else dt_cfl
     nsteps = int(math.ceil(spec.horizon / dt))
     checkpoints = {}  # step index -> checkpoint time
     for j in CHECKPOINT_LEVELS:
@@ -273,27 +307,21 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
     check_every = max(1, nsteps // 64)
     slack = 1e-8
 
-    for k in range(nsteps):
-        rhs = plan.apply(v) + F
-        if W is not None:
-            rhs -= eval_potential(W, px + v, 1)
-        if sigma is not None:
-            rhs -= sigma(k * dt, x)
-        v = v + dt * rhs
-        means[k + 1] = v.mean()
-        if (k + 1) % check_every == 0:
-            t = (k + 1) * dt
-            drift = abs(means[k + 1] - mean0 - F * t)
+    for k, v, rhs in euler_steps(flow, v, dt, nsteps):
+        means[k] = v.mean()
+        if k % check_every == 0:
+            t = k * dt
+            drift = abs(means[k] - mean0 - F * t)
             if drift > bound * t + slack * (1.0 + t):
                 raise CellStabilityError(
                     f"mean drift {drift:.3e} left the comparison envelope "
                     f"{bound:.3e} * t at t = {t:.3f} (slope {spec.slope}, "
                     f"drive {F})"
                 )
-        t_j = checkpoints.get(k + 1)
+        t_j = checkpoints.get(k)
         if t_j is None:
             continue
-        m = k + 2
+        m = k + 1
         if exact_zero:
             if float(np.max(np.abs(rhs))) <= SETTLE_TOL:
                 horizon, certified = t_j, (0.0, 0.0)
@@ -314,7 +342,7 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
         start = int(np.searchsorted(times, fit.fit_window[0]))
         if (fit.uncertainty <= rtol and last_speed is not None
                 and abs(fit.speed - last_speed) <= rtol
-                and abs(means[k + 1] - means[start]) >= 1.0 / q):
+                and abs(means[k] - means[start]) >= 1.0 / q):
             horizon = t_j
             break
         last_speed = fit.speed

@@ -13,7 +13,6 @@ import sys
 
 from . import cell, homog, hull, layer, runio
 from .fracop import kernel_constant
-from .potential import sup_norms
 
 _OUT_NAMES = {
     "layer": "{p}-layer.json",

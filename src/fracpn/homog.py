@@ -16,7 +16,11 @@ monotone Lax-Friedrichs scheme) and speed = law(I[u]) on the strong branch
 
 Solutions are stored as u = slope * x + w with w on the unit torus; the
 slope must satisfy slope / eps^a_W in Z so the pinning term stays periodic
-(and 1/eps in Z when a forcing is present).
+(and 1/eps in Z when a forcing is present).  The eps problem is the cell
+module's torus flow with eps-power scales (``cell.torus_flow``), and both
+problems step by ``cell.euler_steps``.  dt is the largest step within the
+CFL bound that splits each checkpoint interval into k >= 4 whole steps, so
+every snapshot is an exact Euler state.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cell import euler_steps, torus_flow
 from .fracop import plan_for
-from .potential import Forcing, PeriodicPotential, eval_potential, sup_norms
+from .potential import Forcing, PeriodicPotential, sup_norms
 
 __all__ = [
     "branch_exponents",
@@ -139,10 +144,7 @@ class EpsProblemSpec:
 class Trajectory:
     times: np.ndarray      # (m,)
     remainders: np.ndarray  # (m, n): w so that u = slope * x + w
-    slope: float
     dt: float
-    kind: str
-    envelope_constant: float | None = None
 
     @property
     def nodes(self) -> np.ndarray:
@@ -150,24 +152,24 @@ class Trajectory:
         return np.arange(n) / n
 
 
-def _run_checkpointed(w0, rhs_fn, dt, times_out):
-    """Explicit Euler with states linearly interpolated onto times_out."""
-    w = w0.copy()
-    m = len(times_out)
-    out = np.empty((m, w0.size))
-    out[0] = w
-    idx = 1
-    t = 0.0
-    while idx < m:
-        w_next = w + dt * rhs_fn(t, w)
-        t_next = t + dt
-        while idx < m and times_out[idx] <= t_next + 1e-12 * dt:
-            th = (times_out[idx] - t) / dt
-            out[idx] = (1.0 - th) * w + th * w_next
-            idx += 1
-        w = w_next
-        t = t_next
-    return out
+def _run(rhs, w0, dt_cfl: float, T: float, checkpoints: int,
+         max_steps: float = math.inf) -> Trajectory:
+    """Explicit Euler states at `checkpoints` equally spaced times of [0, T],
+    k >= 4 whole steps of dt <= dt_cfl apart (module docstring)."""
+    spacing = T / (checkpoints - 1)
+    k = max(4, math.ceil(spacing / dt_cfl))
+    dt, nsteps = spacing / k, k * (checkpoints - 1)
+    if nsteps > max_steps:
+        raise StepBudgetError(
+            f"{nsteps} steps exceed the budget {max_steps} (CFL step "
+            f"{dt_cfl:.3e}); use a larger eps or a shorter horizon"
+        )
+    snaps = np.empty((checkpoints, w0.size))
+    snaps[0] = w0
+    for j, w, _ in euler_steps(rhs, w0, dt, nsteps):
+        if j % k == 0:
+            snaps[j // k] = w
+    return Trajectory(times=np.linspace(0.0, T, checkpoints), remainders=snaps, dt=dt)
 
 
 def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory:
@@ -178,44 +180,20 @@ def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory
     a_op, a_W, a_t = spec.exponents
     eps = spec.eps
     op_scale = eps**a_op
-    inv_w = eps ** (-a_W)
-    inv_t = eps ** (-a_t)
 
     x = h * np.arange(n)
     w0 = spec.profile(x)
-    W = spec.potential
-    sigma = spec.forcing
-    x_fast = x / eps
 
-    kW, ks = sup_norms(W, sigma)
+    kW, ks = sup_norms(spec.potential, spec.forcing)
     envelope = kW + ks + op_scale * float(np.max(np.abs(plan.apply(w0))))
 
-    wpp = W.derivative_bound(2) if W is not None else 0.0
-    T = spec.horizon
-    stiff = op_scale * plan.stiffness + wpp * inv_w
-    dt = min(0.9 / stiff if stiff > 0 else math.inf, T / (4.0 * (checkpoints - 1)))
-    nsteps = int(math.ceil(T / dt))
-    if nsteps > spec.max_steps:
-        raise StepBudgetError(
-            f"{nsteps} steps exceed the budget {spec.max_steps} "
-            f"(stiffness {stiff:.3e}); use a larger eps or a shorter horizon"
-        )
-
-    px = spec.slope * x
-
-    def rhs(t, w):
-        out = op_scale * plan.apply(w)
-        if W is not None:
-            out -= eval_potential(W, (px + w) * inv_w, 1)
-        if sigma is not None:
-            out -= sigma(t * inv_t, x_fast)
-        return out
-
-    times = np.linspace(0.0, T, checkpoints)
-    snaps = _run_checkpointed(w0, rhs, dt, times)
+    rhs, dt_cfl = torus_flow(plan, spec.potential, spec.forcing, spec.slope * x, x / eps,
+                             a=op_scale, b=eps ** (-a_W), c=eps ** (-a_t))
+    traj = _run(rhs, w0, dt_cfl, spec.horizon, checkpoints, spec.max_steps)
 
     # comparison envelope: |w(t) - w0| <= (sup|W'| + sup|sigma| + eps^a_op sup|I[w0]|) t
-    drift = np.max(np.abs(snaps - snaps[0]), axis=1)
+    times = traj.times
+    drift = np.max(np.abs(traj.remainders - w0), axis=1)
     bound = envelope * times + 1e-8 * (1.0 + times)
     if np.any(drift > bound):
         k = int(np.argmax(drift - bound))
@@ -224,8 +202,7 @@ def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory
             f"drift {drift[k]:.3e} > {bound[k]:.3e}"
         )
 
-    return Trajectory(times=times, remainders=snaps, slope=spec.slope, dt=dt,
-                      kind=f"eps[{spec.branch}]", envelope_constant=envelope)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +310,11 @@ def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajec
     h = 1.0 / n
     x = h * np.arange(n)
     w0 = spec.profile(x)
-    T = spec.horizon
     law = spec.law
 
     if spec.branch == BRANCH_WEAK:
         nu = law.lipschitz
-        dt = min(0.4 * h / nu if nu > 0 else math.inf, T / (4.0 * (checkpoints - 1)))
+        dt_cfl = 0.4 * h / nu if nu > 0 else math.inf
 
         def rhs(t, w):
             fwd = (np.roll(w, -1) - w) / h + spec.slope
@@ -348,16 +324,12 @@ def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajec
     else:
         plan = plan_for("periodic", n, 0.5, spec.s, spec.g_const)
         lip = law.lipschitz
-        dt = min(0.9 / (lip * plan.stiffness) if lip > 0 else math.inf,
-                 T / (4.0 * (checkpoints - 1)))
+        dt_cfl = 0.9 / (lip * plan.stiffness) if lip > 0 else math.inf
 
         def rhs(t, w):
             return law(plan.apply(w))
 
-    times = np.linspace(0.0, T, checkpoints)
-    snaps = _run_checkpointed(w0, rhs, dt, times)
-    return Trajectory(times=times, remainders=snaps, slope=spec.slope, dt=dt,
-                      kind=f"effective[{spec.branch}]")
+    return _run(rhs, w0, dt_cfl, spec.horizon, checkpoints)
 
 
 # ---------------------------------------------------------------------------

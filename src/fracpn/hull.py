@@ -304,9 +304,6 @@ class HullAnsatz:
     def scale(self) -> float:
         return self.delta * abs(self.p0)
 
-    def h_values(self) -> np.ndarray:
-        return self.grid + self.g_values
-
     def eval_g(self, x) -> np.ndarray:
         """h(x) - x at arbitrary points (fresh lattice sums, no interpolation)."""
         return _assemble_g(self, np.asarray(x, dtype=float), self.n_terms)
@@ -318,21 +315,6 @@ class HullAnsatz:
         i = np.arange(-self.n_terms, self.n_terms + 1)
         z = (float(x) - i) / self.scale
         return int(np.sum(self.cutoff(z) > 0.0))
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "p0": self.p0,
-            "L0": self.L0,
-            "s": self.s,
-            "kind": self.kind,
-            "n_terms": self.n_terms,
-            "period": self.period,
-            "cauchy_diff": self.cauchy_diff,
-            "grid": self.grid.tolist(),
-            "g_values": self.g_values.tolist(),
-            "cutoff_R": None if self.cutoff is None else self.cutoff.R,
-        }
 
 
 def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
@@ -594,7 +576,7 @@ def orowan_check(
     for d in deltas:
         spec = CellProblemSpec(
             s=s, slope=as_rational(d * p0), drive=d**two_s * L0,
-            potential=layer.potential, n=n, horizon=horizon,
+            potential=layer.potential, n=n, horizon=horizon, g_const=layer.g_const,
         )
         fit = hbar(spec, tol=fit_tol)
         ratio = fit.speed / d ** (1.0 + two_s)

@@ -196,24 +196,6 @@ class LayerSolution:
         out[~inside] = self.field.tail.eval(x[~inside])
         return out
 
-    def eval_phi_tilde(self, x):
-        """phi - H (Heaviside jump removed); odd for even potentials."""
-        x = np.asarray(x, dtype=float)
-        return self.eval_phi(x) - (x >= 0.0)
-
-    def eval_phi_prime(self, x):
-        self._build_spline()
-        x = np.asarray(x, dtype=float)
-        edge = self.half_width - 2.0 * self.field.h
-        inside = np.abs(x) <= edge
-        out = np.empty_like(x)
-        out[inside] = self._spline(x[inside], 1)
-        ax = np.abs(x[~inside])
-        two_s = 2.0 * self.s
-        amp = np.where(x[~inside] > 0, -self.tail_amp_plus, self.tail_amp_minus)
-        out[~inside] = amp * two_s * ax ** (-1.0 - two_s)
-        return out
-
 
 def _monotone(values: np.ndarray) -> bool:
     """Strictly increasing on the core; the outermost ~1.5% of nodes feel the

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fracpn.cell import CellProblemSpec, solve_cell_evolution
 from fracpn.homog import (
     BRANCH_STRONG,
     BRANCH_WEAK,
@@ -18,7 +20,7 @@ from fracpn.homog import (
     solve_effective,
     solve_eps_problem,
 )
-from fracpn.potential import PeriodicPotential
+from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential
 
 W_STD = PeriodicPotential.standard()
 
@@ -206,3 +208,31 @@ def test_convergence_report_small_real_run():
     assert len(rep["errors"]) == 2
     assert all(np.isfinite(rep["errors"]))
     assert all(e > 0.0 for e in rep["errors"])
+
+
+FORCING = Forcing((ForcingTerm(amp=0.05, mode_t=1, mode_x=1, kind_t="sin"),
+                   ForcingTerm(amp=0.02, mode_t=2, mode_x=3, kind_x="sin")))
+
+
+@pytest.mark.parametrize("n, s, horizon, forcing, steps_per_checkpoint", [
+    (256, 0.3, 0.9, FORCING, 4),
+    (1024, 0.5, 0.3, None, 13),  # the CFL step binds
+    (1024, 0.5, 0.3, FORCING, 13),
+])
+def test_eps_one_is_the_cell_flow(n, s, horizon, forcing, steps_per_checkpoint):
+    """On the strong branch at eps = 1 and slope 0 the eps problem is the
+    cell flow at drive 0: the same kernel, step and forcing time, so every
+    snapshot is the cell state at that step, bit for bit."""
+    prof = InitialProfile(terms=((0.1, 0, "cos"), (0.2, 1, "sin"), (0.05, 3, "cos")))
+    traj = solve_eps_problem(EpsProblemSpec(
+        branch=BRANCH_STRONG, eps=1.0, s=s, slope=0.0, profile=prof, potential=W_STD,
+        forcing=forcing, n=n, horizon=horizon))
+    k = steps_per_checkpoint
+    assert traj.dt == horizon / 32 / k
+    trace = solve_cell_evolution(
+        CellProblemSpec(s=s, slope=Fraction(0), drive=0.0, potential=W_STD, forcing=forcing,
+                        n=n, horizon=horizon, dt=traj.dt),
+        initial=prof(traj.nodes))
+    assert trace.times.size == 32 * k + 1
+    assert np.array_equal(trace.means[::k], traj.remainders.mean(axis=1))
+    assert np.array_equal(trace.v_final, traj.remainders[-1])

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracpn.fracop import GridField, TailModel, plan_for
+from fracpn.cell import CellProblemSpec, as_rational, hbar
+from fracpn.fracop import GridField, TailModel, normalization_constant, plan_for
 from fracpn.hull import (
     CutoffFunction,
     HullTailError,
@@ -15,6 +17,7 @@ from fracpn.hull import (
     nl_residual,
     orowan_check,
 )
+from fracpn.layer import solve_layer
 
 # Hurwitz-zeta values: sum (i+1/2)^-2 = pi^2/2 - 4, sum (i-1/2)^-2 = pi^2/2
 S_MINUS_HALF = math.pi**2 / 2.0 - 4.0
@@ -230,3 +233,17 @@ def test_orowan_quick(layer_half):
     assert [r["delta"] for r in rep.rows] == [0.25, 0.125]
     with pytest.raises(ValueError):
         orowan_check((0.1, 0.2), 1.0, 1.0, layer_half)
+
+
+def test_orowan_uses_the_layer_kernel_constant(W_std):
+    """The Orowan check's cell runs take the layer's kernel constant, so a
+    layer at g = 1.5 C gets speeds at g = 1.5 C, not at the default C(1,s)."""
+    s, n, horizon = 0.5, 128, 50.0
+    layer = solve_layer(s, W_std, R_dom=20.0, n=2048, g=1.5 * normalization_constant(s))
+    rep = orowan_check((0.25, 0.125), 1.0, 1.0, layer, n=n, horizon=horizon)
+    for row in rep.rows:
+        d = row["delta"]
+        spec = CellProblemSpec(s=s, slope=as_rational(d), drive=d ** (2 * s),
+                               potential=W_std, n=n, horizon=horizon, g_const=layer.g_const)
+        assert row["lambda"] == hbar(spec).speed
+        assert row["lambda"] != hbar(replace(spec, g_const=None)).speed
