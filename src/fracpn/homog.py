@@ -3,7 +3,7 @@
 Two rescalings of the driven pinning equation are solved by one kernel
 parameterized by exponents (a_op, a_W, a_t):
 
-    u_t = eps^a_op I[u] - W'(u / eps^a_W) + sigma(t / eps^a_t, x / eps),
+    u_t = eps^a_op I[u] - W'(u / eps^a_W) - sigma(t / eps^a_t, x / eps),
 
 with (2s-1, 1, 1) on the weakly non-local branch (s >= 1/2) and (0, 2s, 2s)
 on the strongly non-local branch (s <= 1/2).  At s = 1/2 the two exponent

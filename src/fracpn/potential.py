@@ -200,9 +200,15 @@ class Forcing:
 
     def sup_norm(self) -> float:
         """sup |sigma| over the (t, y) torus: dense sampling, then
-        alternating golden-section refinement in each coordinate."""
-        if self.is_zero:
+        alternating golden-section refinement in each coordinate that some
+        nonzero term depends on (a term is zero when its amp is 0 or a sin
+        factor has mode 0)."""
+        live = [f for f in self.terms if f.amp != 0.0
+                and (f.mode_t or f.kind_t == "cos") and (f.mode_x or f.kind_x == "cos")]
+        if not live:
             return 0.0
+        in_t = any(f.mode_t for f in live)
+        in_y = any(f.mode_x for f in live)
         ts = np.linspace(0.0, 1.0, 256, endpoint=False)
         ys = np.linspace(0.0, 1.0, 256, endpoint=False)
         grid = np.abs(self(ts[:, None], ys[None, :]))
@@ -211,8 +217,10 @@ class Forcing:
         best = float(grid[it, iy])
         dh = 1.0 / 256.0
         for _ in range(3):
-            t0, _ = _golden_min(lambda t: -abs(float(self(t, y0))), (t0 - dh, t0, t0 + dh))
-            y0, _ = _golden_min(lambda y: -abs(float(self(t0, y))), (y0 - dh, y0, y0 + dh))
+            if in_t:
+                t0, _ = _golden_min(lambda t: -abs(float(self(t, y0))), (t0 - dh, t0, t0 + dh))
+            if in_y:
+                y0, _ = _golden_min(lambda y: -abs(float(self(t0, y))), (y0 - dh, y0, y0 + dh))
             best = max(best, abs(float(self(t0, y0))))
         return best
 

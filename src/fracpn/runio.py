@@ -21,12 +21,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .potential import Forcing, ForcingTerm, PeriodicPotential
 
 __all__ = [
     "COMMANDS",
+    "PRODUCERS",
     "ConfigError",
     "MissingArtifactError",
     "RunConfig",
@@ -43,26 +44,44 @@ __all__ = [
     "atomic_write_text",
 ]
 
-COMMANDS = (
-    "layer",
-    "corrector",
-    "hbar",
-    "hbar-table",
-    "homogenize",
-    "ansatz-residual",
-    "orowan",
-)
 
-# quantity tags embedded in output metadata, keyed by command
-QUANTITY_TAGS = {
-    "layer": "layer-profile",
-    "corrector": "layer-corrector",
-    "hbar": "effective-speed",
-    "hbar-table": "effective-speed-table",
-    "homogenize": "homogenization-error",
-    "ansatz-residual": "hull-residual",
-    "orowan": "small-slope-speed-law",
+@dataclass(frozen=True)
+class Command:
+    """What a CLI command is: its metadata tag, its output file name ("{p}"
+    is the prefix), its required numeric keys, its optional numeric keys
+    with their defaults, and the input artifacts it needs."""
+
+    quantity: str
+    out: str
+    required: tuple = ()
+    optional: dict = field(default_factory=dict)
+    inputs: tuple = ()
+
+
+_CELL_DEFAULTS = {"n": 512, "horizon": 200.0, "fit_tol": 1e-3}
+
+COMMANDS = {
+    "layer": Command("layer-profile", "{p}-layer.json", (),
+                     {"n": 2048, "half_width": 20.0, "tol": 1e-7}),
+    "corrector": Command("layer-corrector", "{p}-corrector.json", ("L0",),
+                         {"tol": 1e-9}, ("layer",)),
+    "hbar": Command("effective-speed", "{p}-hbar.csv", ("slope", "drive"),
+                    _CELL_DEFAULTS),
+    "hbar-table": Command("effective-speed-table", "{p}-hbar-table.csv",
+                          ("slopes", "drives"), {**_CELL_DEFAULTS, "workers": 1}),
+    "homogenize": Command("homogenization-error", "{p}-homog.json",
+                          ("branch", "eps_list", "slope"),
+                          {"n": 256, "horizon": 1.0, "profile": (), "checkpoints": 33},
+                          ("hbar_table",)),
+    "ansatz-residual": Command("hull-residual", "{p}-ansatz.json", ("delta", "p0", "L0"),
+                               {"n_terms": 64, "n_grid": 1024, "cauchy_tol": 1e-8},
+                               ("layer",)),
+    "orowan": Command("small-slope-speed-law", "{p}-orowan.csv", ("delta_list", "p0", "L0"),
+                      _CELL_DEFAULTS, ("layer",)),
 }
+
+# input name -> the command that writes it
+PRODUCERS = {"layer": "layer", "corrector": "corrector", "hbar_table": "hbar-table"}
 
 TOOL_VERSION = "0.1.0"
 
@@ -110,6 +129,12 @@ class RunConfig:
     def prefix(self) -> str:
         return self.output.get("prefix", self.command)
 
+    def option(self, key: str):
+        """Optional numeric value: the config's, else the command's default,
+        cast to the default's type.  The config itself is left as given."""
+        default = COMMANDS[self.command].optional[key]
+        return type(default)(self.numeric.get(key, default))
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -117,34 +142,6 @@ class RunConfig:
 
 _TOP_KEYS = {"command", "operator", "potential", "forcing", "numeric", "inputs",
              "output"}
-
-_NUMERIC_KEYS = {
-    "layer": {"n", "half_width", "tol"},
-    "corrector": {"L0", "tol"},
-    "hbar": {"slope", "drive", "n", "horizon", "fit_tol"},
-    "hbar-table": {"slopes", "drives", "n", "horizon", "fit_tol", "workers"},
-    "homogenize": {"branch", "eps_list", "slope", "horizon", "n", "profile",
-                   "checkpoints"},
-    "ansatz-residual": {"delta", "p0", "L0", "n_terms", "n_grid", "cauchy_tol"},
-    "orowan": {"delta_list", "p0", "L0", "n", "horizon", "fit_tol"},
-}
-
-_NUMERIC_REQUIRED = {
-    "layer": set(),
-    "corrector": {"L0"},
-    "hbar": {"slope", "drive"},
-    "hbar-table": {"slopes", "drives"},
-    "homogenize": {"branch", "eps_list", "slope"},
-    "ansatz-residual": {"delta", "p0", "L0"},
-    "orowan": {"delta_list", "p0", "L0"},
-}
-
-_INPUTS_REQUIRED = {
-    "corrector": {"layer": "layer"},
-    "ansatz-residual": {"layer": "layer"},
-    "orowan": {"layer": "layer"},
-    "homogenize": {"hbar_table": "hbar-table"},
-}
 
 
 def _is_num(v) -> bool:
@@ -157,6 +154,9 @@ def _validate_forcing(forcing, errors):
     if not isinstance(forcing, dict) or set(forcing) != {"terms"}:
         errors.append("forcing: must be null or an object with a 'terms' list")
         return
+    if not isinstance(forcing["terms"], list):
+        errors.append("forcing.terms: must be a list of term objects")
+        return
     for j, t in enumerate(forcing["terms"]):
         tag = f"forcing.terms[{j}]"
         if not isinstance(t, dict):
@@ -167,6 +167,8 @@ def _validate_forcing(forcing, errors):
         for k in ("mode_t", "mode_x"):
             if not isinstance(t.get(k), int) or isinstance(t.get(k), bool):
                 errors.append(f"{tag}.{k}: must be an integer")
+            elif t[k] < 0:
+                errors.append(f"{tag}.{k}: must be nonnegative (got {t[k]})")
         for k in ("kind_t", "kind_x"):
             if t.get(k) not in ("cos", "sin"):
                 errors.append(f"{tag}.{k}: must be 'cos' or 'sin'")
@@ -185,7 +187,7 @@ def validate_raw(raw: dict) -> list:
         errors.append(f"config: unknown top-level keys {sorted(unknown)}")
 
     command = raw.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         errors.append(
             f"command: must be one of {list(COMMANDS)} (got {command!r})"
         )
@@ -215,6 +217,8 @@ def validate_raw(raw: dict) -> list:
             _is_num(a) for a in pot["cosine"]
         ):
             errors.append("potential.cosine: must be a list of finite numbers")
+        elif not any(pot["cosine"]):
+            errors.append("potential.cosine: must have a nonzero coefficient")
 
     _validate_forcing(raw.get("forcing"), errors)
 
@@ -222,14 +226,15 @@ def validate_raw(raw: dict) -> list:
     if not isinstance(numeric, dict):
         errors.append("numeric: must be an object")
         numeric = {}
-    allowed = _NUMERIC_KEYS[command]
+    spec = COMMANDS[command]
+    allowed = set(spec.required) | set(spec.optional)
     unknown = set(numeric) - allowed
     if unknown:
         errors.append(
             f"numeric: unknown keys {sorted(unknown)} for command '{command}' "
             f"(allowed: {sorted(allowed)})"
         )
-    missing = _NUMERIC_REQUIRED[command] - set(numeric)
+    missing = set(spec.required) - set(numeric)
     if missing:
         errors.append(
             f"numeric: missing required keys {sorted(missing)} for command "
@@ -273,6 +278,8 @@ def validate_raw(raw: dict) -> list:
             errors.append(
                 "numeric.profile: must be a list of [amp, mode, 'cos'|'sin'] triples"
             )
+        elif prof is not None and any(t[1] < 0 for t in prof):
+            errors.append("numeric.profile: modes must be nonnegative")
 
     inputs = raw.get("inputs", {})
     if not isinstance(inputs, dict) or not all(
@@ -280,7 +287,7 @@ def validate_raw(raw: dict) -> list:
     ):
         errors.append("inputs: must be an object mapping names to file paths")
         inputs = {}
-    for key in _INPUTS_REQUIRED.get(command, {}):
+    for key in spec.inputs:
         if key not in inputs:
             errors.append(f"inputs.{key}: required for command '{command}'")
     if (
@@ -335,16 +342,7 @@ def parse_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    raw = {
-        "command": cfg.command,
-        "operator": cfg.operator,
-        "potential": cfg.potential,
-        "forcing": cfg.forcing,
-        "numeric": cfg.numeric,
-        "inputs": cfg.inputs,
-        "output": cfg.output,
-    }
-    return json.dumps(raw, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def config_sha256(cfg: RunConfig) -> str:
@@ -368,17 +366,9 @@ def build_potential(cfg: RunConfig) -> PeriodicPotential | None:
 def build_forcing(cfg: RunConfig) -> Forcing | None:
     if cfg.forcing is None:
         return None
-    terms = tuple(
-        ForcingTerm(
-            amp=float(t["amp"]),
-            mode_t=t["mode_t"],
-            mode_x=t["mode_x"],
-            kind_t=t["kind_t"],
-            kind_x=t["kind_x"],
-        )
-        for t in cfg.forcing["terms"]
-    )
-    return Forcing(terms)
+    # validation leaves exactly the five ForcingTerm fields in each term
+    return Forcing(tuple(ForcingTerm(**dict(t, amp=float(t["amp"])))
+                         for t in cfg.forcing["terms"]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +378,7 @@ def build_forcing(cfg: RunConfig) -> Forcing | None:
 
 def make_meta(cfg: RunConfig, g_const: float, tolerances: dict) -> dict:
     meta = {
-        "quantity": QUANTITY_TAGS[cfg.command],
+        "quantity": COMMANDS[cfg.command].quantity,
         "command": cfg.command,
         "config_sha256": config_sha256(cfg),
         "tool_version": TOOL_VERSION,

@@ -71,6 +71,16 @@ def test_forcing_zero_and_sup():
     assert sup_norms(None, None) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("term, sup", [
+    (ForcingTerm(1.0, 0, 1), 1.0),  # constant in t
+    (ForcingTerm(1.0, 1, 0), 1.0),  # constant in y
+    (ForcingTerm(-0.3), 0.3),  # constant
+    (ForcingTerm(1.0, 0, 1, "sin"), 0.0),  # sin of mode 0: identically zero
+])
+def test_sup_norm_of_one_variable_forcings(term, sup):
+    assert Forcing((term,)).sup_norm() == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
 def test_sup_norm_dominates_samples():
     f = Forcing((ForcingTerm(0.3, 1, 2, "cos", "sin"),
                  ForcingTerm(-0.1, 0, 1, "cos", "cos")))

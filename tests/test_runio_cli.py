@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -5,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracpn import cli, runio
+from fracpn import cell, cli, homog, hull, layer, runio
 from fracpn.cell import TABLE_COLUMNS
 
 A1 = 0.025330295910584444  # 1/(4 pi^2): curvature-one single-cosine well
-SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
+ROOT = Path(__file__).parents[1]
+SHIPPED_CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.json"))
 
 
 def layer_cfg_dict(**numeric):
@@ -59,7 +63,7 @@ def test_shipped_configs_parse_and_chain():
     assert SHIPPED_CONFIGS
     cfgs = [runio.parse_config(p) for p in SHIPPED_CONFIGS]
     assert all(c.command in runio.COMMANDS for c in cfgs)
-    produced = {cli._OUT_NAMES[c.command].format(p=c.prefix) for c in cfgs}
+    produced = {runio.COMMANDS[c.command].out.format(p=c.prefix) for c in cfgs}
     for c in cfgs:
         assert set(c.inputs.values()) <= produced, c.command
 
@@ -80,6 +84,85 @@ def test_shipped_weak_branch_chain(tmp_path):
     errors = runio.read_json_result(tmp_path / "s075-homog.json")["result"]["errors"]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert [round(e, 4) for e in errors] == [0.2083, 0.1717, 0.1418]
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+
+def test_handlers_and_subcommands_match_table():
+    assert set(cli._HANDLERS) == set(runio.COMMANDS)
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(runio.COMMANDS)
+    inputs = {k for c in runio.COMMANDS.values() for k in c.inputs} | {"corrector"}
+    assert inputs == set(runio.PRODUCERS)
+    assert set(runio.PRODUCERS.values()) <= set(runio.COMMANDS)
+
+
+def _arg(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _field(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+def test_table_defaults_are_library_defaults():
+    """Each CLI default is the default of the library call it feeds, with
+    the same type, so the API and the CLI cannot drift apart."""
+    cell_defaults = {"n": _field(cell.CellProblemSpec, "n"),
+                     "horizon": _field(cell.CellProblemSpec, "horizon"),
+                     "fit_tol": cell.FIT_TOL}
+    library = {
+        "layer": {"n": _arg(layer.solve_layer, "n"),
+                  "half_width": _arg(layer.solve_layer, "R_dom"),
+                  "tol": _arg(layer.solve_layer, "tol")},
+        "corrector": {"tol": _arg(layer.solve_corrector_psi, "tol")},
+        "hbar": cell_defaults,
+        "hbar-table": {**cell_defaults, "workers": _arg(cell.hbar_table, "workers")},
+        "homogenize": {"n": _field(homog.EpsProblemSpec, "n"),
+                       "horizon": _field(homog.EpsProblemSpec, "horizon"),
+                       "profile": homog.InitialProfile.zero().terms,
+                       "checkpoints": _arg(homog.convergence_report, "checkpoints")},
+        "ansatz-residual": {k: _arg(hull.build_ansatz, k)
+                            for k in ("n_terms", "n_grid", "cauchy_tol")},
+        "orowan": {k: _arg(hull.orowan_check, k) for k in ("n", "horizon", "fit_tol")},
+    }
+    table = {name: c.optional for name, c in runio.COMMANDS.items()}
+    assert table == library
+    for name, defaults in library.items():
+        for key, value in defaults.items():
+            assert type(table[name][key]) is type(value), (name, key)
+
+
+def test_option_casts_to_the_default_type_and_leaves_config_as_given():
+    d = layer_cfg_dict(half_width=20)
+    del d["numeric"]["n"]
+    cfg = runio.parse_config_text(json.dumps(d))
+    sha = runio.config_sha256(cfg)
+    assert type(cfg.option("half_width")) is float and cfg.option("half_width") == 20.0
+    assert cfg.option("n") == runio.COMMANDS["layer"].optional["n"]
+    assert "n" not in cfg.numeric and runio.config_sha256(cfg) == sha
+
+
+def test_readme_command_table_lists_the_table():
+    """The README "Command line" table has one row per command naming its
+    required keys, optional keys with defaults, inputs and output file."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    for name, c in runio.COMMANDS.items():
+        [row] = [ln for ln in lines if ln.startswith(f"| `{name}` |")]
+        cells = [x.strip() for x in row.strip("|").split("|")]
+        assert len(cells) == 5, row
+        _, required, optional, inputs, out = cells
+        for key in c.required:
+            assert f"`{key}`" in required, (name, key)
+        for key, value in c.optional.items():
+            assert f"`{key}` = {json.dumps(value)}" in optional, (name, key)
+        for key in c.inputs:
+            assert f"`{key}`" in inputs, (name, key)
+        assert out == f"`{c.out.format(p='<prefix>')}`"
 
 
 def test_config_sha_ignores_formatting():
@@ -143,6 +226,54 @@ def test_forcing_term_validation():
     with pytest.raises(runio.ConfigError) as exc:
         runio.parse_config_text(json.dumps(d))
     assert "kind_t" in str(exc.value)
+
+
+def _hbar_bad(**edits):
+    d = hbar_cfg_dict()
+    for key, value in edits.items():
+        d[key] = value
+    return d
+
+
+@pytest.mark.parametrize("edits, field", [
+    ({"forcing": {"terms": 5}}, "forcing.terms"),
+    ({"forcing": {"terms": None}}, "forcing.terms"),
+    ({"forcing": {"terms": [{"amp": 0.1, "mode_t": -1, "mode_x": 1,
+                             "kind_t": "cos", "kind_x": "cos"}]}}, "forcing.terms[0].mode_t"),
+    ({"forcing": {"terms": [{"amp": 0.1, "mode_t": 1, "mode_x": -2,
+                             "kind_t": "cos", "kind_x": "cos"}]}}, "forcing.terms[0].mode_x"),
+    ({"potential": {"cosine": []}}, "potential.cosine"),
+    ({"potential": {"cosine": [0.0]}}, "potential.cosine"),
+    ({"command": ["hbar"]}, "command"),
+], ids=["terms-int", "terms-null", "mode_t", "mode_x", "cosine-empty", "cosine-zero",
+        "command-list"])
+def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
+    cfg = write_cfg(tmp_path, _hbar_bad(**edits))
+    rc = cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
+def test_cli_negative_profile_mode_exits_2(tmp_path, capsys):
+    d = _homog_sub_cfg_dict(0.0)
+    d["numeric"]["profile"] = [[0.1, -1, "sin"]]
+    rc = cli.main(["homogenize", "--config", str(write_cfg(tmp_path, d)),
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "numeric.profile:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, numeric, field", [
+    ("hbar", {"slope": 0.123456789, "drive": 0.7}, "numeric.slope"),
+    ("hbar-table", {"slopes": [0.5, 0.123456789], "drives": [0.7]}, "numeric.slopes"),
+], ids=["hbar", "hbar-table"])
+def test_cli_unrepresentable_slope_exits_2(tmp_path, capsys, command, numeric, field):
+    d = hbar_cfg_dict()
+    d["command"] = command
+    d["numeric"] = {**numeric, "n": 64, "horizon": 40.0}
+    rc = cli.main([command, "--config", str(write_cfg(tmp_path, d)), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{field}:" in capsys.readouterr().err
 
 
 def test_corrector_input_required():
@@ -239,6 +370,19 @@ def test_cli_hbar_free_case_and_byte_identity(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["speed"] == pytest.approx(0.7, abs=1e-9)
     assert rows[0]["converged"] is True
+
+
+def test_cli_hbar_with_forcing_constant_in_t(tmp_path, capsys):
+    """sigma = 0.1 cos(2 pi y) has mean zero over the slope-1/2 torus, so the
+    free flow's mean drifts at exactly the drive."""
+    d = hbar_cfg_dict()
+    d["forcing"] = {"terms": [{"amp": 0.1, "mode_t": 0, "mode_x": 1,
+                               "kind_t": "cos", "kind_x": "cos"}]}
+    cfg = write_cfg(tmp_path, d)
+    assert cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, _, [row] = runio.read_csv(tmp_path / "free-hbar.csv")
+    assert row["converged"] is True
+    assert row["speed"] == pytest.approx(0.7, abs=1e-6)
 
 
 def test_cli_command_mismatch(tmp_path, capsys):
