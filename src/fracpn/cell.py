@@ -30,26 +30,33 @@ The spec's ``horizon`` is a cap.  At the checkpoints t = horizon * 2^-j,
 j = 6, ..., 1 (only those at least 64 steps in, so that a fit window holds
 at least 32 samples), a run stops as soon as its speed is certified, and
 T is then that checkpoint; a run that is never certified runs to the cap
-and is fitted as above.  Without forcing, the three certificates split
-the rows by a test made before the run: (a) takes F = 0 and the slope-0
-rows with |F| <= sup|W'|, (c) the slope-0 rows with |F| > sup|W'|, and
-(b) is tried on every other row.
+and is fitted as above.  Without forcing, a test made before the run
+splits the rows: (a) takes F = 0 and the slope-0 rows, and (b) is tried on
+every other row.
 
-(a) Exact zero.  Without forcing, the speed is exactly 0 when F = 0, and
-    when p = 0 and |F| <= sup|W'|.  At F = 0 the flow is the gradient flow
-    of E(v) = -1/2 <v, I v> + sum W(p x + v): both terms are bounded below
-    (I is negative semi-definite and W is bounded) and E is unchanged by v -> v + 1,
-    so mean(v) cannot drift linearly in t.  The discrete scheme inherits
-    this: E has gradient Lipschitz constant at most Lambda + sup W'', and
-    the CFL step 0.9 / (Lambda + sup W'') is below 2 / (Lambda + sup W''),
-    so each explicit Euler step decreases E.  At p = 0 the uniform states
-    solve the scalar ODE c' = F - W'(c), which has rest points when
-    |F| <= sup|W'| (W' is odd for the cosine potentials); by comparison any
-    state stays between two of them.  Such a run stops at the first
-    checkpoint where max|v_t| <= 1e-9, which confirms that the discrete
-    flow has settled as the argument says, and reports speed 0.0 with
-    uncertainty 0.0.  A run that fails to settle runs to the cap and is
-    fitted as usual.
+(a) Known speed.  Without forcing, the speed is known before the run when
+    F = 0 or p = 0.  At F = 0 the flow is the gradient flow of
+    E(v) = -1/2 <v, I v> + sum W(p x + v), which is bounded below (I is
+    negative semi-definite, W bounded) and unchanged by v -> v + 1, so
+    mean(v) cannot drift linearly and the speed is 0; each explicit Euler
+    step decreases E, as the CFL step 0.9 / (Lambda + sup W'') is below
+    2 / (Lambda + sup W''), and Lambda + sup W'' bounds the Lipschitz
+    constant of grad E.  At p = 0 the uniform states v = c solve the
+    scalar ODE c' = F - W'(c) (I vanishes on constants), and by comparison
+    every state lies between c and c + 1, so it has their speed: 0 when
+    |F| <= sup|W'| (there are rest points, W' being odd), and otherwise
+    lambda = sign(F) / int_0^1 du / |F - W'(u)| (F when W is None).  The
+    integrand is smooth and 1-periodic, so the trapezoid rule converges
+    geometrically: the nodes are doubled from 64 until two values agree to
+    1e-14 relative, and that change is the uncertainty.  Near depinning,
+    roundoff at the integrand's peak keeps them apart; a quadrature not
+    settled at 2^20 nodes certifies nothing, and the row is fitted as in
+    (b).  The known speed is the flow's, free of time-step error.  A
+    zero-speed run stops at the first checkpoint where max|v_t| <= 1e-9,
+    which confirms that the discrete flow has settled (one that never
+    settles is fitted at the cap); a moving run stops at the first
+    checkpoint whose window [t/2, t] holds one whole advance of 1/q of
+    mean(v), and its trace gives the intercept and corrector amplitude.
 (b) Travelling wave.  The fit over [t/2, t] at a checkpoint certifies the
     speed when its uncertainty is at most 1e-12 * max(1, |speed|), it agrees
     with the previous checkpoint's speed to the same bound, and mean(v)
@@ -58,28 +65,6 @@ rows with |F| <= sup|W'|, (c) the slope-0 rows with |F| > sup|W'|, and
     period, so the last condition asks for at least one whole period in
     the window: a pinned-looking run near depinning, whose mean has barely
     moved, never passes it.
-(c) Whole-period speed.  Without forcing, at p = 0 and |F| > sup|W'|, a
-    uniform state v = c moves by the scalar map c <- c + dt (F - W'(c)),
-    whose increment never vanishes, and it gains exactly 1/q of mean per
-    period; by comparison any slope-0 state lies between two uniform states
-    (c and c + 1/q), so it has their speed.  Its mean oscillates within a
-    period, so (b) never passes, but it is strictly monotone: d/dt mean(v)
-    = F - mean W'(v) has the sign of F.  So at a checkpoint t, with P the
-    number of whole advances of 1/q that fit in [t/2, t], the time tau with
-    mean(v)(tau) = mean(v)(t) - sign(F) P/q is found by inverse cubic
-    interpolation (t as a cubic in mean(v) through the four samples around
-    the target), and the estimate is lambda = sign(F) (P/q) / (t - tau).
-    The interpolation error is, to leading order, proportional to the
-    fourth derivative of t(mean) at the target.  That is the derivative of
-    a periodic function, whose mean over a period vanishes, so it changes
-    sign within a period.  Repeating the estimate from every sample of the
-    last period (each one P/q above its own target) therefore gives values
-    on both sides of the exact speed, and their spread about lambda bounds
-    its error.  The reported uncertainty is that spread plus the change of
-    lambda from the previous checkpoint's estimate, and the run stops once
-    it is at most a tenth of the fit tolerance.  An estimate needs at least
-    8 samples per advance of 1/q, so that the interpolation resolves the
-    oscillation; a run whose step is too coarse for that runs to the cap.
 """
 
 from __future__ import annotations
@@ -121,8 +106,9 @@ TABLE_COLUMNS = (
 
 SETTLE_TOL = 1e-9  # certificate (a): max|v_t| of a settled run
 CERTIFY_RTOL = 1e-12  # certificate (b): fit spread and drift, relative to max(1, |speed|)
-PERIOD_MIN_SAMPLES = 8  # certificate (c): samples per advance of 1/q
-FIT_TOL = 1e-3  # default fit tolerance; certificate (c) stops at a tenth of it
+QUAD_RTOL = 1e-14  # certificate (a): relative agreement of two trapezoid values
+QUAD_MAX_NODES = 2**20  # certificate (a): a quadrature unsettled here certifies nothing
+FIT_TOL = 1e-3  # default fit tolerance
 CHECKPOINT_LEVELS = range(6, 0, -1)  # checkpoints at horizon * 2^-j
 MIN_CHECKPOINT_STEPS = 64
 
@@ -198,39 +184,30 @@ class CellTrace:
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
     horizon: float  # the time the run covered: the cap or a checkpoint
-    # (speed, uncertainty) of a run stopped by certificate (a) or (c); None
-    # when the speed is to be fitted
+    # (speed, uncertainty) known by certificate (a); None when the speed is
+    # to be fitted
     certified: tuple | None
 
 
-def _whole_period_speed(times, means, q: int):
-    """Certificate (c)'s estimate from a strictly monotone mean trace.
-
-    Returns (speed, spread) as described in the module docstring, or None
-    when [t/2, t] holds no whole advance of 1/q, when the trace holds too
-    little before the targets, or when the last advance holds fewer than
-    PERIOD_MIN_SAMPLES samples.
-    """
-    sgn = 1.0 if means[-1] >= means[0] else -1.0
-    y = sgn * means
-    half = int(np.searchsorted(times, 0.5 * times[-1]))
-    P = math.floor(q * (y[-1] - y[half]))
-    last = int(np.searchsorted(y, y[-1] - 1.0 / q))  # the last advance of 1/q
-    if P < 1 or y[-1] - y[1] <= (P + 1) / q or y.size - last < PERIOD_MIN_SAMPLES:
-        return None
-    targets = y[last:] - P / q
-    # the four samples around each target; y[1] < target <= y[-2] keeps them in range
-    idx = (np.searchsorted(y, targets) - 2)[:, None] + np.arange(4)
-    ym, tm = y[idx], times[idx]
-    tau = np.zeros(targets.size)
-    for a in range(4):
-        w = np.ones(targets.size)
-        for b in range(4):
-            if b != a:
-                w *= (targets - ym[:, b]) / (ym[:, a] - ym[:, b])
-        tau += w * tm[:, a]
-    lam = (P / q) / (times[last:] - tau)
-    return sgn * float(lam[-1]), float(np.max(np.abs(lam - lam[-1])))
+def known_speed(W: PeriodicPotential | None, drive: float, sup_wp: float):
+    """Certificate (a)'s slope-0 speed without forcing (module docstring):
+    (speed, uncertainty), or None when the trapezoid rule has not settled
+    by QUAD_MAX_NODES nodes."""
+    a = abs(drive)  # -F has the same integral, W' being odd
+    if a <= sup_wp:
+        return 0.0, 0.0
+    if W is None:
+        return drive, 0.0
+    n = 64
+    total = float(np.sum(1.0 / np.abs(a - eval_potential(W, np.arange(n) / n, 1))))
+    lam = n / total
+    while n < QUAD_MAX_NODES:
+        total += float(np.sum(1.0 / np.abs(a - eval_potential(W, (np.arange(n) + 0.5) / n, 1))))
+        n *= 2
+        change, lam = abs(n / total - lam), n / total
+        if change <= QUAD_RTOL * lam:
+            return math.copysign(lam, drive), change
+    return None
 
 
 def torus_flow(plan, W, sigma, px, y, drive: float = 0.0, a: float = 1.0, b: float = 1.0,
@@ -266,8 +243,8 @@ def euler_steps(rhs, v, dt: float, nsteps: int):
 
 def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_TOL) -> CellTrace:
     """Step the torus flow up to ``spec.horizon``, stopping early at a
-    certified checkpoint (module docstring).  ``tol`` is the fit tolerance
-    that ``estimate_lambda`` will apply; certificate (c) stops at a tenth of it."""
+    certified checkpoint (module docstring).  ``tol``, the fit tolerance
+    that ``estimate_lambda`` will apply, does not move a stop."""
     q = spec.torus_period
     n = spec.n
     h = q / n
@@ -301,9 +278,9 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
     means[0] = v.mean()
     mean0 = means[0]
     F = spec.drive
-    exact_zero = sigma is None and (F == 0.0 or (spec.slope == 0 and abs(F) <= K))
-    whole_period = sigma is None and spec.slope == 0 and abs(F) > K
-    horizon, certified, last_speed = spec.horizon, None, None
+    known = known_speed(W, F, K) if sigma is None and (F == 0.0 or spec.slope == 0) else None
+    moving = known is not None and known[0] != 0.0
+    horizon, certified, last_speed = spec.horizon, known if moving else None, None
     check_every = max(1, nsteps // 64)
     slack = 1e-8
 
@@ -322,27 +299,19 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
         if t_j is None:
             continue
         m = k + 1
-        if exact_zero:
-            if float(np.max(np.abs(rhs))) <= SETTLE_TOL:
-                horizon, certified = t_j, (0.0, 0.0)
-                break
-            continue
         times = dt * np.arange(m)
-        if whole_period:
-            est = _whole_period_speed(times, means[:m], q)
-            if est is not None and last_speed is not None:
-                unc = abs(est[0] - last_speed) + est[1]
-                if unc <= 0.1 * tol:
-                    horizon, certified = t_j, (est[0], unc)
-                    break
-            last_speed = None if est is None else est[0]
+        start = int(np.searchsorted(times, 0.5 * times[-1]))  # the fit window [t/2, t]
+        whole_advance = abs(means[k] - means[start]) >= 1.0 / q
+        if known is not None:
+            settled = float(np.max(np.abs(rhs))) <= SETTLE_TOL
+            if whole_advance if moving else settled:
+                horizon, certified = t_j, known
+                break
             continue
         fit = estimate_lambda(CellTrace(spec, times, means[:m], v, dt, bound, t_j, None))
         rtol = CERTIFY_RTOL * max(1.0, abs(fit.speed))
-        start = int(np.searchsorted(times, fit.fit_window[0]))
         if (fit.uncertainty <= rtol and last_speed is not None
-                and abs(fit.speed - last_speed) <= rtol
-                and abs(means[k] - means[start]) >= 1.0 / q):
+                and abs(fit.speed - last_speed) <= rtol and whole_advance):
             horizon = t_j
             break
         last_speed = fit.speed
@@ -376,7 +345,7 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = FIT_TO
 
     The uncertainty is |slope(first half) - slope(second half)| over the fit
     window; ``converged`` records whether it is below ``tol``.  A trace
-    stopped by certificate (a) or (c) reports its certified speed and
+    with a known speed (certificate (a)) reports that speed and its
     uncertainty instead of fitting, with the intercept that fits the window
     best at that speed.
     """
@@ -412,7 +381,7 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = FIT_TO
 
 def hbar(spec: CellProblemSpec, tol: float = FIT_TOL) -> SpeedFit:
     """Effective speed for one (slope, drive) pair."""
-    return estimate_lambda(solve_cell_evolution(spec, tol=tol), tol=tol)
+    return estimate_lambda(solve_cell_evolution(spec), tol=tol)
 
 
 def _table_worker(args):

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+MAX_FORCING_MODE = 512  # config limit: sup_norm's sampling grid grows as (4 * mode)^2
 
 
 def _golden_min(f, bracket, xtol: float = 1e-12):
@@ -158,6 +159,12 @@ class ForcingTerm:
         if self.mode_t < 0 or self.mode_x < 0:
             raise ValueError("forcing modes must be nonnegative integers")
 
+    @property
+    def is_live(self) -> bool:
+        """False when the term vanishes identically: amp 0 or a sin factor of mode 0."""
+        return (self.amp != 0.0 and (self.mode_t > 0 or self.kind_t == "cos")
+                and (self.mode_x > 0 or self.kind_x == "cos"))
+
     def eval(self, t, y):
         ft = np.cos(_TWO_PI * self.mode_t * np.asarray(t, dtype=float)) if self.kind_t == "cos" \
             else np.sin(_TWO_PI * self.mode_t * np.asarray(t, dtype=float))
@@ -181,15 +188,15 @@ class Forcing:
 
     @property
     def is_zero(self) -> bool:
-        return all(t.amp == 0.0 for t in self.terms)
+        return not any(t.is_live for t in self.terms)
 
     @property
     def even_in_y(self) -> bool:
-        return all(t.kind_x == "cos" or t.amp == 0.0 for t in self.terms)
+        return all(t.kind_x == "cos" or not t.is_live for t in self.terms)
 
     @property
     def odd_in_y(self) -> bool:
-        return all(t.kind_x == "sin" or t.amp == 0.0 for t in self.terms)
+        return all(t.kind_x == "sin" or not t.is_live for t in self.terms)
 
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)
@@ -201,26 +208,29 @@ class Forcing:
     def sup_norm(self) -> float:
         """sup |sigma| over the (t, y) torus: dense sampling, then
         alternating golden-section refinement in each coordinate that some
-        nonzero term depends on (a term is zero when its amp is 0 or a sin
-        factor has mode 0)."""
-        live = [f for f in self.terms if f.amp != 0.0
-                and (f.mode_t or f.kind_t == "cos") and (f.mode_x or f.kind_x == "cos")]
+        live term depends on.  Each axis takes at least 4 samples per period
+        of its highest live mode (and at least 256): at 2 per period a term's
+        equal peaks fall on neighbouring samples and leave no bracket."""
+        live = [f for f in self.terms if f.is_live]
         if not live:
             return 0.0
-        in_t = any(f.mode_t for f in live)
-        in_y = any(f.mode_x for f in live)
-        ts = np.linspace(0.0, 1.0, 256, endpoint=False)
-        ys = np.linspace(0.0, 1.0, 256, endpoint=False)
+        m_t = max(f.mode_t for f in live)
+        m_y = max(f.mode_x for f in live)
+        nt, ny = (max(256, 1 << (4 * m - 1).bit_length()) for m in (m_t, m_y))
+        ts = np.arange(nt) / nt
+        ys = np.arange(ny) / ny
         grid = np.abs(self(ts[:, None], ys[None, :]))
         it, iy = np.unravel_index(np.argmax(grid), grid.shape)
         t0, y0 = float(ts[it]), float(ys[iy])
         best = float(grid[it, iy])
-        dh = 1.0 / 256.0
+        if best == 0.0:  # more than 2 samples per period: the terms cancel identically
+            return 0.0
+        dt, dy = 1.0 / nt, 1.0 / ny
         for _ in range(3):
-            if in_t:
-                t0, _ = _golden_min(lambda t: -abs(float(self(t, y0))), (t0 - dh, t0, t0 + dh))
-            if in_y:
-                y0, _ = _golden_min(lambda y: -abs(float(self(t0, y))), (y0 - dh, y0, y0 + dh))
+            if m_t:
+                t0, _ = _golden_min(lambda t: -abs(float(self(t, y0))), (t0 - dt, t0, t0 + dt))
+            if m_y:
+                y0, _ = _golden_min(lambda y: -abs(float(self(t0, y))), (y0 - dy, y0, y0 + dy))
             best = max(best, abs(float(self(t0, y0))))
         return best
 

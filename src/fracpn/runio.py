@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
-from .potential import Forcing, ForcingTerm, PeriodicPotential
+from .potential import MAX_FORCING_MODE, Forcing, ForcingTerm, PeriodicPotential
 
 __all__ = [
     "COMMANDS",
@@ -167,8 +167,8 @@ def _validate_forcing(forcing, errors):
         for k in ("mode_t", "mode_x"):
             if not isinstance(t.get(k), int) or isinstance(t.get(k), bool):
                 errors.append(f"{tag}.{k}: must be an integer")
-            elif t[k] < 0:
-                errors.append(f"{tag}.{k}: must be nonnegative (got {t[k]})")
+            elif not 0 <= t[k] <= MAX_FORCING_MODE:
+                errors.append(f"{tag}.{k}: must lie in [0, {MAX_FORCING_MODE}] (got {t[k]})")
         for k in ("kind_t", "kind_x"):
             if t.get(k) not in ("cos", "sin"):
                 errors.append(f"{tag}.{k}: must be 'cos' or 'sin'")

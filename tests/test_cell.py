@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracpn.cell
 from fracpn.cell import (
     CellProblemSpec,
     CellStabilityError,
-    _whole_period_speed,
     as_rational,
     estimate_lambda,
     hbar,
     hbar_table,
+    known_speed,
     solve_cell_evolution,
 )
 from fracpn.fracop import AnisotropyKernel, plan_for
@@ -59,7 +59,7 @@ def test_uniform_state_matches_scalar_ode():
                            potential=W_STD, n=16, horizon=100.0, dt=1e-3)
     fit = hbar(spec)
     exact = math.sqrt(L * L - SUP_WP * SUP_WP)
-    assert fit.speed == pytest.approx(exact, rel=1e-4)
+    assert fit.speed == pytest.approx(exact, rel=1e-13)
 
 
 def test_pinned_state_stays_put():
@@ -185,30 +185,72 @@ def _scalar_map_trace(drives, dt, horizon):
     return dt * np.arange(nsteps + 1), c
 
 
-def test_whole_period_rows_stop_within_their_uncertainty():
-    """Certificate (c): slope-0 rows above depinning stop before the cap, and
-    the certified speed is within its uncertainty of the same estimate made
-    at t = 1500 (ten times the cap)."""
-    drives, dt = (0.2, 0.6, 1.0, 1.4, 2.0), 0.0318
-    times, means = _scalar_map_trace(drives, dt, 1500.0)
-    for i, F in enumerate(drives):
-        ref, _ = _whole_period_speed(times, means[:, i], 1)
-        spec = CellProblemSpec(s=0.3, slope=Fraction(0), drive=F, potential=W_STD,
-                               n=16, horizon=150.0, dt=dt)
-        trace = solve_cell_evolution(spec)
-        fit = estimate_lambda(trace)
-        assert trace.horizon < spec.horizon
-        assert (fit.speed, fit.uncertainty) == trace.certified
-        assert abs(fit.speed - ref) <= fit.uncertainty <= 1e-4
-        assert fit.converged
-        down = hbar(replace(spec, drive=-F))
-        assert down.speed == pytest.approx(-fit.speed, abs=1e-12)
-        assert down.uncertainty == pytest.approx(fit.uncertainty, abs=1e-12)
+def _whole_period_speed(times, c):
+    """Speed of an increasing uniform-state trace over its whole periods:
+    P / (time between crossing 1/4 and 1/4 + P), each crossing by inverse
+    cubic interpolation through the four samples around it (W'' = 0 at 1/4)."""
+    P = math.floor(c[-3] - 0.25)
+
+    def crossing(y):
+        i = int(np.searchsorted(c, y))
+        return np.polyfit(c[i - 2:i + 2] - y, times[i - 2:i + 2], 3)[-1]
+
+    return P / (crossing(0.25 + P) - crossing(0.25))
+
+
+def test_richardson_of_the_uniform_euler_map_reaches_the_closed_form():
+    """Stepping stays the second route to the slope-0 speed.  At the strong
+    table's CFL step the uniform-state Euler map is off by up to 8.4e-5
+    (F = 2), and the error is second order in dt: the first-order term of
+    the modified equation integrates to zero over a period.  Richardson
+    over (dt, dt/2) with weights (-1/3, 4/3) meets the closed form."""
+    drives = (0.2, 0.6, 1.0, 2.0)
+    exact = np.sqrt(np.square(drives) - SUP_WP**2)
+    dt = 0.9 / (plan_for("periodic", 256, 0.5, 0.3).stiffness + W_STD.derivative_bound(2))
+    coarse, fine = (
+        np.array([_whole_period_speed(times, c[:, i]) for i in range(len(drives))])
+        for times, c in (_scalar_map_trace(drives, h, 40.0) for h in (dt, dt / 2)))
+    assert np.max(np.abs(coarse - exact)) > 5e-5
+    np.testing.assert_allclose((coarse - exact) / (fine - exact), 4.0, rtol=0.01)
+    np.testing.assert_allclose((4.0 * fine - coarse) / 3.0, exact, rtol=0.0, atol=1e-6)
+
+
+def test_two_harmonic_well_matches_quadrature():
+    from scipy.integrate import quad
+
+    W2 = PeriodicPotential((0.02, 0.005))
+    K = W2.sup_derivative(1)
+    for F in (1.1 * K, 2.0 * K, -3.0 * K, 10.0 * K):
+        integral, _ = quad(lambda u: 1.0 / abs(F - float(eval_potential(W2, u, 1))), 0.0, 1.0,
+                           epsabs=0.0, epsrel=1e-13, limit=200)
+        fit = hbar(CellProblemSpec(s=0.5, slope=Fraction(0), drive=F, potential=W2,
+                                   n=16, horizon=40.0))
+        assert fit.speed == pytest.approx(math.copysign(1.0 / integral, F), rel=1e-12)
+        assert fit.uncertainty <= 1e-12
+
+
+def test_near_depinning_speed_is_never_certified_unconverged():
+    """Within ~1e-5 of sup|W'| the trapezoid values stop agreeing to 1e-14
+    before 2^20 nodes; such a row is stepped and fitted, and every value
+    that is certified matches the closed form."""
+    K = W_STD.sup_derivative(1)
+    for k in range(1, 9):
+        F = K * (1.0 + 10.0**-k)
+        known = known_speed(W_STD, F, K)
+        if known is not None:
+            assert known[0] == pytest.approx(math.sqrt((F - K) * (F + K)), rel=1e-12)
+    F = K * (1.0 + 1e-6)
+    assert known_speed(W_STD, F, K) is None
+    spec = CellProblemSpec(s=0.5, slope=Fraction(0), drive=F, potential=W_STD,
+                           n=16, horizon=10.0)
+    trace = solve_cell_evolution(spec)
+    assert trace.certified is None
+    assert trace.horizon == spec.horizon
 
 
 def test_uncovered_row_runs_to_the_cap():
-    """p != 0 with a small F != 0: no certificate covers the row ((a) and (c)
-    need p = 0 or F = 0, and its mean advances less than 1/q over the fit
+    """p != 0 with a small F != 0: no certificate covers the row ((a) needs
+    p = 0 or F = 0, and its mean advances less than 1/q over the fit
     window, which (b) asks for), so it runs to the cap and is fitted."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.01, potential=W_STD,
                            n=32, horizon=20.0)
@@ -225,19 +267,60 @@ def test_uncovered_row_runs_to_the_cap():
 STRONG_DRIVES = [round(-2.0 + 0.2 * k, 10) for k in range(21)]
 
 
-def test_strong_table_step_budget():
+@pytest.fixture(scope="module")
+def strong_rows():
+    base = CellProblemSpec(s=0.3, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=256, horizon=150.0)
+    return hbar_table(base, slopes=[Fraction(0)], drives=STRONG_DRIVES)
+
+
+def test_strong_table_step_budget(strong_rows):
     """Every row of the strong table is certified early: the steps it takes,
     sum of ceil(horizon / dt) over the rows' covered times, stay under 10,000
     (94,414 when the 20 moving rows ran to the cap)."""
-    base = CellProblemSpec(s=0.3, slope=Fraction(0), drive=0.0, potential=W_STD,
-                           n=256, horizon=150.0)
-    rows = hbar_table(base, slopes=[Fraction(0)], drives=STRONG_DRIVES)
+    rows = strong_rows
     dt = 0.9 / (plan_for("periodic", 256, 0.5, 0.3).stiffness + W_STD.derivative_bound(2))
     assert sum(math.ceil(r["horizon"] / dt) for r in rows) <= 10_000
     assert all(r["converged"] for r in rows)
     assert max(r["uncertainty"] for r in rows) <= 1e-4
     zero = next(r for r in rows if r["drive"] == 0.0)
     assert (zero["speed"], zero["uncertainty"], zero["horizon"]) == (0.0, 0.0, 2.34375)
+
+
+def test_strong_table_rows_are_the_closed_form(strong_rows):
+    """Slope 0 without forcing: sign(F) sqrt(F^2 - sup|W'|^2) above
+    depinning and exactly 0.0 below it, exactly odd in F, at roundoff
+    uncertainty, whatever the time step."""
+    speed = {r["drive"]: r["speed"] for r in strong_rows}
+    for r in strong_rows:
+        F = r["drive"]
+        if abs(F) > SUP_WP:
+            exact = math.copysign(math.sqrt(F * F - SUP_WP**2), F)
+            assert r["speed"] == pytest.approx(exact, rel=1e-13, abs=0.0)
+        else:
+            assert r["speed"] == 0.0
+        assert r["uncertainty"] <= 1e-12
+        assert r["converged"]
+        assert speed[-F] == -r["speed"]
+
+
+def test_hbar_table_evolves_each_row_once(monkeypatch):
+    """Every row, certified or fitted, goes through one solve_cell_evolution
+    call; the benchmark's traced cell.evolve.calls count depends on it."""
+    calls = []
+    real = fracpn.cell.solve_cell_evolution
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(fracpn.cell, "solve_cell_evolution", counting)
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=32, horizon=20.0)
+    rows = hbar_table(base, slopes=[Fraction(0), Fraction(1, 2)], drives=[-0.6, 0.0, 0.01, 0.6])
+    assert len(rows) == len(calls) == 8
+    assert sorted((c.slope, c.drive) for c in calls) == sorted(
+        (Fraction(r["slope_num"], r["slope_den"]), r["drive"]) for r in rows)
 
 
 def test_forcing_excludes_the_exact_zero_certificate():

@@ -104,6 +104,19 @@ def test_eps_spec_commensurability():
                        profile=prof, potential=W_STD)
 
 
+def test_eps_spec_forcing_periodicity_only_for_live_forcing():
+    """1/eps in Z is asked only of a forcing that is not identically zero;
+    a sin factor of mode 0 vanishes like amp 0 does."""
+    prof = InitialProfile.zero()
+    for terms in ((ForcingTerm(0.0, 1, 1),), (ForcingTerm(1.0, 0, 1, "sin"),),
+                  (ForcingTerm(1.0, 1, 0, "cos", "sin"),)):
+        EpsProblemSpec(branch=BRANCH_STRONG, eps=0.3, s=0.3, slope=0.0, profile=prof,
+                       potential=W_STD, forcing=Forcing(terms))
+    with pytest.raises(ValueError, match="forcing periodicity"):
+        EpsProblemSpec(branch=BRANCH_STRONG, eps=0.3, s=0.3, slope=0.0, profile=prof,
+                       potential=W_STD, forcing=Forcing((ForcingTerm(1.0, 0, 1),)))
+
+
 def test_effective_spec_validation():
     prof = InitialProfile.zero()
     with pytest.raises(TypeError):

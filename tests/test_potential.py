@@ -81,6 +81,29 @@ def test_sup_norm_of_one_variable_forcings(term, sup):
     assert Forcing((term,)).sup_norm() == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("mode", [128, 256])
+def test_sup_norm_of_high_modes(mode):
+    """The sampling follows the highest live mode.  At a fixed 256 samples a
+    mode-128 term has equal peaks on neighbouring samples, which left golden
+    section without a bracket."""
+    for term in (ForcingTerm(1.0, mode, 1), ForcingTerm(1.0, 1, mode, "sin", "sin"),
+                 ForcingTerm(1.0, mode, mode, "cos", "sin")):
+        assert Forcing((term,)).sup_norm() == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_liveness_is_shared_by_is_zero_and_sup_norm():
+    dead = Forcing((ForcingTerm(0.0, 1, 1), ForcingTerm(1.0, 0, 2, "sin"),
+                    ForcingTerm(2.0, 3, 0, "cos", "sin")))
+    assert dead.is_zero
+    assert dead.sup_norm() == 0.0
+    assert dead.even_in_y and dead.odd_in_y
+    assert not Forcing((ForcingTerm(1.0, 0, 1),)).is_zero
+
+
+def test_sup_norm_of_cancelling_terms():
+    assert Forcing((ForcingTerm(1.0, 1, 1), ForcingTerm(-1.0, 1, 1))).sup_norm() == 0.0
+
+
 def test_sup_norm_dominates_samples():
     f = Forcing((ForcingTerm(0.3, 1, 2, "cos", "sin"),
                  ForcingTerm(-0.1, 0, 1, "cos", "cos")))

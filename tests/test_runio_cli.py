@@ -242,10 +242,12 @@ def _hbar_bad(**edits):
                              "kind_t": "cos", "kind_x": "cos"}]}}, "forcing.terms[0].mode_t"),
     ({"forcing": {"terms": [{"amp": 0.1, "mode_t": 1, "mode_x": -2,
                              "kind_t": "cos", "kind_x": "cos"}]}}, "forcing.terms[0].mode_x"),
+    ({"forcing": {"terms": [{"amp": 0.1, "mode_t": 1, "mode_x": 10**6,
+                             "kind_t": "cos", "kind_x": "cos"}]}}, "forcing.terms[0].mode_x"),
     ({"potential": {"cosine": []}}, "potential.cosine"),
     ({"potential": {"cosine": [0.0]}}, "potential.cosine"),
     ({"command": ["hbar"]}, "command"),
-], ids=["terms-int", "terms-null", "mode_t", "mode_x", "cosine-empty", "cosine-zero",
+], ids=["terms-int", "terms-null", "mode_t", "mode_x", "mode-cap", "cosine-empty", "cosine-zero",
         "command-list"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
     cfg = write_cfg(tmp_path, _hbar_bad(**edits))
