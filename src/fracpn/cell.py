@@ -31,8 +31,9 @@ j = 6, ..., 1 (only those at least 64 steps in, so that a fit window holds
 at least 32 samples), a run stops as soon as its speed is certified, and
 T is then that checkpoint; a run that is never certified runs to the cap
 and is fitted as above.  Without forcing, a test made before the run
-splits the rows: (a) takes F = 0 and the slope-0 rows, and (b) is tried on
-every other row.
+splits the rows: (c) takes the sloped rows started from rest at the CFL
+step, and takes no time step at all; (a) takes the slope-0 rows and the
+F = 0 rows that (c) does not; (b) is tried on every other row.
 
 (a) Known speed.  Without forcing, the speed is known before the run when
     F = 0 or p = 0.  At F = 0 the flow is the gradient flow of
@@ -65,6 +66,33 @@ every other row.
     period, so the last condition asks for at least one whole period in
     the window: a pinned-looking run near depinning, whose mean has barely
     moved, never passes it.
+(c) Direct travelling wave.  At p = r/q != 0 the problem is translation
+    invariant, so a travelling wave u(t, x) = U(x + c t), U(y) = p y + V(y),
+    solves it when V on the q-torus and the wave speed c solve
+
+        c (p + D V) = I[V] + F - W'(p x + V),    mean(V) = 0,
+
+    with D the spectral derivative; then mean(v) = lambda t with
+    lambda = p c.  Newton on this bordered system starts from V = 0,
+    c = F / p (the free wave) and solves each step densely: the Jacobian
+    c D - I + diag W''(p x + V), bordered by p + D V and the mean row, is
+    a circulant plus a diagonal, copied into one preallocated (n + 1)^2
+    array from a strided view of its first column (I's column is one
+    ``PeriodicPlan.apply``).  Once a Newton step falls to WAVE_STEP_TOL,
+    the change of lambda by one more step is the uncertainty, and the
+    speed is certified when that is at most 1e-12 * max(1, |lambda|).
+    Multiplying by U' = p + D V and summing gives the discrete identity
+    c sum h (U')^2 = F p q: I and D commute and D is skew, so the operator
+    term drops exactly, and the potential term sums a periodic derivative,
+    which vanishes up to spectral accuracy.  So a sloped row has no
+    pinning plateau: its speed has the sign of F and is 0 only at F = 0,
+    where the speed stays (a)'s exact (0, 0) and the Newton stationary
+    state replaces stepping to rest.  The solve runs at |F| and the
+    result is reflected, v(x) -> -v(-x), for F < 0 (W' is odd), so speeds
+    are exactly odd in F.  The speed is the dt -> 0 limit of the stepped
+    flow at the same n, free of the Euler map's first-order bias.  A
+    solve that has not converged within WAVE_MAX_ITER steps, or a grid
+    with n > WAVE_MAX_N, certifies nothing, and the row is stepped.
 """
 
 from __future__ import annotations
@@ -105,12 +133,15 @@ TABLE_COLUMNS = (
 )
 
 SETTLE_TOL = 1e-9  # certificate (a): max|v_t| of a settled run
-CERTIFY_RTOL = 1e-12  # certificate (b): fit spread and drift, relative to max(1, |speed|)
+CERTIFY_RTOL = 1e-12  # (b): fit spread and drift; (c): last |dlambda|; relative to max(1, |speed|)
 QUAD_RTOL = 1e-14  # certificate (a): relative agreement of two trapezoid values
 QUAD_MAX_NODES = 2**20  # certificate (a): a quadrature unsettled here certifies nothing
 FIT_TOL = 1e-3  # default fit tolerance
 CHECKPOINT_LEVELS = range(6, 0, -1)  # checkpoints at horizon * 2^-j
 MIN_CHECKPOINT_STEPS = 64
+WAVE_MAX_N = 1024  # route (c): largest dense Jacobian, (n + 1)^2 floats (~8.4 MB)
+WAVE_MAX_ITER = 20  # route (c): Newton steps before the row is stepped instead
+WAVE_STEP_TOL = 1e-10  # route (c): a converged Newton step, relative to max(1, |c|)
 
 
 class CellStabilityError(RuntimeError):
@@ -183,9 +214,9 @@ class CellTrace:
     v_final: np.ndarray
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
-    horizon: float  # the time the run covered: the cap or a checkpoint
-    # (speed, uncertainty) known by certificate (a); None when the speed is
-    # to be fitted
+    horizon: float  # the time the run covered: the cap, a checkpoint, or 0 (route (c))
+    # (speed, uncertainty) known by certificate (a) or route (c); None when
+    # the speed is to be fitted
     certified: tuple | None
 
 
@@ -241,10 +272,66 @@ def euler_steps(rhs, v, dt: float, nsteps: int):
         yield k + 1, v, r
 
 
-def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_TOL) -> CellTrace:
-    """Step the torus flow up to ``spec.horizon``, stopping early at a
-    certified checkpoint (module docstring).  ``tol``, the fit tolerance
-    that ``estimate_lambda`` will apply, does not move a stop."""
+def travelling_wave(plan, W, px, slope: Fraction, drive: float):
+    """Route (c) (module docstring): (V, speed, uncertainty) of the
+    travelling wave at ``drive``, V on the plan's grid, or None when Newton
+    has not converged within WAVE_MAX_ITER steps."""
+    n = plan.n
+    p = float(slope)
+    a = abs(drive)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    i_col = plan.apply(e0)
+    d_hat = (2j * math.pi / plan.period) * np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        d_hat[-1] = 0.0  # the Nyquist mode: D stays real and skew
+    d_col = np.fft.irfft(d_hat, n=n)
+
+    J = np.empty((n + 1, n + 1))
+    J[n, :n] = 1.0 / n
+    J[n, n] = 0.0
+    diag = J.reshape(-1)[: n * (n + 2): n + 2]
+    r = np.empty(n + 1)
+    V, c = np.zeros(n), a / p
+    converged = False
+    for _ in range(WAVE_MAX_ITER):
+        up = p + np.fft.irfft(np.fft.rfft(V) * d_hat, n=n)
+        col = c * d_col - i_col
+        # circulant: J[j, k] = col[(j - k) mod n]
+        J[:n, :n] = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((col[1:], col)), n)[:, ::-1]
+        J[:n, n] = up
+        r[:n] = plan.apply(V) + a - c * up
+        r[n] = -V.mean()
+        if W is not None:
+            arg = px + V
+            r[:n] -= eval_potential(W, arg, 1)
+            diag += eval_potential(W, arg, 2)
+        try:
+            step = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        V += step[:n]
+        c += step[n]
+        if converged:
+            break
+        converged = float(np.max(np.abs(step))) <= WAVE_STEP_TOL * max(1.0, abs(c))
+    else:
+        return None
+    lam, unc = float(p * c), float(abs(p * step[n]))
+    if unc > CERTIFY_RTOL * max(1.0, abs(lam)):
+        return None
+    if drive < 0.0:
+        return -np.roll(V[::-1], 1), -lam, unc  # v(x) -> -v(-x)
+    return V, lam, unc
+
+
+def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
+    """The travelling wave of route (c) when it applies and converges;
+    otherwise step the torus flow up to ``spec.horizon``, stopping early at
+    a certified checkpoint (module docstring)."""
     q = spec.torus_period
     n = spec.n
     h = q / n
@@ -257,7 +344,16 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
     K, K_sigma = sup_norms(W, sigma)
     bound = K + K_sigma
 
-    flow, dt_cfl = torus_flow(plan, W, sigma, px, x, drive=spec.drive)
+    F = spec.drive
+    flow, dt_cfl = torus_flow(plan, W, sigma, px, x, drive=F)
+    if (sigma is None and spec.slope != 0 and initial is None and spec.dt is None
+            and n <= WAVE_MAX_N):
+        wave = travelling_wave(plan, W, px, spec.slope, F)
+        if wave is not None:
+            V, speed, unc = wave
+            return CellTrace(spec=spec, times=np.zeros(1), means=np.array([V.mean()]),
+                             v_final=V, dt=dt_cfl, envelope_bound=bound, horizon=0.0,
+                             certified=(speed, unc) if F != 0.0 else (0.0, 0.0))
     dt = spec.dt if spec.dt is not None else dt_cfl
     nsteps = int(math.ceil(spec.horizon / dt))
     checkpoints = {}  # step index -> checkpoint time
@@ -277,7 +373,6 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None, tol: float = FIT_T
     means = np.empty(nsteps + 1)
     means[0] = v.mean()
     mean0 = means[0]
-    F = spec.drive
     known = known_speed(W, F, K) if sigma is None and (F == 0.0 or spec.slope == 0) else None
     moving = known is not None and known[0] != 0.0
     horizon, certified, last_speed = spec.horizon, known if moving else None, None
@@ -347,8 +442,16 @@ def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = FIT_TO
     window; ``converged`` records whether it is below ``tol``.  A trace
     with a known speed (certificate (a)) reports that speed and its
     uncertainty instead of fitting, with the intercept that fits the window
-    best at that speed.
+    best at that speed.  A travelling wave solved directly (route (c), a
+    single sample at t = 0) has mean(v) = mean(V) + speed * t exactly, so
+    its corrector amplitude is 0.
     """
+    if trace.times.size == 1:
+        speed, unc = trace.certified
+        return SpeedFit(speed=speed, intercept=float(trace.means[0]), uncertainty=unc,
+                        corrector_amplitude=0.0, converged=bool(unc <= tol),
+                        fit_window=(0.0, 0.0), envelope_bound=trace.envelope_bound,
+                        horizon=trace.horizon)
     T = trace.times[-1]
     lo, hi = fit_window[0] * T, fit_window[1] * T
     sel = (trace.times >= lo) & (trace.times <= hi)

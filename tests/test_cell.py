@@ -1,4 +1,6 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,9 +133,10 @@ def test_table_rows_sorted_and_parallel_consistent():
 
 # criterion 04's grid: s = 1/2, n = 512, horizon 200
 GRID_SLOPES = (Fraction(1, 2), Fraction(1), Fraction(2))
-# the fixed-horizon (200) speeds at F = +1; the F = -1 speeds are their negatives
-GRID_SPEEDS = {Fraction(1, 2): 0.9897817790062319, Fraction(1): 0.9936580085216606,
-               Fraction(2): 0.9974643861577659}
+# the travelling-wave speeds at F = +1 (route (c)); the F = -1 speeds are
+# their negatives
+GRID_SPEEDS = {Fraction(1, 2): 0.9898579931077437, Fraction(1): 0.9936875636410787,
+               Fraction(2): 0.9974738524027031}
 
 
 @pytest.fixture(scope="module")
@@ -152,12 +155,136 @@ def test_drive_zero_rows_certify_exact_zero(grid_rows):
         assert row["horizon"] < 200.0
 
 
-def test_travelling_waves_stop_early_with_the_capped_speed(grid_rows):
+def test_travelling_wave_rows_are_solved_without_stepping(grid_rows):
     for p in GRID_SLOPES:
         for F in (-1.0, 1.0):
             row = grid_rows[(p, F)]
             assert row["speed"] == pytest.approx(F * GRID_SPEEDS[p], abs=1e-12)
-            assert row["horizon"] <= 25.0
+            assert row["uncertainty"] <= 1e-12
+            assert row["corrector_amplitude"] == 0.0
+            assert row["horizon"] == 0.0
+            assert row["converged"]
+
+
+def test_direct_speeds_are_the_dt_limit_of_stepping():
+    """The stepping route's speed on cell-grid's F = +1 rows carries a
+    first-order Euler bias (ratio 2 between the differences of dt, dt/2 and
+    dt/4 at the CFL step dt).  Its Richardson value R(dt, dt/2) = 2
+    lambda(dt/2) - lambda(dt) has an O(dt^2) error, stated from the third
+    level as 2 |R(dt, dt/2) - R(dt/2, dt/4)| (the asymptotic estimate is
+    4/3 of that difference); the direct speed lies within it, and the
+    second extrapolation (4 R(dt/2, dt/4) - R(dt, dt/2)) / 3 meets it to
+    5% of that difference."""
+    specs = []
+    for p in GRID_SLOPES:
+        dt = 0.9 / (plan_for("periodic", 512, 0.5 * p.denominator, 0.5).stiffness
+                    + W_STD.derivative_bound(2))
+        specs += [CellProblemSpec(s=0.5, slope=p, drive=1.0, potential=W_STD, n=512,
+                                  horizon=200.0, dt=dt / k) for k in (1, 2, 4)]
+    with ProcessPoolExecutor(max_workers=2) as ex:
+        stepped = np.array([fit.speed for fit in ex.map(hbar, specs)]).reshape(3, 3)
+    for p, (coarse, mid, fine) in zip(GRID_SLOPES, stepped):
+        direct = GRID_SPEEDS[p]
+        assert (coarse - mid) / (mid - fine) == pytest.approx(2.0, rel=0.01)
+        r1, r2 = 2.0 * mid - coarse, 2.0 * fine - mid
+        assert abs(r1 - direct) <= 2.0 * abs(r1 - r2)
+        assert abs((4.0 * r2 - r1) / 3.0 - direct) <= 0.05 * abs(r1 - r2)
+        assert abs(r1 - direct) <= 1.2e-7
+
+
+def _u_prime(trace):
+    """U' = p + D V on the trace's grid, D the spectral derivative."""
+    n, q = trace.spec.n, trace.spec.torus_period
+    d_hat = 2j * math.pi / q * np.arange(n // 2 + 1)
+    d_hat[-1] = 0.0
+    return float(trace.spec.slope) + np.fft.irfft(np.fft.rfft(trace.v_final) * d_hat, n=n)
+
+
+OROWAN_ROWS = [(Fraction(1, 5), 0.2), (Fraction(1, 10), 0.1), (Fraction(1, 20), 0.05)]
+
+
+@pytest.mark.parametrize("p, F", [(p, F) for p in GRID_SLOPES for F in (-1.0, 1.0)]
+                         + OROWAN_ROWS)
+def test_travelling_wave_identity(p, F):
+    """c sum h (U')^2 = F p q on cell-grid's six moving rows and on
+    criterion 05's three Orowan rows (s = 1/2, n = 512, drive = delta)."""
+    spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD, n=512, horizon=200.0)
+    trace = solve_cell_evolution(spec)
+    assert trace.horizon == 0.0
+    q = p.denominator
+    c = trace.certified[0] / float(p)
+    lhs = c * (q / spec.n) * float(np.sum(_u_prime(trace) ** 2))
+    assert lhs == pytest.approx(F * float(p) * q, rel=1e-12, abs=0.0)
+
+
+def test_direct_speeds_are_exactly_odd_in_drive():
+    for p, F, n in ((Fraction(1, 2), 0.01, 32), (Fraction(1, 2), 0.9, 128),
+                    (Fraction(-3, 2), 0.3, 64), (Fraction(1, 20), 0.05, 512)):
+        up, down = (solve_cell_evolution(CellProblemSpec(s=0.5, slope=p, drive=d,
+                                                         potential=W_STD, n=n))
+                    for d in (F, -F))
+        assert up.horizon == down.horizon == 0.0
+        assert down.certified[0] == -up.certified[0]
+        assert down.certified[1] == up.certified[1]
+        # v(x) -> -v(-x)
+        assert np.array_equal(down.v_final, -np.roll(up.v_final[::-1], 1))
+
+
+def test_unconverged_wave_falls_back_to_stepping(monkeypatch):
+    """A Newton solve that does not converge within the iteration cap, or
+    a grid above WAVE_MAX_N, certifies nothing: the row is stepped."""
+    spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.6, potential=W_STD,
+                           n=64, horizon=40.0)
+    assert solve_cell_evolution(spec).horizon == 0.0
+    for name, value in (("WAVE_MAX_ITER", 2), ("WAVE_MAX_N", 32)):
+        with monkeypatch.context() as m:
+            m.setattr(fracpn.cell, name, value)
+            trace = solve_cell_evolution(spec)
+        assert trace.certified is None
+        assert 0.0 < trace.horizon <= spec.horizon
+        assert trace.times.size > 1
+        fit = estimate_lambda(trace)
+        assert fit.converged
+        assert fit.speed == pytest.approx(hbar(spec).speed, abs=1e-3)  # the Euler bias
+
+
+def test_forcing_free_sloped_rows_take_no_time_step(monkeypatch):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("euler_steps called")
+
+    monkeypatch.setattr(fracpn.cell, "euler_steps", no_steps)
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=64, horizon=20.0)
+    rows = hbar_table(base, slopes=[Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)],
+                      drives=[-1.0, -0.01, 0.0, 0.01, 1.0])
+    assert len(rows) == 20
+    assert all(r["horizon"] == 0.0 and r["converged"] for r in rows)
+    assert all(r["speed"] == 0.0 for r in rows if r["drive"] == 0.0)
+    assert all(r["speed"] * r["drive"] > 0.0 for r in rows if r["drive"] != 0.0)
+
+
+def test_weak_table_rows_are_newton_stationary_states():
+    """hbar-slope-s075's drive-0 rows (s = 3/4, n = 256): speed (0.0, 0.0),
+    and the state solves I[V] = W'(p x + V) to 1e-12 with mean 0.  At
+    p = 1/2 it is the state the stepped flow settles to."""
+    for p in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5):
+        p = Fraction(p)
+        q = p.denominator
+        spec = CellProblemSpec(s=0.75, slope=p, drive=0.0, potential=W_STD, n=256,
+                               horizon=150.0)
+        trace = solve_cell_evolution(spec)
+        assert trace.certified == (0.0, 0.0)
+        assert trace.horizon == 0.0
+        plan = plan_for("periodic", 256, 0.5 * q, 0.75)
+        V = trace.v_final
+        px = float(p) * q * np.arange(256) / 256
+        assert np.max(np.abs(plan.apply(V) - eval_potential(W_STD, px + V, 1))) <= 1e-12
+        assert abs(V.mean()) <= 1e-15
+        if p == Fraction(1, 2):
+            dt = 0.9 / (plan.stiffness + W_STD.derivative_bound(2))
+            stepped = solve_cell_evolution(replace(spec, dt=dt))
+            assert 0.0 < stepped.horizon < spec.horizon
+            assert np.max(np.abs(stepped.v_final - V)) <= 1e-12
 
 
 def test_slope_zero_below_depinning_is_exactly_pinned():
@@ -249,18 +376,27 @@ def test_near_depinning_speed_is_never_certified_unconverged():
 
 
 def test_uncovered_row_runs_to_the_cap():
-    """p != 0 with a small F != 0: no certificate covers the row ((a) needs
-    p = 0 or F = 0, and its mean advances less than 1/q over the fit
-    window, which (b) asks for), so it runs to the cap and is fitted."""
+    """p != 0 with a small F != 0.  From rest at the CFL step, route (c)
+    solves the slowly creeping travelling wave directly.  Stepped with an
+    explicit dt (the same CFL step), no certificate covers the row ((a)
+    needs p = 0 or F = 0, and its mean advances less than 1/q over the fit
+    window, which (b) asks for), so it runs to the cap and is fitted; the
+    fit is off the direct speed by its Euler bias, 2.3e-8."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.01, potential=W_STD,
                            n=32, horizon=20.0)
-    trace = solve_cell_evolution(spec)
+    direct = hbar(spec)
+    assert direct.speed == pytest.approx(0.0095274713, abs=1e-10)
+    assert direct.uncertainty <= 1e-12
+    assert direct.horizon == 0.0
+    dt = 0.9 / (plan_for("periodic", 32, 1.0, 0.5).stiffness + W_STD.derivative_bound(2))
+    trace = solve_cell_evolution(replace(spec, dt=dt))
     fit = estimate_lambda(trace)
     assert trace.certified is None
     assert trace.times[-1] >= spec.horizon
     assert fit.horizon == spec.horizon
     assert fit.speed == 0.009527448291138715
     assert fit.uncertainty == 6.938893903907228e-18
+    assert abs(fit.speed - direct.speed) == pytest.approx(2.3e-8, rel=0.05)
 
 
 # criterion 08's strong table: s = 0.3, slope 0, 21 drives, n = 256, horizon 150
