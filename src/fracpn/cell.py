@@ -19,80 +19,80 @@ I[v] vanishes identically for the periodic plan, so
 and |mean(v)(t) - mean(v)(0) - F t| <= (sup|W'| + sup|sigma|) t along the
 discrete flow; a violation beyond roundoff slack aborts the run.
 
-The effective speed for (p, F) is the long-time slope of mean(v), fitted
-by least squares over the second half [T/2, T] of the time T the run
-covered.  The reported uncertainty is the spread between the slopes fitted
-on the two halves of the fit window, and the corrector amplitude is the
-half-range of the residual mean(v) - speed * t there.  Results carry an
-explicit ``converged`` flag; nothing is clamped or hidden.
+The effective speed for (p, F) comes by one of two routes.  Each row makes
+one ``solve_cell_evolution`` call, and ``estimate_lambda`` turns its trace
+into the reported speed, uncertainty and corrector amplitude.
 
-The spec's ``horizon`` is a cap.  At the checkpoints t = horizon * 2^-j,
-j = 6, ..., 1 (only those at least 64 steps in, so that a fit window holds
-at least 32 samples), a run stops as soon as its speed is certified, and
-T is then that checkpoint; a run that is never certified runs to the cap
-and is fitted as above.  Without forcing, a test made before the run
-splits the rows: (c) takes the sloped rows started from rest at the CFL
-step, and takes no time step at all; (a) takes the slope-0 rows and the
-F = 0 rows that (c) does not; (b) is tried on every other row.
+Direct route.  A row with no forcing, started from rest at the CFL step
+(no ``initial`` state and no ``dt``), is solved with no time step.  Its
+trace holds one sample at t = 0 and ``horizon`` 0.0, and ``certified``
+holds (speed, uncertainty, corrector amplitude), which ``estimate_lambda``
+reports as they stand.  The values are the flow's, free of time-step error.
 
-(a) Known speed.  Without forcing, the speed is known before the run when
-    F = 0 or p = 0.  At F = 0 the flow is the gradient flow of
-    E(v) = -1/2 <v, I v> + sum W(p x + v), which is bounded below (I is
-    negative semi-definite, W bounded) and unchanged by v -> v + 1, so
-    mean(v) cannot drift linearly and the speed is 0; each explicit Euler
-    step decreases E, as the CFL step 0.9 / (Lambda + sup W'') is below
-    2 / (Lambda + sup W''), and Lambda + sup W'' bounds the Lipschitz
-    constant of grad E.  At p = 0 the uniform states v = c solve the
-    scalar ODE c' = F - W'(c) (I vanishes on constants), and by comparison
-    every state lies between c and c + 1, so it has their speed: 0 when
-    |F| <= sup|W'| (there are rest points, W' being odd), and otherwise
-    lambda = sign(F) / int_0^1 du / |F - W'(u)| (F when W is None).  The
-    integrand is smooth and 1-periodic, so the trapezoid rule converges
-    geometrically: the nodes are doubled from 64 until two values agree to
-    1e-14 relative, and that change is the uncertainty.  Near depinning,
-    roundoff at the integrand's peak keeps them apart; a quadrature not
-    settled at 2^20 nodes certifies nothing, and the row is fitted as in
-    (b).  The known speed is the flow's, free of time-step error.  A
-    zero-speed run stops at the first checkpoint where max|v_t| <= 1e-9,
-    which confirms that the discrete flow has settled (one that never
-    settles is fitted at the cap); a moving run stops at the first
-    checkpoint whose window [t/2, t] holds one whole advance of 1/q of
-    mean(v), and its trace gives the intercept and corrector amplitude.
-(b) Travelling wave.  The fit over [t/2, t] at a checkpoint certifies the
-    speed when its uncertainty is at most 1e-12 * max(1, |speed|), it agrees
-    with the previous checkpoint's speed to the same bound, and mean(v)
-    advanced by at least 1/q over the window.  A moving state is periodic
-    up to v(x) -> v(x + a) + p a + b, and mean(v) advances by 1/q per
-    period, so the last condition asks for at least one whole period in
-    the window: a pinned-looking run near depinning, whose mean has barely
-    moved, never passes it.
-(c) Direct travelling wave.  At p = r/q != 0 the problem is translation
+(a) Slope 0: the uniform orbit.  The state from v = 0 stays uniform, and
+    v = c solves the scalar ODE c' = F - W'(c) (I vanishes on constants).
+    Its speed is 0 when |F| <= sup|W'| (there are rest points, W' being
+    odd), and otherwise lambda = sign(F) / int_0^1 du / |F - W'(u)| (F when
+    W is None).  The integrand g = 1 / |F - W'| is smooth and 1-periodic,
+    so the trapezoid rule converges geometrically: the nodes are doubled
+    from 64 until two values agree to 1e-14 relative, and that change is
+    the uncertainty.  With P the periodic antiderivative of g - mean(g),
+    the orbit obeys c(t) - lambda t = -lambda P(c), so the corrector
+    amplitude is 1/2 |lambda| (max P - min P).  P is taken by one rfft on
+    the quadrature's final nodes and read, by spectral interpolation, on at
+    least AMP_SAMPLES points: the final nodes alone miss its extrema by up
+    to 2.6e-4 relative on the s = 0.3 strong table.  The state is 0 for a
+    moving row and at F = 0.  For 0 < |F| <= sup|W'| it is the rest point the orbit settles
+    to: the first root c* of W'(c) = |F| in the direction of F, found by
+    bisection in the first sign change over REST_SAMPLES samples of a
+    period.  Near depinning, roundoff at the integrand's peak keeps the
+    quadrature values apart.  A quadrature not settled at 2^20 nodes, or a
+    rest point with no sampled sign change, sends the row to the stepped
+    route.
+(b) Slope p = r/q != 0: the travelling wave.  The problem is translation
     invariant, so a travelling wave u(t, x) = U(x + c t), U(y) = p y + V(y),
     solves it when V on the q-torus and the wave speed c solve
 
         c (p + D V) = I[V] + F - W'(p x + V),    mean(V) = 0,
 
     with D the spectral derivative; then mean(v) = lambda t with
-    lambda = p c.  Newton on this bordered system starts from V = 0,
-    c = F / p (the free wave) and solves each step densely: the Jacobian
-    c D - I + diag W''(p x + V), bordered by p + D V and the mean row, is
-    a circulant plus a diagonal, copied into one preallocated (n + 1)^2
-    array from a strided view of its first column (I's column is one
-    ``PeriodicPlan.apply``).  Once a Newton step falls to WAVE_STEP_TOL,
-    the change of lambda by one more step is the uncertainty, and the
-    speed is certified when that is at most 1e-12 * max(1, |lambda|).
-    Multiplying by U' = p + D V and summing gives the discrete identity
-    c sum h (U')^2 = F p q: I and D commute and D is skew, so the operator
-    term drops exactly, and the potential term sums a periodic derivative,
-    which vanishes up to spectral accuracy.  So a sloped row has no
-    pinning plateau: its speed has the sign of F and is 0 only at F = 0,
-    where the speed stays (a)'s exact (0, 0) and the Newton stationary
-    state replaces stepping to rest.  The solve runs at |F| and the
-    result is reflected, v(x) -> -v(-x), for F < 0 (W' is odd), so speeds
-    are exactly odd in F.  The speed is the dt -> 0 limit of the stepped
-    flow at the same n, free of the Euler map's first-order bias.  A
-    solve that has not converged within WAVE_MAX_ITER steps, or a grid
-    with n > WAVE_MAX_N, certifies nothing, and the row is stepped.
+    lambda = p c, and the corrector amplitude is 0.  Newton on this
+    bordered system starts from V = 0, c = F / p (the free wave) and
+    solves each step densely: the Jacobian c D - I + diag W''(p x + V),
+    bordered by p + D V and the mean row, is a circulant plus a diagonal,
+    copied into one preallocated (n + 1)^2 array from a strided view of
+    its first column (I's column is one ``PeriodicPlan.apply``).  Once a
+    Newton step falls to WAVE_STEP_TOL, the change of lambda by one more
+    step is the uncertainty, and the speed is accepted when that is at
+    most 1e-12 * max(1, |lambda|).  Multiplying by U' = p + D V and summing
+    gives the discrete identity c sum h (U')^2 = F p q: I and D commute
+    and D is skew, so the operator term drops exactly, and the potential
+    term sums a periodic derivative, which vanishes up to spectral
+    accuracy.  So a sloped row has no pinning plateau: its speed has the
+    sign of F and is 0 only at F = 0.  There the speed is exactly (0, 0)
+    and V is the Newton stationary state: at F = 0 the flow is the
+    gradient flow of E(v) = -1/2 <v, I v> + sum W(p x + v), which is
+    bounded below (I is negative semi-definite, W bounded) and unchanged
+    by v -> v + 1, so mean(v) cannot drift linearly.  The solve runs at
+    |F| and the result is reflected, v(x) -> -v(-x), for F < 0 (W' is
+    odd), so speeds are exactly odd in F.  A solve that has not converged
+    within WAVE_MAX_ITER steps, or a grid with n > WAVE_MAX_N, sends the
+    row to the stepped route.
+
+Stepped route.  Every other row -- with forcing, with an explicit ``dt``
+or ``initial`` state, with n > WAVE_MAX_N, or a direct solve that failed --
+takes Euler steps to ``spec.horizon``, checked only against the mean-drift
+envelope above.  Its speed is the least-squares slope of mean(v) over the
+second half [T/2, T] of the run, T the last step's time; the uncertainty
+is the spread between the slopes fitted on the two halves of that window,
+and the corrector amplitude is the half-range of the residual
+mean(v) - speed * t there.  An explicit ``dt`` thus gives the Euler flow's
+fitted speed at every slope, with its time-step bias.  A stepped row has no
+early stop: at n = 512, p = 1/2, F = 1 it runs all 200 time units of its
+horizon, where a stop on a steady fit would come at t = 25, so it takes 8x
+those steps.  A stepped F = 0 row reads its fitted speed, zero to roundoff,
+not an exact 0.0.  Results carry an explicit ``converged`` flag; nothing is
+clamped or hidden.
 """
 
 from __future__ import annotations
@@ -132,16 +132,15 @@ TABLE_COLUMNS = (
     "n",
 )
 
-SETTLE_TOL = 1e-9  # certificate (a): max|v_t| of a settled run
-CERTIFY_RTOL = 1e-12  # (b): fit spread and drift; (c): last |dlambda|; relative to max(1, |speed|)
-QUAD_RTOL = 1e-14  # certificate (a): relative agreement of two trapezoid values
-QUAD_MAX_NODES = 2**20  # certificate (a): a quadrature unsettled here certifies nothing
+QUAD_RTOL = 1e-14  # (a): relative agreement of two trapezoid values
+QUAD_MAX_NODES = 2**20  # (a): a quadrature unsettled here sends the row to be stepped
+AMP_SAMPLES = 2**16  # (a): fewest points on which the corrector's extrema are read
+REST_SAMPLES = 1024  # (a): samples of a period searched for the rest point's sign change
 FIT_TOL = 1e-3  # default fit tolerance
-CHECKPOINT_LEVELS = range(6, 0, -1)  # checkpoints at horizon * 2^-j
-MIN_CHECKPOINT_STEPS = 64
-WAVE_MAX_N = 1024  # route (c): largest dense Jacobian, (n + 1)^2 floats (~8.4 MB)
-WAVE_MAX_ITER = 20  # route (c): Newton steps before the row is stepped instead
-WAVE_STEP_TOL = 1e-10  # route (c): a converged Newton step, relative to max(1, |c|)
+CERTIFY_RTOL = 1e-12  # (b): the last |dlambda|, relative to max(1, |lambda|)
+WAVE_MAX_N = 1024  # (b): largest dense Jacobian, (n + 1)^2 floats (~8.4 MB)
+WAVE_MAX_ITER = 20  # (b): Newton steps before the row is stepped instead
+WAVE_STEP_TOL = 1e-10  # (b): a converged Newton step, relative to max(1, |c|)
 
 
 class CellStabilityError(RuntimeError):
@@ -214,31 +213,59 @@ class CellTrace:
     v_final: np.ndarray
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
-    horizon: float  # the time the run covered: the cap, a checkpoint, or 0 (route (c))
-    # (speed, uncertainty) known by certificate (a) or route (c); None when
-    # the speed is to be fitted
+    horizon: float  # the time the run covered: spec.horizon, or 0.0 (direct route)
+    # (speed, uncertainty, corrector amplitude) of the direct route; None
+    # when the speed is to be fitted
     certified: tuple | None
 
 
 def known_speed(W: PeriodicPotential | None, drive: float, sup_wp: float):
-    """Certificate (a)'s slope-0 speed without forcing (module docstring):
-    (speed, uncertainty), or None when the trapezoid rule has not settled
-    by QUAD_MAX_NODES nodes."""
+    """Route (a)'s slope-0 orbit without forcing (module docstring):
+    (speed, uncertainty, corrector amplitude), or None when the trapezoid
+    rule has not settled by QUAD_MAX_NODES nodes."""
     a = abs(drive)  # -F has the same integral, W' being odd
     if a <= sup_wp:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     if W is None:
-        return drive, 0.0
+        return drive, 0.0, 0.0
     n = 64
-    total = float(np.sum(1.0 / np.abs(a - eval_potential(W, np.arange(n) / n, 1))))
+    g = 1.0 / np.abs(a - eval_potential(W, np.arange(n) / n, 1))
+    total = float(np.sum(g))
     lam = n / total
     while n < QUAD_MAX_NODES:
-        total += float(np.sum(1.0 / np.abs(a - eval_potential(W, (np.arange(n) + 0.5) / n, 1))))
+        g_mid = 1.0 / np.abs(a - eval_potential(W, (np.arange(n) + 0.5) / n, 1))
+        total += float(np.sum(g_mid))
+        g = np.stack((g, g_mid), axis=1).reshape(-1)  # the nodes k / 2n, in order
         n *= 2
         change, lam = abs(n / total - lam), n / total
         if change <= QUAD_RTOL * lam:
-            return math.copysign(lam, drive), change
+            # c(t) - lam t = -lam P(c), P the periodic antiderivative of
+            # g - mean(g), read on at least AMP_SAMPLES points
+            g_hat = np.fft.rfft(g)
+            g_hat[0] = 0.0
+            m = max(n, AMP_SAMPLES)
+            P = (m / n) * np.fft.irfft(
+                g_hat / (2j * math.pi * np.maximum(np.arange(n // 2 + 1), 1)), n=m)
+            return math.copysign(lam, drive), change, 0.5 * lam * float(P.max() - P.min())
     return None
+
+
+def rest_point(W: PeriodicPotential, drive: float):
+    """Route (a)'s rest point for 0 < |drive| <= sup|W'| (module docstring):
+    the first root of W'(c) = |drive| in the direction of the drive, or None
+    when REST_SAMPLES samples of a period show no sign change."""
+    a = abs(drive)
+    c = np.linspace(0.0, 1.0, REST_SAMPLES + 1)
+    k = int(np.argmax(eval_potential(W, c, 1) >= a))
+    if k == 0:
+        return None
+    lo, hi = float(c[k - 1]), float(c[k])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if float(eval_potential(W, mid, 1)) < a:
+            lo = mid
+        else:
+            hi = mid
+    return math.copysign(hi, drive)
 
 
 def torus_flow(plan, W, sigma, px, y, drive: float = 0.0, a: float = 1.0, b: float = 1.0,
@@ -264,18 +291,17 @@ def torus_flow(plan, W, sigma, px, y, drive: float = 0.0, a: float = 1.0, b: flo
 
 
 def euler_steps(rhs, v, dt: float, nsteps: int):
-    """Explicit Euler v <- v + dt rhs(k dt, v).  Yields (k, v_k, rhs of step
-    k - 1) for k = 1, ..., nsteps; the caller may stop early."""
+    """Explicit Euler v <- v + dt rhs(k dt, v).  Yields (k, v_k) for
+    k = 1, ..., nsteps."""
     for k in range(nsteps):
-        r = rhs(k * dt, v)
-        v = v + dt * r
-        yield k + 1, v, r
+        v = v + dt * rhs(k * dt, v)
+        yield k + 1, v
 
 
 def travelling_wave(plan, W, px, slope: Fraction, drive: float):
-    """Route (c) (module docstring): (V, speed, uncertainty) of the
-    travelling wave at ``drive``, V on the plan's grid, or None when Newton
-    has not converged within WAVE_MAX_ITER steps."""
+    """Route (b) (module docstring): (V, (speed, uncertainty, corrector
+    amplitude)) of the travelling wave at ``drive``, V on the plan's grid,
+    or None when Newton has not converged within WAVE_MAX_ITER steps."""
     n = plan.n
     p = float(slope)
     a = abs(drive)
@@ -323,15 +349,16 @@ def travelling_wave(plan, W, px, slope: Fraction, drive: float):
     lam, unc = float(p * c), float(abs(p * step[n]))
     if unc > CERTIFY_RTOL * max(1.0, abs(lam)):
         return None
+    if drive == 0.0:
+        return V, (0.0, 0.0, 0.0)
     if drive < 0.0:
-        return -np.roll(V[::-1], 1), -lam, unc  # v(x) -> -v(-x)
-    return V, lam, unc
+        return -np.roll(V[::-1], 1), (-lam, unc, 0.0)  # v(x) -> -v(-x)
+    return V, (lam, unc, 0.0)
 
 
 def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
-    """The travelling wave of route (c) when it applies and converges;
-    otherwise step the torus flow up to ``spec.horizon``, stopping early at
-    a certified checkpoint (module docstring)."""
+    """The direct route when it applies and succeeds; otherwise Euler steps
+    of the torus flow to ``spec.horizon`` (module docstring)."""
     q = spec.torus_period
     n = spec.n
     h = q / n
@@ -346,23 +373,22 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
 
     F = spec.drive
     flow, dt_cfl = torus_flow(plan, W, sigma, px, x, drive=F)
-    if (sigma is None and spec.slope != 0 and initial is None and spec.dt is None
-            and n <= WAVE_MAX_N):
-        wave = travelling_wave(plan, W, px, spec.slope, F)
-        if wave is not None:
-            V, speed, unc = wave
-            return CellTrace(spec=spec, times=np.zeros(1), means=np.array([V.mean()]),
-                             v_final=V, dt=dt_cfl, envelope_bound=bound, horizon=0.0,
-                             certified=(speed, unc) if F != 0.0 else (0.0, 0.0))
+    direct = None
+    if sigma is None and initial is None and spec.dt is None:
+        if spec.slope != 0:
+            if n <= WAVE_MAX_N:
+                direct = travelling_wave(plan, W, px, spec.slope, F)
+        elif (known := known_speed(W, F, K)) is not None:
+            c = rest_point(W, F) if known[0] == 0.0 and F != 0.0 else 0.0
+            if c is not None:
+                direct = np.full(n, c), known
+    if direct is not None:
+        v, certified = direct
+        return CellTrace(spec=spec, times=np.zeros(1), means=np.array([v.mean()]), v_final=v,
+                         dt=dt_cfl, envelope_bound=bound, horizon=0.0, certified=certified)
+
     dt = spec.dt if spec.dt is not None else dt_cfl
     nsteps = int(math.ceil(spec.horizon / dt))
-    checkpoints = {}  # step index -> checkpoint time
-    for j in CHECKPOINT_LEVELS:
-        t_j = spec.horizon * 2.0**-j
-        k_j = int(math.ceil(t_j / dt))
-        if k_j >= MIN_CHECKPOINT_STEPS:
-            checkpoints[k_j] = t_j
-
     if initial is None:
         v = np.zeros(n)
     else:
@@ -372,59 +398,29 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
 
     means = np.empty(nsteps + 1)
     means[0] = v.mean()
-    mean0 = means[0]
-    known = known_speed(W, F, K) if sigma is None and (F == 0.0 or spec.slope == 0) else None
-    moving = known is not None and known[0] != 0.0
-    horizon, certified, last_speed = spec.horizon, known if moving else None, None
     check_every = max(1, nsteps // 64)
     slack = 1e-8
-
-    for k, v, rhs in euler_steps(flow, v, dt, nsteps):
+    for k, v in euler_steps(flow, v, dt, nsteps):
         means[k] = v.mean()
         if k % check_every == 0:
             t = k * dt
-            drift = abs(means[k] - mean0 - F * t)
+            drift = abs(means[k] - means[0] - F * t)
             if drift > bound * t + slack * (1.0 + t):
                 raise CellStabilityError(
                     f"mean drift {drift:.3e} left the comparison envelope "
                     f"{bound:.3e} * t at t = {t:.3f} (slope {spec.slope}, "
                     f"drive {F})"
                 )
-        t_j = checkpoints.get(k)
-        if t_j is None:
-            continue
-        m = k + 1
-        times = dt * np.arange(m)
-        start = int(np.searchsorted(times, 0.5 * times[-1]))  # the fit window [t/2, t]
-        whole_advance = abs(means[k] - means[start]) >= 1.0 / q
-        if known is not None:
-            settled = float(np.max(np.abs(rhs))) <= SETTLE_TOL
-            if whole_advance if moving else settled:
-                horizon, certified = t_j, known
-                break
-            continue
-        fit = estimate_lambda(CellTrace(spec, times, means[:m], v, dt, bound, t_j, None))
-        rtol = CERTIFY_RTOL * max(1.0, abs(fit.speed))
-        if (fit.uncertainty <= rtol and last_speed is not None
-                and abs(fit.speed - last_speed) <= rtol and whole_advance):
-            horizon = t_j
-            break
-        last_speed = fit.speed
-    else:
-        m = nsteps + 1
-
-    return CellTrace(spec=spec, times=dt * np.arange(m), means=means[:m], v_final=v, dt=dt,
-                     envelope_bound=bound, horizon=horizon, certified=certified)
+    return CellTrace(spec=spec, times=dt * np.arange(nsteps + 1), means=means, v_final=v,
+                     dt=dt, envelope_bound=bound, horizon=spec.horizon, certified=None)
 
 
 @dataclass(frozen=True)
 class SpeedFit:
     speed: float
-    intercept: float
     uncertainty: float
     corrector_amplitude: float
     converged: bool
-    fit_window: tuple
     envelope_bound: float
     horizon: float  # the time the run covered
 
@@ -435,51 +431,35 @@ def _ls_slope(t, y):
     return float(coef[0]), float(coef[1])
 
 
-def estimate_lambda(trace: CellTrace, fit_window=(0.5, 1.0), tol: float = FIT_TOL) -> SpeedFit:
-    """Fit the effective speed from the mean trace.
+def estimate_lambda(trace: CellTrace, tol: float = FIT_TOL) -> SpeedFit:
+    """The effective speed of a trace; ``converged`` records whether its
+    uncertainty is at most ``tol``.
 
-    The uncertainty is |slope(first half) - slope(second half)| over the fit
-    window; ``converged`` records whether it is below ``tol``.  A trace
-    with a known speed (certificate (a)) reports that speed and its
-    uncertainty instead of fitting, with the intercept that fits the window
-    best at that speed.  A travelling wave solved directly (route (c), a
-    single sample at t = 0) has mean(v) = mean(V) + speed * t exactly, so
-    its corrector amplitude is 0.
+    A direct trace reports its ``certified`` (speed, uncertainty,
+    corrector amplitude) as they stand.  A stepped trace is fitted over
+    [T/2, T]: the uncertainty is |slope(first half) - slope(second half)|
+    of that window, and the corrector amplitude the half-range of the
+    residual about the fitted line (module docstring).
     """
-    if trace.times.size == 1:
-        speed, unc = trace.certified
-        return SpeedFit(speed=speed, intercept=float(trace.means[0]), uncertainty=unc,
-                        corrector_amplitude=0.0, converged=bool(unc <= tol),
-                        fit_window=(0.0, 0.0), envelope_bound=trace.envelope_bound,
-                        horizon=trace.horizon)
-    T = trace.times[-1]
-    lo, hi = fit_window[0] * T, fit_window[1] * T
-    sel = (trace.times >= lo) & (trace.times <= hi)
-    if sel.sum() < 16:
-        raise ValueError("fit window contains fewer than 16 samples")
-    t = trace.times[sel]
-    y = trace.means[sel]
     if trace.certified is not None:
-        speed, unc = trace.certified
-        intercept = float(np.mean(y - speed * t))
+        speed, unc, amp = trace.certified
     else:
+        T = trace.times[-1]
+        sel = (trace.times >= 0.5 * T) & (trace.times <= T)
+        if sel.sum() < 16:
+            raise ValueError("fit window contains fewer than 16 samples")
+        t = trace.times[sel]
+        y = trace.means[sel]
         speed, intercept = _ls_slope(t, y)
         mid = t.size // 2
         s1, _ = _ls_slope(t[:mid], y[:mid])
         s2, _ = _ls_slope(t[mid:], y[mid:])
         unc = abs(s1 - s2)
-    resid = y - (speed * t + intercept)
-    amp = 0.5 * float(resid.max() - resid.min())
-    return SpeedFit(
-        speed=speed,
-        intercept=intercept,
-        uncertainty=unc,
-        corrector_amplitude=amp,
-        converged=bool(unc <= tol),
-        fit_window=(float(lo), float(hi)),
-        envelope_bound=trace.envelope_bound,
-        horizon=trace.horizon,
-    )
+        resid = y - (speed * t + intercept)
+        amp = 0.5 * float(resid.max() - resid.min())
+    return SpeedFit(speed=speed, uncertainty=unc, corrector_amplitude=amp,
+                    converged=bool(unc <= tol), envelope_bound=trace.envelope_bound,
+                    horizon=trace.horizon)
 
 
 def hbar(spec: CellProblemSpec, tol: float = FIT_TOL) -> SpeedFit:

@@ -26,7 +26,7 @@ every snapshot is an exact Euler state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def _run(rhs, w0, dt_cfl: float, T: float, checkpoints: int,
         )
     snaps = np.empty((checkpoints, w0.size))
     snaps[0] = w0
-    for j, w, _ in euler_steps(rhs, w0, dt, nsteps):
+    for j, w in euler_steps(rhs, w0, dt, nsteps):
         if j % k == 0:
             snaps[j // k] = w
     return Trajectory(times=np.linspace(0.0, T, checkpoints), remainders=snaps, dt=dt)
@@ -358,9 +358,7 @@ def convergence_report(
         raise ValueError(f"eps values must be strictly decreasing (got {eps_list})")
     base = eps_specs[0]
     for sp in eps_specs[1:]:
-        if (sp.branch, sp.s, sp.slope, sp.n, sp.horizon, sp.profile) != (
-            base.branch, base.s, base.slope, base.n, base.horizon, base.profile
-        ):
+        if replace(sp, eps=base.eps) != base:
             raise ValueError("eps specs must differ only in eps")
 
     eff = solve_effective(

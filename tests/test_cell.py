@@ -58,7 +58,7 @@ def test_uniform_state_matches_scalar_ode():
     for |L| > sup|W'| the period-average speed is sqrt(L^2 - sup|W'|^2)."""
     L = 1.0
     spec = CellProblemSpec(s=0.5, slope=Fraction(0), drive=L,
-                           potential=W_STD, n=16, horizon=100.0, dt=1e-3)
+                           potential=W_STD, n=16, horizon=100.0)
     fit = hbar(spec)
     exact = math.sqrt(L * L - SUP_WP * SUP_WP)
     assert fit.speed == pytest.approx(exact, rel=1e-13)
@@ -114,7 +114,7 @@ def test_fit_window_needs_samples():
                            potential=None, n=16, horizon=1.0, dt=0.5)
     trace = solve_cell_evolution(spec)
     with pytest.raises(ValueError):
-        estimate_lambda(trace, fit_window=(0.9, 1.0))
+        estimate_lambda(trace)
 
 
 def test_table_rows_sorted_and_parallel_consistent():
@@ -176,11 +176,11 @@ def test_direct_speeds_are_the_dt_limit_of_stepping():
     second extrapolation (4 R(dt/2, dt/4) - R(dt, dt/2)) / 3 meets it to
     5% of that difference."""
     specs = []
-    for p in GRID_SLOPES:
+    for p, horizon in zip(GRID_SLOPES, (25.0, 12.5, 6.25)):
         dt = 0.9 / (plan_for("periodic", 512, 0.5 * p.denominator, 0.5).stiffness
                     + W_STD.derivative_bound(2))
         specs += [CellProblemSpec(s=0.5, slope=p, drive=1.0, potential=W_STD, n=512,
-                                  horizon=200.0, dt=dt / k) for k in (1, 2, 4)]
+                                  horizon=horizon, dt=dt / k) for k in (1, 2, 4)]
     with ProcessPoolExecutor(max_workers=2) as ex:
         stepped = np.array([fit.speed for fit in ex.map(hbar, specs)]).reshape(3, 3)
     for p, (coarse, mid, fine) in zip(GRID_SLOPES, stepped):
@@ -249,18 +249,25 @@ def test_unconverged_wave_falls_back_to_stepping(monkeypatch):
 
 
 def test_forcing_free_sloped_rows_take_no_time_step(monkeypatch):
+    """Forcing-free rows from rest, sloped or at slope 0, take the direct
+    route: no Euler step, whatever the drive."""
     def no_steps(*args, **kwargs):
         raise AssertionError("euler_steps called")
 
     monkeypatch.setattr(fracpn.cell, "euler_steps", no_steps)
     base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
                            n=64, horizon=20.0)
-    rows = hbar_table(base, slopes=[Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)],
-                      drives=[-1.0, -0.01, 0.0, 0.01, 1.0])
-    assert len(rows) == 20
+    rows = hbar_table(base, slopes=[Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1),
+                                    Fraction(2)],
+                      drives=[-1.0, -0.1, -0.01, 0.0, 0.01, 0.1, 1.0])
+    assert len(rows) == 35
     assert all(r["horizon"] == 0.0 and r["converged"] for r in rows)
-    assert all(r["speed"] == 0.0 for r in rows if r["drive"] == 0.0)
-    assert all(r["speed"] * r["drive"] > 0.0 for r in rows if r["drive"] != 0.0)
+    for r in rows:
+        # slope-0 rows are pinned up to sup|W'|; sloped rows only at drive 0
+        if abs(r["drive"]) <= (SUP_WP if r["slope_num"] == 0 else 0.0):
+            assert r["speed"] == 0.0
+        else:
+            assert r["speed"] * r["drive"] > 0.0
 
 
 def test_weak_table_rows_are_newton_stationary_states():
@@ -273,7 +280,7 @@ def test_weak_table_rows_are_newton_stationary_states():
         spec = CellProblemSpec(s=0.75, slope=p, drive=0.0, potential=W_STD, n=256,
                                horizon=150.0)
         trace = solve_cell_evolution(spec)
-        assert trace.certified == (0.0, 0.0)
+        assert trace.certified == (0.0, 0.0, 0.0)
         assert trace.horizon == 0.0
         plan = plan_for("periodic", 256, 0.5 * q, 0.75)
         V = trace.v_final
@@ -282,22 +289,31 @@ def test_weak_table_rows_are_newton_stationary_states():
         assert abs(V.mean()) <= 1e-15
         if p == Fraction(1, 2):
             dt = 0.9 / (plan.stiffness + W_STD.derivative_bound(2))
-            stepped = solve_cell_evolution(replace(spec, dt=dt))
-            assert 0.0 < stepped.horizon < spec.horizon
+            stepped = solve_cell_evolution(replace(spec, dt=dt, horizon=4.6875))
             assert np.max(np.abs(stepped.v_final - V)) <= 1e-12
 
 
 def test_slope_zero_below_depinning_is_exactly_pinned():
-    F = 0.1
-    assert F < SUP_WP
-    spec = CellProblemSpec(s=0.4, slope=Fraction(0), drive=F, potential=W_STD,
-                           n=32, horizon=100.0)
-    trace = solve_cell_evolution(spec)
-    fit = estimate_lambda(trace)
-    assert trace.certified == (0.0, 0.0)
-    assert fit.speed == 0.0
-    assert fit.uncertainty == 0.0
-    assert fit.horizon < spec.horizon
+    """Below depinning the speed is exactly 0, and the direct state is the
+    uniform rest point c*, the first root of W'(c) = |F| in the direction
+    of F, where the Euler flow from rest at the CFL step settles."""
+    for F in (0.1, -0.1):
+        assert abs(F) < SUP_WP
+        spec = CellProblemSpec(s=0.4, slope=Fraction(0), drive=F, potential=W_STD,
+                               n=32, horizon=100.0)
+        trace = solve_cell_evolution(spec)
+        fit = estimate_lambda(trace)
+        assert trace.certified == (0.0, 0.0, 0.0)
+        assert fit.speed == 0.0
+        assert fit.uncertainty == 0.0
+        assert fit.horizon < spec.horizon
+        c = trace.v_final[0]
+        assert np.all(trace.v_final == c)
+        assert c * F > 0.0 and abs(c) < 0.25  # before the peak of W' at 1/4
+        assert float(eval_potential(W_STD, c, 1)) == pytest.approx(F, abs=1e-15)
+        stepped = solve_cell_evolution(replace(spec, dt=trace.dt))
+        assert stepped.certified is None and stepped.horizon == spec.horizon
+        assert np.max(np.abs(stepped.v_final - c)) <= 1e-9
 
 
 def _scalar_map_trace(drives, dt, horizon):
@@ -340,6 +356,30 @@ def test_richardson_of_the_uniform_euler_map_reaches_the_closed_form():
     assert np.max(np.abs(coarse - exact)) > 5e-5
     np.testing.assert_allclose((coarse - exact) / (fine - exact), 4.0, rtol=0.01)
     np.testing.assert_allclose((4.0 * fine - coarse) / 3.0, exact, rtol=0.0, atol=1e-6)
+
+
+def test_uniform_orbit_amplitude_is_the_richardson_limit():
+    """The direct slope-0 corrector amplitude, 1/2 |lambda| (max P - min P),
+    is the half-range of mean(v) - lambda t on the orbit.  On the Euler
+    map at the strong table's CFL step that half-range is off by up to
+    0.7% (F = 2), second order in dt; Richardson over (dt, dt/2) meets the
+    direct value."""
+    drives = (0.2, 0.6, 1.0, 2.0)
+    direct = np.array([hbar(CellProblemSpec(s=0.3, slope=Fraction(0), drive=F,
+                                            potential=W_STD, n=256)).corrector_amplitude
+                       for F in drives])
+    dt = 0.9 / (plan_for("periodic", 256, 0.5, 0.3).stiffness + W_STD.derivative_bound(2))
+
+    def half_range(times, c):
+        r = c - _whole_period_speed(times, c) * times
+        return 0.5 * (r.max() - r.min())
+
+    coarse, fine = (
+        np.array([half_range(times, c[:, i]) for i in range(len(drives))])
+        for times, c in (_scalar_map_trace(drives, h, 40.0) for h in (dt, dt / 2)))
+    assert np.max(np.abs(coarse - direct) / direct) > 5e-3
+    np.testing.assert_allclose((coarse - direct) / (fine - direct), 4.0, rtol=0.01)
+    np.testing.assert_allclose((4.0 * fine - coarse) / 3.0, direct, rtol=2e-5)
 
 
 def test_two_harmonic_well_matches_quadrature():
@@ -420,7 +460,7 @@ def test_strong_table_step_budget(strong_rows):
     assert all(r["converged"] for r in rows)
     assert max(r["uncertainty"] for r in rows) <= 1e-4
     zero = next(r for r in rows if r["drive"] == 0.0)
-    assert (zero["speed"], zero["uncertainty"], zero["horizon"]) == (0.0, 0.0, 2.34375)
+    assert (zero["speed"], zero["uncertainty"], zero["horizon"]) == (0.0, 0.0, 0.0)
 
 
 def test_strong_table_rows_are_the_closed_form(strong_rows):
@@ -486,8 +526,7 @@ def test_cell_flow_preserves_ordering():
     kern = AnisotropyKernel(dimension=2, constant=0.4, cos_coeffs=(0.15,), sin_coeffs=(-0.1,))
     g = kern.directional_constant(s, (1.0, 2.0))
     dt = 0.9 / (plan_for("periodic", n, 0.5 * q, s, g).stiffness + W_STD.derivative_bound(2))
-    # 100 steps: every checkpoint horizon * 2^-j (j >= 1) is under 64 steps
-    # in, so none is set and neither run can stop early
+    # 100 steps of the CFL step, from given initial states: both runs are stepped
     spec = CellProblemSpec(s=s, slope=Fraction(1, 2), drive=0.05, potential=W_STD, n=n,
                            horizon=100 * dt, g_const=g)
     x = q * np.arange(n) / n

@@ -194,6 +194,22 @@ def test_convergence_report_validation():
         convergence_report([spec(0.5), spec(0.25, n=48)], law)
 
 
+def test_convergence_report_rejects_specs_that_differ_beyond_eps():
+    """Every field but eps must match the first spec's, the potential and
+    g_const included: the effective limit is built from the first spec."""
+    prof = InitialProfile.zero()
+
+    def spec(eps, potential=W_STD, g_const=None):
+        return EpsProblemSpec(branch=BRANCH_STRONG, eps=eps, s=0.4, slope=0.0, profile=prof,
+                              potential=potential, n=32, horizon=0.05, g_const=g_const)
+
+    law = DriveLaw.identity(1.0)
+    for other in (spec(0.25, potential=PeriodicPotential((0.02,))), spec(0.25, potential=None),
+                  spec(0.25, g_const=2.0)):
+        with pytest.raises(ValueError, match="differ only in eps"):
+            convergence_report([spec(0.5), other], law)
+
+
 def test_convergence_report_trivial_case_is_exact():
     prof = InitialProfile.zero()
     specs = [
