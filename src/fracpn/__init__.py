@@ -26,7 +26,6 @@ from .layer import (
     CorrectorSolution,
     LayerSolution,
     check_layer_decay,
-    compute_c0,
     solve_corrector_psi,
     solve_layer,
 )

@@ -23,7 +23,8 @@ The effective speed for (p, F) comes by one of two routes.  Each row makes
 one ``solve_cell_evolution`` call, and ``estimate_lambda`` turns its trace
 into the reported speed, uncertainty and corrector amplitude.
 
-Direct route.  A row with no forcing, started from rest at the CFL step
+Direct route.  A row with no forcing (none, or no live term, see
+``Forcing.is_zero``), started from rest at the CFL step
 (no ``initial`` state and no ``dt``), is solved with no time step.  Its
 trace holds one sample at t = 0 and ``horizon`` 0.0, and ``certified``
 holds (speed, uncertainty, corrector amplitude), which ``estimate_lambda``
@@ -367,7 +368,7 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     x = h * np.arange(n)
     px = float(spec.slope) * x  # enters only through 1-periodic functions
     W = spec.potential
-    sigma = spec.forcing
+    sigma = None if spec.forcing is None or spec.forcing.is_zero else spec.forcing
     K, K_sigma = sup_norms(W, sigma)
     bound = K + K_sigma
 

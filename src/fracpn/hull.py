@@ -201,24 +201,25 @@ class _OddTailModel:
         self.two_s = 2.0 * s
         self.q2 = min(4.0 * s, 1.0 + 2.0 * s)
         self.A = layer.g_const / (2.0 * s * alpha)
-        self.z_switch = 0.85 * layer.half_width
-        x = layer.nodes
+        self._field = layer.field
+        R = layer.field.half_width
+        self.z_switch = 0.85 * R
+        x = layer.field.nodes
         phi = layer.field.values
-        sel = (x >= 0.3 * layer.half_width) & (x <= self.z_switch)
+        sel = (x >= 0.3 * R) & (x <= self.z_switch)
         rem_plus = phi[sel] - 1.0 + self.A * x[sel] ** (-self.two_s)
-        selm = (x <= -0.3 * layer.half_width) & (x >= -self.z_switch)
+        selm = (x <= -0.3 * R) & (x >= -self.z_switch)
         rem_minus = phi[selm] - self.A * (-x[selm]) ** (-self.two_s)
         b_plus = -_fit_amplitude(x[sel], rem_plus, self.q2)
         b_minus = _fit_amplitude(-x[selm], rem_minus, self.q2)
         self.B = 0.5 * (b_plus + b_minus)
-        self._layer = layer
 
     def phi_tilde(self, z):
         """phi - H everywhere: profile inside the window, model outside."""
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
         inside = np.abs(z) <= self.z_switch
-        out[inside] = self._layer.eval_phi(z[inside]) - (z[inside] >= 0.0)
+        out[inside] = self._field.eval(z[inside]) - (z[inside] >= 0.0)
         zo = z[~inside]
         az = np.abs(zo)
         out[~inside] = -np.sign(zo) * (
@@ -238,14 +239,14 @@ class _EvenTailModel:
     """Corrector beyond the window: C |z|^-q on both sides (even potential);
     per-side amplitudes retained for generality."""
 
-    def __init__(self, psi: CorrectorSolution, half_width: float):
-        (am, bm), = psi.tail.powers_minus
-        (ap, bp), = psi.tail.powers_plus
+    def __init__(self, psi: CorrectorSolution):
+        (am, bm), = psi.field.tail.powers_minus
+        (ap, bp), = psi.field.tail.powers_plus
         self.q = 0.5 * (bm + bp)
         self.amp_minus = am
         self.amp_plus = ap
-        self.z_switch = 0.85 * half_width
-        self._psi = psi
+        self.z_switch = 0.85 * psi.field.half_width
+        self._field = psi.field
         # a tail fitted to solver noise (e.g. the corrector vanishes
         # identically when the drive term and c phi' cancel) carries a
         # garbage exponent; treat it as zero
@@ -259,7 +260,7 @@ class _EvenTailModel:
         z = np.asarray(z, dtype=float)
         out = np.empty_like(z)
         inside = np.abs(z) <= self.z_switch
-        out[inside] = self._psi.eval(z[inside])
+        out[inside] = self._field.eval(z[inside])
         zo = z[~inside]
         amp = np.where(zo >= 0.0, self.amp_plus, self.amp_minus)
         out[~inside] = amp * np.abs(zo) ** (-self.q)
@@ -299,6 +300,8 @@ class HullAnsatz:
     period: float
     cauchy_diff: float
     alpha: float
+    phi_model: _OddTailModel            # phi - H with its far-field model
+    psi_model: _EvenTailModel | None    # corrector with its tail (no cutoff only)
 
     @property
     def scale(self) -> float:
@@ -323,7 +326,7 @@ def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
     s = ansatz.s
     two_s = 2.0 * s
     d2s = ansatz.delta**two_s
-    phi_model: _OddTailModel = ansatz._phi_model
+    phi_model = ansatz.phi_model
     out = np.full(x.shape, ansatz.delta**two_s * ansatz.L0 / ansatz.alpha)
 
     # layer stack: phi(x/scale) + sum pairs [phi tilde(+) + phi tilde(-)];
@@ -337,7 +340,7 @@ def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
 
     if ansatz.psi is not None and ansatz.L0 != 0.0:
         if ansatz.cutoff is None:
-            psi_model: _EvenTailModel = ansatz._psi_model
+            psi_model = ansatz.psi_model
             out += d2s * psi_model.eval(x / scale)
             out += d2s * np.sum(psi_model.eval(zp) + psi_model.eval(zm), axis=1)
             out += d2s * psi_model.sum_closure(x, scale, n_terms + 1)
@@ -348,7 +351,7 @@ def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
                 mask = t > 0.0
                 vals = np.zeros_like(z)
                 if np.any(mask):
-                    vals[mask] = ansatz.psi.eval(z[mask]) * t[mask]
+                    vals[mask] = ansatz.psi.field.eval(z[mask]) * t[mask]
                 out += d2s * (vals if vals.ndim == 1 else np.sum(vals, axis=1))
     return out
 
@@ -384,15 +387,13 @@ def build_ansatz(
     if n_terms == 0:
         if L0 != 0.0 or scale != 1.0:
             raise ValueError("single-transition mode needs L0 = 0 and delta*|p0| = 1")
-        x = layer.nodes
-        ans = HullAnsatz(
+        x = layer.field.nodes
+        return HullAnsatz(
             delta=delta, p0=p0, L0=0.0, s=s, kind="single", n_terms=0,
             layer=layer, psi=None, cutoff=None, grid=x,
-            g_values=layer.field.values - x, period=2.0 * layer.half_width,
-            cauchy_diff=0.0, alpha=alpha,
+            g_values=layer.field.values - x, period=2.0 * layer.field.half_width,
+            cauchy_diff=0.0, alpha=alpha, phi_model=_OddTailModel(layer), psi_model=None,
         )
-        ans._phi_model = _OddTailModel(layer)
-        return ans
 
     if 1.0 / scale < 2.0:
         raise ValueError(
@@ -408,11 +409,9 @@ def build_ansatz(
         delta=delta, p0=p0, L0=L0, s=s, kind="lattice", n_terms=n_terms,
         layer=layer, psi=psi if L0 != 0.0 else None, cutoff=cutoff,
         grid=x, g_values=np.empty(n_grid), period=2.0,
-        cauchy_diff=math.nan, alpha=alpha,
+        cauchy_diff=math.nan, alpha=alpha, phi_model=_OddTailModel(layer),
+        psi_model=_EvenTailModel(psi) if L0 != 0.0 and cutoff is None else None,
     )
-    ans._phi_model = _OddTailModel(layer)
-    if ans.psi is not None and cutoff is None:
-        ans._psi_model = _EvenTailModel(ans.psi, layer.half_width)
 
     g_n = _assemble_g(ans, x, n_terms)
     g_2n = _assemble_g(ans, x, 2 * n_terms)
@@ -464,7 +463,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
 
     if ansatz.kind == "single":
         n = layer.field.n
-        plan = plan_for("line", n, layer.half_width, s, layer.g_const)
+        plan = plan_for("line", n, layer.field.half_width, s, layer.g_const)
         Ih = plan.apply(layer.field.values, layer.field.tail)
         hp = layer.phi_prime
         values = lam * hp - d**two_s * L0 - (d * abs(ansatz.p0))**two_s * Ih \
@@ -472,7 +471,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
         inner = slice(n // 10, n - n // 10)
         sup = float(np.max(np.abs(values[inner])))
         return ResidualReport(
-            field=GridField.line(values, layer.half_width, TailModel.zero()),
+            field=GridField.line(values, layer.field.half_width, TailModel.zero()),
             sup_abs=sup, over_d2s=sup / d**two_s, lam=lam, delta=d, L0=L0,
         )
 

@@ -22,11 +22,11 @@ circulant inverse (alpha + sigma)^-1 of the plan's zero-tail symbol sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .fracop import GridField, TailModel, plan_for
+from .fracop import CubicSpline, GridField, TailModel, plan_for
 from .potential import PeriodicPotential, eval_potential
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "LayerConvergenceError",
     "solve_layer",
     "check_layer_decay",
-    "compute_c0",
     "solve_corrector_psi",
     "layer_to_dict",
     "layer_from_dict",
@@ -61,78 +60,6 @@ class LayerConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_residual = last_residual
         self.monotone = monotone
-
-
-def _tridiagonal_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i] (arrays,
-    sub[0] = sup[-1] = 0) by cyclic reduction: each level eliminates the
-    even-indexed unknowns from the odd-indexed rows, which halves the system
-    in a few vectorised operations.  Stable for strictly diagonally dominant
-    rows."""
-    n = diag.size
-    if n == 1:
-        return rhs / diag
-    if n % 2 == 0:  # a decoupled last row (m = 0) makes the length odd
-        sub, diag, sup, rhs = (np.append(v, e) for v, e in
-                               ((sub, 0.0), (diag, 1.0), (sup, 0.0), (rhs, 0.0)))
-    alpha = -sub[1::2] / diag[:-1:2]
-    gamma = -sup[1::2] / diag[2::2]
-    odd = _tridiagonal_solve(
-        alpha * sub[:-1:2],
-        diag[1::2] + alpha * sup[:-1:2] + gamma * sub[2::2],
-        gamma * sup[2::2],
-        rhs[1::2] + alpha * rhs[:-1:2] + gamma * rhs[2::2],
-    )
-    m = np.empty(diag.size)
-    m[1::2] = odd
-    m[::2] = (rhs[::2] - sub[::2] * np.concatenate(([0.0], odd))
-              - sup[::2] * np.concatenate((odd, [0.0]))) / diag[::2]
-    return m[:n]
-
-
-class CubicSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4.
-
-    Reproduces scipy.interpolate.CubicSpline(x, y) to roundoff: the same
-    linear system for the node derivatives (scipy's not-a-knot rows at both
-    ends), the same piecewise cubics, extrapolated past both ends, and the
-    same evaluation order.  Call with nu = 0 for values and nu = 1 for first
-    derivatives.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        # end rows dx[1] m[0] + d0 m[1] = r0 and d1 m[-2] + dx[-2] m[-1] = r1;
-        # eliminating m[0] and m[-1] with them leaves a strictly diagonally
-        # dominant system for the interior derivatives
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        r0 = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        r1 = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        diag = 2.0 * (dx[:-1] + dx[1:])
-        diag[0] -= d0
-        diag[-1] -= d1
-        rhs = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs[0] -= r0
-        rhs[-1] -= r1
-        m = _tridiagonal_solve(np.concatenate(([0.0], dx[2:])), diag,
-                               np.concatenate((dx[:-2], [0.0])), rhs)
-        m = np.concatenate(([(r0 - d0 * m[0]) / dx[1]], m, [(r1 - d1 * m[-1]) / dx[-2]]))
-        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
-        self.x = x
-        self.coeffs = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
-
-    def __call__(self, xp, nu: int = 0):
-        xp = np.asarray(xp, dtype=float)
-        i = np.clip(np.searchsorted(self.x, xp, side="right") - 1, 0, self.x.size - 2)
-        z = xp - self.x[i]
-        c3, c2, c1, c0 = self.coeffs[:, i]
-        # ascending powers, summed in scipy's PPoly order
-        if nu == 0:
-            return c0 + c1 * z + c2 * (z * z) + c3 * (z * z * z)
-        return c1 + c2 * z * 2.0 + c3 * (z * z) * 3.0
 
 
 def _power_of_two(n: int) -> bool:
@@ -160,41 +87,13 @@ class LayerSolution:
     s: float
     potential: PeriodicPotential
     g_const: float
-    field: GridField  # line geometry, tail model attached
+    field: GridField  # line geometry, fitted tail attached
     phi_prime: np.ndarray
-    c0: float
-    gradient_sq_integral: float
+    c0: float  # 1 / int phi'^2
     residual_sup_inner: float
     dt: float
     steps: int
-    monotone: bool
-    tail_amp_minus: float
-    tail_amp_plus: float
     diagnostics: dict = dc_field(default_factory=dict)
-    _spline: CubicSpline | None = None
-
-    @property
-    def half_width(self) -> float:
-        return self.field.half_width
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.field.nodes
-
-    def _build_spline(self):
-        if self._spline is None:
-            self._spline = CubicSpline(self.field.nodes, self.field.values)
-
-    def eval_phi(self, x):
-        """Profile value anywhere: spline inside the window, tail outside."""
-        self._build_spline()
-        x = np.asarray(x, dtype=float)
-        edge = self.half_width - 2.0 * self.field.h
-        inside = np.abs(x) <= edge
-        out = np.empty_like(x)
-        out[inside] = self._spline(x[inside])
-        out[~inside] = self.field.tail.eval(x[~inside])
-        return out
 
 
 def _monotone(values: np.ndarray) -> bool:
@@ -302,8 +201,7 @@ def solve_layer(
         passes.append({"newton_steps": len(pcg), "pcg_iterations": pcg})
 
     phi[n // 2] = 0.5  # crossing normalized exactly (each step recentered)
-    monotone = _monotone(phi)
-    if not monotone:
+    if not _monotone(phi):
         raise LayerConvergenceError(
             "layer profile lost monotonicity", last_residual=res, monotone=False
         )
@@ -313,9 +211,14 @@ def solve_layer(
     rhs = plan.apply(phi, tail) - eval_potential(W, phi, 1)
     res = float(np.max(np.abs(rhs[inner])))
 
+    # int phi'^2: the trapezoid rule on the window plus the two tails,
+    # where phi' ~ 2 s |a| |x|^(-1-2s)
     phi_prime = np.gradient(phi, h)
-    grad_sq = _gradient_sq_integral(phi_prime, x, R_dom, s, a_minus, a_plus)
-    c0 = 1.0 / grad_sq
+    grad_sq = float(_trapz(phi_prime**2, x))
+    for a in (a_minus, a_plus):
+        grad_sq += (two_s * abs(a))**2 * R_dom ** (-1.0 - 4.0 * s) / (1.0 + 4.0 * s)
+    if grad_sq < 1e-12:
+        raise LayerConvergenceError("degenerate layer: gradient integral below 1e-12")
 
     return LayerSolution(
         s=s,
@@ -323,14 +226,10 @@ def solve_layer(
         g_const=float(g),
         field=field,
         phi_prime=phi_prime,
-        c0=c0,
-        gradient_sq_integral=grad_sq,
+        c0=1.0 / grad_sq,
         residual_sup_inner=res,
         dt=0.0,
         steps=sum(p["newton_steps"] for p in passes),  # Newton steps
-        monotone=monotone,
-        tail_amp_minus=a_minus,
-        tail_amp_plus=a_plus,
         diagnostics={
             "tail_amp_theory": A_theory,
             "passes": passes,
@@ -338,25 +237,6 @@ def solve_layer(
             "R_dom": R_dom,
         },
     )
-
-
-def _gradient_sq_integral(phi_prime, x, half_width, s, a_minus, a_plus) -> float:
-    """int phi'^2: the trapezoid rule on the window plus the two tails,
-    where phi' ~ 2 s |a| |x|^(-1-2s)."""
-    grad_sq = float(_trapz(phi_prime**2, x))
-    two_s = 2.0 * s
-    for a in (a_minus, a_plus):
-        amp = two_s * abs(a)
-        grad_sq += amp**2 * half_width ** (-1.0 - 4.0 * s) / (1.0 + 4.0 * s)
-    if grad_sq < 1e-12:
-        raise LayerConvergenceError("degenerate layer: gradient integral below 1e-12")
-    return grad_sq
-
-
-def compute_c0(layer: LayerSolution) -> float:
-    """Mobility constant c0 = (int phi'^2)^-1 (recomputed from the profile)."""
-    return 1.0 / _gradient_sq_integral(layer.phi_prime, layer.nodes, layer.half_width,
-                                       layer.s, layer.tail_amp_minus, layer.tail_amp_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +305,8 @@ def check_layer_decay(layer: LayerSolution, psi: "CorrectorSolution | None" = No
     """
     s = layer.s
     two_s = 2.0 * s
-    R = layer.half_width
-    x = layer.nodes
+    R = layer.field.half_width
+    x = layer.field.nodes
     h = layer.field.h
     phi = layer.field.values
 
@@ -451,13 +331,15 @@ def check_layer_decay(layer: LayerSolution, psi: "CorrectorSolution | None" = No
         # remainder after removing the known leading tail (reported only;
         # its true decay is faster than the 1+2s bound, which is not
         # saturated for even potentials)
-        amp = np.where(x > 0, layer.tail_amp_plus, layer.tail_amp_minus)
+        (a_minus, _), = layer.field.tail.powers_minus
+        (a_plus, _), = layer.field.tail.powers_plus
+        amp = np.where(x > 0, a_plus, a_minus)
         rem = phi_tilde - amp * np.where(ax > 0, ax, 1.0) ** (-two_s)
         entries.append(
             _decay_entry("phi_minus_H_corrected", ax[sel], rem[sel], 1.0 + two_s, "upper")
         )
     if psi is not None:
-        psiv = psi.values
+        psiv = psi.field.values
         psi_prime = np.gradient(psiv, h)
         entries.append(
             _decay_entry("psi", ax[sel], psiv[sel], min(1.0 + two_s, 4.0 * s), "upper")
@@ -479,32 +361,10 @@ class CorrectorSolution:
     s: float
     L0: float
     c: float
-    values: np.ndarray
-    tail: TailModel
-    half_width: float
+    field: GridField  # the layer's line geometry, fitted tail attached
     residual_sup_inner: float
     cg_info: dict
     odd_tail_amplitude: float  # fitted amplitude of sign(x)|x|^(-2s); reported, not asserted
-    _spline: CubicSpline | None = None
-
-    @property
-    def nodes(self) -> np.ndarray:
-        n = self.values.size
-        h = 2.0 * self.half_width / n
-        return h * (np.arange(n) - n // 2)
-
-    def eval(self, x):
-        if self._spline is None:
-            self._spline = CubicSpline(self.nodes, self.values)
-        x = np.asarray(x, dtype=float)
-        n = self.values.size
-        h = 2.0 * self.half_width / n
-        edge = self.half_width - 2.0 * h
-        inside = np.abs(x) <= edge
-        out = np.empty_like(x)
-        out[inside] = self._spline(x[inside])
-        out[~inside] = self.tail.eval(x[~inside])
-        return out
 
 
 def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> CorrectorSolution:
@@ -518,15 +378,16 @@ def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> C
     s = layer.s
     W = layer.potential
     n = layer.field.n
-    x = layer.nodes
-    plan = plan_for("line", n, layer.half_width, s, layer.g_const)
+    x = layer.field.nodes
+    R = layer.field.half_width
+    plan = plan_for("line", n, R, s, layer.g_const)
 
     alpha = W.curvature_at_zero
     c = L0 * layer.c0
     if L0 == 0.0:
         return CorrectorSolution(
-            s=s, L0=0.0, c=0.0, values=np.zeros(n), tail=TailModel.zero(),
-            half_width=layer.half_width, residual_sup_inner=0.0,
+            s=s, L0=0.0, c=0.0, field=GridField.line(np.zeros(n), R, TailModel.zero()),
+            residual_sup_inner=0.0,
             cg_info={"iterations": 0, "passes": 0}, odd_tail_amplitude=0.0,
         )
 
@@ -538,7 +399,7 @@ def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> C
 
     # fit an even power tail and re-solve with it on the right-hand side
     two_s = 2.0 * s
-    fit = (np.abs(x) >= 0.5 * layer.half_width) & (np.abs(x) <= 0.8 * layer.half_width)
+    fit = (np.abs(x) >= 0.5 * R) & (np.abs(x) <= 0.8 * R)
     beta_r, _ = _fit_exponent(x[fit & (x > 0)], psi[fit & (x > 0)])
     beta_l, _ = _fit_exponent(-x[fit & (x < 0)], psi[fit & (x < 0)])
     beta = float(np.clip(0.5 * (beta_r + beta_l), 0.5, 4.0))
@@ -558,13 +419,12 @@ def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> C
     # amplitude vanishes for even potentials (reported, never asserted)
     k = np.arange(1, n // 2)
     odd = 0.5 * (psi[n // 2 + k] - psi[n // 2 - k])
-    xk = k * (2.0 * layer.half_width / n)
-    sel = (xk >= 0.5 * layer.half_width) & (xk <= 0.8 * layer.half_width)
+    xk = k * layer.field.h
+    sel = (xk >= 0.5 * R) & (xk <= 0.8 * R)
     odd_amp = _fit_amplitude(xk[sel], odd[sel], two_s)
 
     return CorrectorSolution(
-        s=s, L0=L0, c=c, values=psi, tail=tail, half_width=layer.half_width,
-        residual_sup_inner=res,
+        s=s, L0=L0, c=c, field=GridField.line(psi, R, tail), residual_sup_inner=res,
         cg_info={"iterations": its0 + its1, "passes": 2,
                  "pcg_iterations": [its0, its1], "tail_exponent": beta},
         odd_tail_amplitude=odd_amp,
@@ -639,24 +499,13 @@ def _cg(matvec, b, psolve, tol, max_iter, callback, x0=None):
 # ---------------------------------------------------------------------------
 
 
-def _tail_to_dict(t: TailModel) -> dict:
-    return {
-        "c_minus": t.c_minus,
-        "c_plus": t.c_plus,
-        "slope": t.slope,
-        "powers_minus": [list(p) for p in t.powers_minus],
-        "powers_plus": [list(p) for p in t.powers_plus],
-    }
+def _field_to_dict(f: GridField) -> dict:
+    return {"half_width": f.half_width, "values": f.values.tolist(), "tail": asdict(f.tail)}
 
 
-def _tail_from_dict(d: dict) -> TailModel:
-    return TailModel(
-        c_minus=d["c_minus"],
-        c_plus=d["c_plus"],
-        slope=d["slope"],
-        powers_minus=tuple(tuple(p) for p in d["powers_minus"]),
-        powers_plus=tuple(tuple(p) for p in d["powers_plus"]),
-    )
+def _field_from_dict(d: dict) -> GridField:
+    return GridField.line(np.asarray(d["values"], dtype=float), d["half_width"],
+                          TailModel(**d["tail"]))
 
 
 def layer_to_dict(layer: LayerSolution) -> dict:
@@ -664,37 +513,24 @@ def layer_to_dict(layer: LayerSolution) -> dict:
         "s": layer.s,
         "potential_coeffs": list(layer.potential.cosine_coeffs),
         "g_const": layer.g_const,
-        "half_width": layer.half_width,
-        "values": layer.field.values.tolist(),
-        "tail": _tail_to_dict(layer.field.tail),
+        **_field_to_dict(layer.field),
         "c0": layer.c0,
-        "gradient_sq_integral": layer.gradient_sq_integral,
         "residual_sup_inner": layer.residual_sup_inner,
-        "tail_amp_minus": layer.tail_amp_minus,
-        "tail_amp_plus": layer.tail_amp_plus,
-        "monotone": layer.monotone,
     }
 
 
 def layer_from_dict(d: dict) -> LayerSolution:
-    W = PeriodicPotential(tuple(d["potential_coeffs"]))
-    values = np.asarray(d["values"], dtype=float)
-    field = GridField.line(values, d["half_width"], _tail_from_dict(d["tail"]))
-    h = field.h
+    field = _field_from_dict(d)
     return LayerSolution(
         s=d["s"],
-        potential=W,
+        potential=PeriodicPotential(tuple(d["potential_coeffs"])),
         g_const=d["g_const"],
         field=field,
-        phi_prime=np.gradient(values, h),
+        phi_prime=np.gradient(field.values, field.h),
         c0=d["c0"],
-        gradient_sq_integral=d["gradient_sq_integral"],
         residual_sup_inner=d["residual_sup_inner"],
         dt=0.0,
         steps=0,
-        monotone=d["monotone"],
-        tail_amp_minus=d["tail_amp_minus"],
-        tail_amp_plus=d["tail_amp_plus"],
         diagnostics={"loaded": True},
     )
 
@@ -704,9 +540,7 @@ def corrector_to_dict(psi: CorrectorSolution) -> dict:
         "s": psi.s,
         "L0": psi.L0,
         "c": psi.c,
-        "values": psi.values.tolist(),
-        "tail": _tail_to_dict(psi.tail),
-        "half_width": psi.half_width,
+        **_field_to_dict(psi.field),
         "residual_sup_inner": psi.residual_sup_inner,
         "odd_tail_amplitude": psi.odd_tail_amplitude,
     }
@@ -717,9 +551,7 @@ def corrector_from_dict(d: dict) -> CorrectorSolution:
         s=d["s"],
         L0=d["L0"],
         c=d["c"],
-        values=np.asarray(d["values"], dtype=float),
-        tail=_tail_from_dict(d["tail"]),
-        half_width=d["half_width"],
+        field=_field_from_dict(d),
         residual_sup_inner=d["residual_sup_inner"],
         cg_info={"loaded": True},
         odd_tail_amplitude=d["odd_tail_amplitude"],

@@ -74,7 +74,7 @@ def test_criterion_02_half_order_layer_closed_form(W_std):
     t0 = time.perf_counter()
     layer = solve_layer(0.5, W_std, R_dom=20.0, n=2048)
     elapsed = time.perf_counter() - t0
-    x = layer.nodes
+    x = layer.field.nodes
     exact = 0.5 + np.arctan(x) / np.pi
     sup = float(np.max(np.abs(layer.field.values - exact)))
     c0_rel = abs(layer.c0 - 2.0 * math.pi) / (2.0 * math.pi)
@@ -164,10 +164,10 @@ def test_criterion_06_hull_residual_decay(layer_s075, psi_s075, layer_s03, psi_s
 def test_criterion_07_product_identity(layer_half):
     layer = layer_half
     n = layer.field.n
-    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
+    plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     zero = TailModel.zero()
-    bump = np.exp(-0.5 * layer.nodes**2)
+    bump = np.exp(-0.5 * layer.field.nodes**2)
     rng = np.random.default_rng(2024)
     idx = rng.integers(n // 10, n - n // 10, size=10)
     B = bilinear_form_B(plan, f_vals, layer.field.tail, bump, idx)

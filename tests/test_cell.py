@@ -501,11 +501,29 @@ def test_hbar_table_evolves_each_row_once(monkeypatch):
 
 def test_forcing_excludes_the_exact_zero_certificate():
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.0, potential=W_STD,
-                           forcing=Forcing.zero(), n=64, horizon=20.0)
+                           forcing=Forcing((ForcingTerm(0.05, 1, 1),)), n=64, horizon=20.0)
     trace = solve_cell_evolution(spec)
     assert trace.certified is None
     assert trace.horizon == spec.horizon
     assert trace.times[-1] >= spec.horizon
+
+
+@pytest.mark.parametrize("forcing", [
+    Forcing.zero(),
+    Forcing((ForcingTerm(0.0, 1, 1),)),
+    Forcing((ForcingTerm(1.0, 0, 1, "sin"),)),
+], ids=["no-terms", "zero-amp", "sin-mode-0"])
+def test_forcing_with_no_live_term_is_no_forcing(forcing):
+    """A forcing that vanishes identically is absent: its rows take the
+    direct route and give exactly the forcing-free fit (stepping them would
+    add an Euler bias, 3e-4 at p = 1/2, F = 1, n = 128)."""
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=128, horizon=20.0)
+    for p, F in ((Fraction(1, 2), 1.0), (Fraction(0), 0.1), (Fraction(0), 1.0)):
+        spec = replace(base, slope=p, drive=F)
+        fit = hbar(replace(spec, forcing=forcing))
+        assert fit == hbar(spec)
+        assert fit.horizon == 0.0
 
 
 def test_spec_validation():

@@ -180,11 +180,11 @@ def test_claim2_scaling(layer_half):
 def test_bilinear_form_identity(layer_half):
     layer = layer_half
     n = layer.field.n
-    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
+    plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     f_tail = layer.field.tail
     bump = CutoffFunction(R=3.0)
-    g_vals = bump(layer.nodes)
+    g_vals = bump(layer.field.nodes)
     zero = TailModel.zero()
 
     rng = np.random.default_rng(7)
@@ -203,11 +203,11 @@ def test_bilinear_form_bound_off_support(layer_half):
     """Where the bump vanishes, |B(f, g)| <= 2 sup|f| I[g]."""
     layer = layer_half
     n = layer.field.n
-    plan = plan_for("line", n, layer.half_width, layer.s, layer.g_const)
+    plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
     bump = CutoffFunction(R=2.0)
-    g_vals = bump(layer.nodes)
-    idx = np.nonzero(np.abs(layer.nodes) > 6.0)[0]
+    g_vals = bump(layer.field.nodes)
+    idx = np.nonzero(np.abs(layer.field.nodes) > 6.0)[0]
     idx = idx[(idx > n // 10) & (idx < n - n // 10)][::37]
     B = bilinear_form_B(plan, f_vals, layer.field.tail, g_vals, idx)
     I_g = plan.apply(g_vals, TailModel.zero())

@@ -6,8 +6,8 @@ import pytest
 from fracpn.fracop import normalization_constant
 from fracpn.layer import (
     LayerConvergenceError,
+    _monotone,
     check_layer_decay,
-    compute_c0,
     corrector_from_dict,
     corrector_to_dict,
     layer_from_dict,
@@ -22,29 +22,29 @@ INV_PI = 1.0 / math.pi
 
 
 def test_half_order_profile_matches_arctan(layer_half):
-    x = layer_half.nodes
+    x = layer_half.field.nodes
     exact = 0.5 + np.arctan(x) / np.pi
     assert np.max(np.abs(layer_half.field.values - exact)) < 1e-3
 
 
 def test_half_order_c0_is_two_pi(layer_half):
     assert layer_half.c0 == pytest.approx(TWO_PI, rel=0.01)
-    # and the gradient integral is its reciprocal, 1/(2 pi)
-    assert layer_half.gradient_sq_integral == pytest.approx(1.0 / TWO_PI, rel=0.01)
-    assert compute_c0(layer_half) == layer_half.c0
 
 
 def test_half_order_tail_amplitudes(layer_half):
     # theory: phi - H ~ -sign(x) A |x|^(-2s) with A = g/(2 s alpha) = 1/pi
-    assert layer_half.tail_amp_minus == pytest.approx(INV_PI, rel=0.05)
-    assert layer_half.tail_amp_plus == pytest.approx(-INV_PI, rel=0.05)
+    (a_minus, beta_minus), = layer_half.field.tail.powers_minus
+    (a_plus, beta_plus), = layer_half.field.tail.powers_plus
+    assert beta_minus == beta_plus == 1.0
+    assert a_minus == pytest.approx(INV_PI, rel=0.05)
+    assert a_plus == pytest.approx(-INV_PI, rel=0.05)
 
 
 @pytest.mark.parametrize("fix", ["layer_half", "layer_s075", "layer_s03"])
 def test_layer_basics(fix, request):
     lay = request.getfixturevalue(fix)
     n = lay.field.n
-    assert lay.monotone
+    assert _monotone(lay.field.values)
     assert lay.residual_sup_inner < 1e-5
     assert lay.field.values[n // 2] == pytest.approx(0.5, abs=1e-12)
     assert lay.field.values[0] < 0.05 and lay.field.values[-1] > 0.95
@@ -52,13 +52,12 @@ def test_layer_basics(fix, request):
 
 
 def test_eval_phi_interpolates_and_extends(layer_half):
-    x = layer_half.nodes
     inner = np.linspace(-10.0, 10.0, 101)
     exact = 0.5 + np.arctan(inner) / np.pi
-    assert np.max(np.abs(layer_half.eval_phi(inner) - exact)) < 1e-3
+    assert np.max(np.abs(layer_half.field.eval(inner) - exact)) < 1e-3
     # beyond the window the tail model takes over and stays in [0, 1]-ish
     far = np.array([-500.0, 500.0])
-    v = layer_half.eval_phi(far)
+    v = layer_half.field.eval(far)
     assert v[0] == pytest.approx(0.0, abs=1e-3)
     assert v[1] == pytest.approx(1.0, abs=1e-3)
 
@@ -125,13 +124,13 @@ def test_corrector_solvability_integral(layer_s03):
 
 def test_corrector_is_linear_in_drive(layer_s03, psi_s03):
     psi2 = solve_corrector_psi(layer_s03, 2.0)
-    scale = np.max(np.abs(psi2.values))
-    assert np.max(np.abs(psi2.values - 2.0 * psi_s03.values)) < 1e-6 * max(scale, 1.0)
+    scale = np.max(np.abs(psi2.field.values))
+    assert np.max(np.abs(psi2.field.values - 2.0 * psi_s03.field.values)) < 1e-6 * max(scale, 1.0)
 
 
 def test_corrector_zero_drive_is_zero(layer_s03):
     psi0 = solve_corrector_psi(layer_s03, 0.0)
-    assert np.all(psi0.values == 0.0)
+    assert np.all(psi0.field.values == 0.0)
     assert psi0.c == 0.0
 
 
@@ -147,16 +146,31 @@ def test_layer_serialization_round_trip(layer_half):
     assert back.c0 == layer_half.c0
     np.testing.assert_array_equal(back.field.values, layer_half.field.values)
     x = np.linspace(-30, 30, 17)
-    np.testing.assert_allclose(back.eval_phi(x), layer_half.eval_phi(x), atol=1e-12)
+    np.testing.assert_allclose(back.field.eval(x), layer_half.field.eval(x), atol=1e-12)
+    _assert_tail_takes_over(back.field, layer_half.field)
+    # each number is stored once: c0 = 1/int phi'^2, the tail amplitudes in
+    # "tail", and monotonicity is a solve_layer postcondition
+    assert not {"gradient_sq_integral", "tail_amp_minus", "tail_amp_plus", "monotone"} & d.keys()
 
 
 def test_corrector_serialization_round_trip(psi_s03):
     d = corrector_to_dict(psi_s03)
     back = corrector_from_dict(d)
     assert back.c == psi_s03.c
-    np.testing.assert_array_equal(back.values, psi_s03.values)
+    np.testing.assert_array_equal(back.field.values, psi_s03.field.values)
     x = np.linspace(-30, 30, 17)
-    np.testing.assert_allclose(back.eval(x), psi_s03.eval(x), atol=1e-12)
+    np.testing.assert_allclose(back.field.eval(x), psi_s03.field.eval(x), atol=1e-12)
+    _assert_tail_takes_over(back.field, psi_s03.field)
+
+
+def _assert_tail_takes_over(back, field):
+    """Past R - 2h, inside the window and beyond it, a field and its
+    round-tripped copy both read their (equal) tail model."""
+    R, h = field.half_width, field.h
+    x = np.array([-R - 7.0, -R, -(R - 1.5 * h), R - 1.5 * h, R, R + 7.0])
+    assert back.tail == field.tail
+    np.testing.assert_array_equal(back.eval(x), field.tail.eval(x))
+    np.testing.assert_array_equal(field.eval(x), field.tail.eval(x))
 
 
 def test_iteration_counts_flat_in_n(W_std):

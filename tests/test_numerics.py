@@ -20,8 +20,8 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta as scipy_zeta
 
 import fracpn
-from fracpn.fracop import _hurwitz_zeta, normalization_constant
-from fracpn.layer import CubicSpline, _cg
+from fracpn.fracop import CubicSpline, _hurwitz_zeta, normalization_constant
+from fracpn.layer import _cg
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min
 
 

@@ -387,6 +387,20 @@ def test_cli_hbar_with_forcing_constant_in_t(tmp_path, capsys):
     assert row["speed"] == pytest.approx(0.7, abs=1e-6)
 
 
+def test_cli_hbar_with_empty_forcing_is_forcing_free(tmp_path, capsys):
+    """"forcing": {"terms": []} is no forcing: the row takes the direct route
+    and writes the forcing-free row."""
+    d = hbar_cfg_dict()
+    rows = []
+    for forcing in (None, {"terms": []}):
+        d["forcing"] = forcing
+        out = tmp_path / str(len(rows))
+        assert cli.main(["hbar", "--config", str(write_cfg(tmp_path, d)), "--out", str(out)]) == 0
+        rows.append(runio.read_csv(out / "free-hbar.csv")[2])
+    assert rows[0] == rows[1]
+    assert rows[1][0]["horizon"] == 0.0
+
+
 def test_cli_command_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, layer_cfg_dict())
     rc = cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path)])
