@@ -28,7 +28,8 @@ Direct route.  A row with no forcing (none, or no live term, see
 (no ``initial`` state and no ``dt``), is solved with no time step.  Its
 trace holds one sample at t = 0 and ``horizon`` 0.0, and ``certified``
 holds (speed, uncertainty, corrector amplitude), which ``estimate_lambda``
-reports as they stand.  The values are the flow's, free of time-step error.
+reports as they stand.  The values are free of time-step error, and the
+sloped ones of the quadrature's grid error too.
 
 (a) Slope 0: the uniform orbit.  The state from v = 0 stays uniform, and
     v = c solves the scalar ODE c' = F - W'(c) (I vanishes on constants).
@@ -57,15 +58,20 @@ reports as they stand.  The values are the flow's, free of time-step error.
         c (p + D V) = I[V] + F - W'(p x + V),    mean(V) = 0,
 
     with D the spectral derivative; then mean(v) = lambda t with
-    lambda = p c, and the corrector amplitude is 0.  Newton on this
-    bordered system starts from V = 0, c = F / p (the free wave) and
-    solves each step densely: the Jacobian c D - I + diag W''(p x + V),
-    bordered by p + D V and the mean row, is a circulant plus a diagonal,
-    copied into one preallocated (n + 1)^2 array from a strided view of
-    its first column (I's column is one ``PeriodicPlan.apply``).  Once a
-    Newton step falls to WAVE_STEP_TOL, the change of lambda by one more
-    step is the uncertainty, and the speed is accepted when that is at
-    most 1e-12 * max(1, |lambda|).  Multiplying by U' = p + D V and summing
+    lambda = p c, and the corrector amplitude is 0.  ``travelling_wave``
+    solves it on any torus plan; the direct route uses the exact-symbol
+    spectral plan on m = max(16, 8q), 2m, 4m, ... <= WAVE_MAX_N points
+    until two successive speeds agree to CERTIFY_RTOL * max(1, |lambda|),
+    and reports the finer grid's wave (``spec.n`` does not enter), its
+    uncertainty raised to the pair difference.  On each grid Newton starts
+    from V = 0, c = F / p (the free wave) and solves each step densely:
+    the Jacobian c D - I + diag W''(p x + V), bordered by p + D V and the
+    mean row, is a circulant plus a diagonal, copied into one preallocated
+    (m + 1)^2 array from a strided view of its first column (I's column is
+    one ``plan.apply``).  Once a Newton step falls to WAVE_STEP_TOL, the
+    change of lambda by one more step is the uncertainty, and the speed is
+    accepted when that is at most CERTIFY_RTOL * max(1, |lambda|).
+    Multiplying by U' = p + D V and summing
     gives the discrete identity c sum h (U')^2 = F p q: I and D commute
     and D is skew, so the operator term drops exactly, and the potential
     term sums a periodic derivative, which vanishes up to spectral
@@ -77,12 +83,13 @@ reports as they stand.  The values are the flow's, free of time-step error.
     by v -> v + 1, so mean(v) cannot drift linearly.  The solve runs at
     |F| and the result is reflected, v(x) -> -v(-x), for F < 0 (W' is
     odd), so speeds are exactly odd in F.  A solve that has not converged
-    within WAVE_MAX_ITER steps, or a grid with n > WAVE_MAX_N, sends the
-    row to the stepped route.
+    within WAVE_MAX_ITER steps sends the row to the stepped route at once,
+    with no larger grid tried, and so does a pair not agreed by WAVE_MAX_N.
 
 Stepped route.  Every other row -- with forcing, with an explicit ``dt``
-or ``initial`` state, with n > WAVE_MAX_N, or a direct solve that failed --
-takes Euler steps to ``spec.horizon``, checked only against the mean-drift
+or ``initial`` state, or a direct solve that failed -- takes Euler steps
+on the quadrature plan at ``spec.n`` (comparison needs its nonnegative
+weights) to ``spec.horizon``, checked only against the mean-drift
 envelope above.  Its speed is the least-squares slope of mean(v) over the
 second half [T/2, T] of the run, T the last step's time; the uncertainty
 is the spread between the slopes fitted on the two halves of that window,
@@ -138,8 +145,8 @@ QUAD_MAX_NODES = 2**20  # (a): a quadrature unsettled here sends the row to be s
 AMP_SAMPLES = 2**16  # (a): fewest points on which the corrector's extrema are read
 REST_SAMPLES = 1024  # (a): samples of a period searched for the rest point's sign change
 FIT_TOL = 1e-3  # default fit tolerance
-CERTIFY_RTOL = 1e-12  # (b): the last |dlambda|, relative to max(1, |lambda|)
-WAVE_MAX_N = 1024  # (b): largest dense Jacobian, (n + 1)^2 floats (~8.4 MB)
+CERTIFY_RTOL = 1e-12  # (b): last |dlambda| and grid-pair difference, relative to max(1, |lambda|)
+WAVE_MAX_N = 1024  # (b): largest spectral grid m; its dense Jacobian is (m + 1)^2 floats (~8.4 MB)
 WAVE_MAX_ITER = 20  # (b): Newton steps before the row is stepped instead
 WAVE_STEP_TOL = 1e-10  # (b): a converged Newton step, relative to max(1, |c|)
 
@@ -211,7 +218,7 @@ class CellTrace:
     spec: CellProblemSpec
     times: np.ndarray
     means: np.ndarray
-    v_final: np.ndarray
+    v_final: np.ndarray  # on spec.n points; a direct sloped row's on its spectral grid
     dt: float
     envelope_bound: float  # sup|W'| + sup|sigma|
     horizon: float  # the time the run covered: spec.horizon, or 0.0 (direct route)
@@ -357,6 +364,23 @@ def travelling_wave(plan, W, px, slope: Fraction, drive: float):
     return V, (lam, unc, 0.0)
 
 
+def spectral_wave(spec: CellProblemSpec, W):
+    """Route (b) on the spectral plan (module docstring): the wave on the
+    finer grid of the first pair m, 2m whose speeds agree, or None."""
+    q = spec.torus_period
+    m, last = max(16, 8 * q), None
+    while m <= WAVE_MAX_N:
+        plan = plan_for("spectral", m, 0.5 * q, spec.s, spec.g_const)
+        px = float(spec.slope) * ((q / m) * np.arange(m))
+        if (wave := travelling_wave(plan, W, px, spec.slope, spec.drive)) is None:
+            return None
+        V, (lam, unc, amp) = wave
+        if last is not None and abs(lam - last) <= CERTIFY_RTOL * max(1.0, abs(lam)):
+            return V, (lam, max(unc, abs(lam - last)), amp)
+        last, m = lam, 2 * m
+    return None
+
+
 def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     """The direct route when it applies and succeeds; otherwise Euler steps
     of the torus flow to ``spec.horizon`` (module docstring)."""
@@ -377,8 +401,7 @@ def solve_cell_evolution(spec: CellProblemSpec, initial=None) -> CellTrace:
     direct = None
     if sigma is None and initial is None and spec.dt is None:
         if spec.slope != 0:
-            if n <= WAVE_MAX_N:
-                direct = travelling_wave(plan, W, px, spec.slope, F)
+            direct = spectral_wave(spec, W)
         elif (known := known_speed(W, F, K)) is not None:
             c = rest_point(W, F) if known[0] == 0.0 and F != 0.0 else 0.0
             if c is not None:

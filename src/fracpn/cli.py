@@ -121,6 +121,8 @@ def _run_homogenize(cfg, path, base, workers):
     _, _, rows = runio.read_csv(table_path)
     branch = num["branch"]
     if branch == homog.BRANCH_WEAK:
+        if not any(r["drive"] == 0.0 for r in rows):
+            raise runio.ConfigError([f"inputs.hbar_table: {table_path} has no rows at drive 0.0"])
         law = homog.SlopeLaw.from_rows(rows, drive=0.0)
     else:
         p = _slope(num["slope"], "slope")

@@ -578,6 +578,26 @@ def periodic_plan(n: int, period: float, s: float, g_const: float, m_inner: int)
     return PeriodicPlan(n, period, s, g_const, m_inner)
 
 
+class SpectralPlan:
+    """The exact symbol on an n-point torus: mode k is multiplied by
+    -(g/C(1,s)) |2 pi k / period|^(2s).  Spectrally accurate, but with no
+    nonnegative weights, so it serves solves, not explicit Euler steps."""
+
+    def __init__(self, n: int, period: float, s: float, g_const: float):
+        self.n = n
+        self.period = period
+        k = np.arange(n // 2 + 1, dtype=float)
+        self.symbol = -(g_const / normalization_constant(s)) * (2.0 * np.pi * k / period) ** (2.0 * s)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(values) * self.symbol, n=self.n)
+
+
+@lru_cache(maxsize=64)
+def spectral_plan(n: int, period: float, s: float, g_const: float) -> SpectralPlan:
+    return SpectralPlan(n, period, s, g_const)
+
+
 # ---------------------------------------------------------------------------
 # line plan
 # ---------------------------------------------------------------------------
@@ -733,24 +753,26 @@ def _split_radius(r, extent: float) -> float:
 
 
 def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
-    """The quadrature plan for an n-point grid: the one place that picks
-    the split radius and the inner-cell count.
+    """The plan for an n-point grid: the one place that picks a quadrature
+    plan's split radius and inner-cell count.
 
-    ``extent`` is half the period for ``geometry="periodic"`` and the
-    half-width for ``geometry="line"``.  ``g=None`` is C(1,s); ``r=None`` is
-    min(1, extent/2).  The inner-cell count round(r/h) is clamped to
-    [2, extent/h], so a grid with h > r/2 gets two cells
-    (``levy_apply_quadrature`` rejects such a radius instead).
+    ``extent`` is half the period for ``geometry="periodic"`` and
+    ``"spectral"`` (the exact symbol; no ``r``), and the half-width for
+    ``"line"``.  ``g=None`` is C(1,s); ``r=None`` is min(1, extent/2).  The
+    inner-cell count round(r/h) is clamped to [2, extent/h], so a grid with
+    h > r/2 gets two cells (``levy_apply_quadrature`` rejects it instead).
     """
     s = _coerce_s(s)
     g_const = kernel_constant(s, g)
+    if geometry == "spectral":
+        return spectral_plan(n, 2.0 * extent, s, g_const)
     h = 2.0 * extent / n
     m = max(2, min(int(round(_split_radius(r, extent) / h)), int(extent / h)))
     if geometry == "periodic":
         return periodic_plan(n, 2.0 * extent, s, g_const, m)
     if geometry == "line":
         return line_plan(n, float(extent), s, g_const, m)
-    raise ValueError(f"geometry must be 'periodic' or 'line' (got {geometry!r})")
+    raise ValueError(f"geometry must be 'periodic', 'spectral' or 'line' (got {geometry!r})")
 
 
 def levy_apply_quadrature(field: GridField, s, g, r=None) -> GridField:
@@ -780,20 +802,12 @@ def levy_apply_quadrature(field: GridField, s, g, r=None) -> GridField:
 
 
 def levy_apply_spectral(field: GridField, s) -> GridField:
-    """Fourier-multiplier application of -(-Delta)^s on a torus.
-
-    Mode k is multiplied by -(2 pi |k| / period)^(2s); the multiplier
-    vanishes at k = 0, so constants map to the zero field.
-    """
-    s = _coerce_s(s)
+    """Fourier-multiplier application of -(-Delta)^s on a torus: the
+    spectral plan at g = C(1,s), so constants map to the zero field."""
     if field.geometry != "periodic":
         raise ValueError("spectral application requires a periodic field")
-    n, q = field.n, field.period
-    k = np.arange(n // 2 + 1, dtype=float)
-    mult = -((2.0 * np.pi * k / q) ** (2.0 * s))
-    mult[0] = 0.0
-    out = np.fft.irfft(np.fft.rfft(field.values) * mult, n=n)
-    return GridField.periodic(out, q)
+    plan = plan_for("spectral", field.n, 0.5 * field.period, s)
+    return GridField.periodic(plan.apply(field.values), field.period)
 
 
 @dataclass(frozen=True)

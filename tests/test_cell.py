@@ -18,6 +18,7 @@ from fracpn.cell import (
     hbar_table,
     known_speed,
     solve_cell_evolution,
+    travelling_wave,
 )
 from fracpn.fracop import AnisotropyKernel, plan_for
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, eval_potential
@@ -133,10 +134,20 @@ def test_table_rows_sorted_and_parallel_consistent():
 
 # criterion 04's grid: s = 1/2, n = 512, horizon 200
 GRID_SLOPES = (Fraction(1, 2), Fraction(1), Fraction(2))
-# the travelling-wave speeds at F = +1 (route (c)); the F = -1 speeds are
+# the travelling-wave speeds at F = +1 on the quadrature plan at n = 512,
+# the limit the stepped route converges to as dt -> 0; the F = -1 speeds are
 # their negatives
 GRID_SPEEDS = {Fraction(1, 2): 0.9898579931077437, Fraction(1): 0.9936875636410787,
                Fraction(2): 0.9974738524027031}
+
+
+def _quadrature_wave(spec):
+    """travelling_wave on the quadrature plan at spec.n: (V, (speed,
+    uncertainty, corrector amplitude)), or None."""
+    q, n = spec.torus_period, spec.n
+    plan = plan_for("periodic", n, 0.5 * q, spec.s, spec.g_const)
+    px = float(spec.slope) * ((q / n) * np.arange(n))
+    return travelling_wave(plan, spec.potential, px, spec.slope, spec.drive)
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +169,12 @@ def test_drive_zero_rows_certify_exact_zero(grid_rows):
 def test_travelling_wave_rows_are_solved_without_stepping(grid_rows):
     for p in GRID_SLOPES:
         for F in (-1.0, 1.0):
+            spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD, n=512)
+            _, (speed, unc, amp) = _quadrature_wave(spec)
+            assert speed == pytest.approx(F * GRID_SPEEDS[p], abs=1e-12)
+            assert unc <= 1e-12
+            assert amp == 0.0
             row = grid_rows[(p, F)]
-            assert row["speed"] == pytest.approx(F * GRID_SPEEDS[p], abs=1e-12)
             assert row["uncertainty"] <= 1e-12
             assert row["corrector_amplitude"] == 0.0
             assert row["horizon"] == 0.0
@@ -192,12 +207,12 @@ def test_direct_speeds_are_the_dt_limit_of_stepping():
         assert abs(r1 - direct) <= 1.2e-7
 
 
-def _u_prime(trace):
-    """U' = p + D V on the trace's grid, D the spectral derivative."""
-    n, q = trace.spec.n, trace.spec.torus_period
+def _u_prime(p, V):
+    """U' = p + D V on the grid of V, D the spectral derivative."""
+    n, q = V.size, p.denominator
     d_hat = 2j * math.pi / q * np.arange(n // 2 + 1)
     d_hat[-1] = 0.0
-    return float(trace.spec.slope) + np.fft.irfft(np.fft.rfft(trace.v_final) * d_hat, n=n)
+    return float(p) + np.fft.irfft(np.fft.rfft(V) * d_hat, n=n)
 
 
 OROWAN_ROWS = [(Fraction(1, 5), 0.2), (Fraction(1, 10), 0.1), (Fraction(1, 20), 0.05)]
@@ -207,45 +222,111 @@ OROWAN_ROWS = [(Fraction(1, 5), 0.2), (Fraction(1, 10), 0.1), (Fraction(1, 20), 
                          + OROWAN_ROWS)
 def test_travelling_wave_identity(p, F):
     """c sum h (U')^2 = F p q on cell-grid's six moving rows and on
-    criterion 05's three Orowan rows (s = 1/2, n = 512, drive = delta)."""
+    criterion 05's three Orowan rows (s = 1/2, drive = delta), for the wave
+    on the quadrature plan at n = 512 and for the direct route, which
+    solves on the spectral plan's grid (the size of v_final)."""
     spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD, n=512, horizon=200.0)
     trace = solve_cell_evolution(spec)
     assert trace.horizon == 0.0
     q = p.denominator
-    c = trace.certified[0] / float(p)
-    lhs = c * (q / spec.n) * float(np.sum(_u_prime(trace) ** 2))
-    assert lhs == pytest.approx(F * float(p) * q, rel=1e-12, abs=0.0)
+    for V, (speed, _, _) in (_quadrature_wave(spec), (trace.v_final, trace.certified)):
+        c = speed / float(p)
+        lhs = c * (q / V.size) * float(np.sum(_u_prime(p, V) ** 2))
+        assert lhs == pytest.approx(F * float(p) * q, rel=1e-12, abs=0.0)
+
+
+# criterion 05's rows and cell-grid's F = +1 rows: (slope, drive) at s = 1/2
+DIRECT_ROWS = OROWAN_ROWS + [(p, 1.0) for p in GRID_SLOPES]
+
+
+@pytest.mark.parametrize("p, F", DIRECT_ROWS)
+def test_direct_speeds_are_grid_converged(p, F):
+    """The direct speed is reported on the finer grid 2m of a pair whose
+    speeds agree; on 4m it is unchanged to 1e-12 relative."""
+    spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD)
+    trace = solve_cell_evolution(spec)
+    speed, unc, _ = trace.certified
+    m, q = trace.v_final.size, p.denominator
+    assert m >= 2 * max(16, 8 * q)
+    plan = plan_for("spectral", 2 * m, 0.5 * q, 0.5)
+    px = float(p) * ((q / (2 * m)) * np.arange(2 * m))
+    _, (finer, _, _) = travelling_wave(plan, W_STD, px, p, F)
+    assert finer == pytest.approx(speed, rel=1e-12, abs=0.0)
+    assert unc <= 1e-12 * max(1.0, abs(speed))
+
+
+@pytest.mark.parametrize("p, F", DIRECT_ROWS)
+def test_direct_speeds_are_the_quadrature_richardson_limit(p, F):
+    """The quadrature wave converges as O(h^2); with R(n) = (4 lambda(2n) -
+    lambda(n)) / 3, the direct speed lies within |R(256) - R(512)| of
+    R(512)."""
+    lam = [_quadrature_wave(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD,
+                                            n=n))[1][0] for n in (256, 512, 1024)]
+    r1, r2 = (4.0 * lam[1] - lam[0]) / 3.0, (4.0 * lam[2] - lam[1]) / 3.0
+    direct = hbar(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD)).speed
+    assert abs(direct - r2) <= abs(r1 - r2)
 
 
 def test_direct_speeds_are_exactly_odd_in_drive():
+    """Exactly odd for the wave on the quadrature plan at n and for the
+    direct route on its spectral grid."""
     for p, F, n in ((Fraction(1, 2), 0.01, 32), (Fraction(1, 2), 0.9, 128),
                     (Fraction(-3, 2), 0.3, 64), (Fraction(1, 20), 0.05, 512)):
-        up, down = (solve_cell_evolution(CellProblemSpec(s=0.5, slope=p, drive=d,
-                                                         potential=W_STD, n=n))
-                    for d in (F, -F))
+        specs = [CellProblemSpec(s=0.5, slope=p, drive=d, potential=W_STD, n=n)
+                 for d in (F, -F)]
+        up, down = (solve_cell_evolution(spec) for spec in specs)
         assert up.horizon == down.horizon == 0.0
-        assert down.certified[0] == -up.certified[0]
-        assert down.certified[1] == up.certified[1]
-        # v(x) -> -v(-x)
-        assert np.array_equal(down.v_final, -np.roll(up.v_final[::-1], 1))
+        waves = [(up.v_final, up.certified), (down.v_final, down.certified)]
+        for (v_up, c_up), (v_down, c_down) in (waves, [_quadrature_wave(sp) for sp in specs]):
+            assert c_down[0] == -c_up[0]
+            assert c_down[1] == c_up[1]
+            # v(x) -> -v(-x)
+            assert np.array_equal(v_down, -np.roll(v_up[::-1], 1))
 
 
 def test_unconverged_wave_falls_back_to_stepping(monkeypatch):
     """A Newton solve that does not converge within the iteration cap, or
-    a grid above WAVE_MAX_N, certifies nothing: the row is stepped."""
+    a spectral grid pair (16, 32 here) that does not fit under WAVE_MAX_N,
+    certifies nothing: the row is stepped on the quadrature plan at n."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.6, potential=W_STD,
                            n=64, horizon=40.0)
     assert solve_cell_evolution(spec).horizon == 0.0
-    for name, value in (("WAVE_MAX_ITER", 2), ("WAVE_MAX_N", 32)):
+    assert _quadrature_wave(spec) is not None
+    for name, value in (("WAVE_MAX_ITER", 2), ("WAVE_MAX_N", 16)):
         with monkeypatch.context() as m:
             m.setattr(fracpn.cell, name, value)
             trace = solve_cell_evolution(spec)
+            if name == "WAVE_MAX_ITER":
+                assert _quadrature_wave(spec) is None
         assert trace.certified is None
+        assert trace.v_final.size == spec.n
         assert 0.0 < trace.horizon <= spec.horizon
         assert trace.times.size > 1
         fit = estimate_lambda(trace)
         assert fit.converged
         assert fit.speed == pytest.approx(hbar(spec).speed, abs=1e-3)  # the Euler bias
+
+
+@pytest.mark.parametrize("q", [20, 40])
+def test_divergent_wave_is_stepped_after_its_first_grid(monkeypatch, q):
+    """At s = 3/4, slope 1/q and drive q^-1.5, undamped Newton from V = 0
+    diverges: the row makes at most WAVE_MAX_ITER solves, all on its first
+    spectral grid (8q points), and is then stepped."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        sizes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    spec = CellProblemSpec(s=0.75, slope=Fraction(1, q), drive=q ** -1.5, potential=W_STD,
+                           n=64, horizon=1.0)
+    trace = solve_cell_evolution(spec)
+    assert 0 < len(sizes) <= fracpn.cell.WAVE_MAX_ITER
+    assert set(sizes) == {(8 * q + 1, 8 * q + 1)}
+    assert trace.certified is None
+    assert trace.horizon == spec.horizon
 
 
 def test_forcing_free_sloped_rows_take_no_time_step(monkeypatch):
@@ -282,11 +363,17 @@ def test_weak_table_rows_are_newton_stationary_states():
         trace = solve_cell_evolution(spec)
         assert trace.certified == (0.0, 0.0, 0.0)
         assert trace.horizon == 0.0
+        V, certified = _quadrature_wave(spec)
+        assert certified == (0.0, 0.0, 0.0)
         plan = plan_for("periodic", 256, 0.5 * q, 0.75)
-        V = trace.v_final
         px = float(p) * q * np.arange(256) / 256
         assert np.max(np.abs(plan.apply(V) - eval_potential(W_STD, px + V, 1))) <= 1e-12
         assert abs(V.mean()) <= 1e-15
+        m = trace.v_final.size
+        spectral = plan_for("spectral", m, 0.5 * q, 0.75)
+        px = float(p) * q * np.arange(m) / m
+        assert np.max(np.abs(spectral.apply(trace.v_final)
+                             - eval_potential(W_STD, px + trace.v_final, 1))) <= 1e-12
         if p == Fraction(1, 2):
             dt = 0.9 / (plan.stiffness + W_STD.derivative_bound(2))
             stepped = solve_cell_evolution(replace(spec, dt=dt, horizon=4.6875))
@@ -416,18 +503,18 @@ def test_near_depinning_speed_is_never_certified_unconverged():
 
 
 def test_uncovered_row_runs_to_the_cap():
-    """p != 0 with a small F != 0.  From rest at the CFL step, route (c)
-    solves the slowly creeping travelling wave directly.  Stepped with an
-    explicit dt (the same CFL step), no certificate covers the row ((a)
-    needs p = 0 or F = 0, and its mean advances less than 1/q over the fit
-    window, which (b) asks for), so it runs to the cap and is fitted; the
-    fit is off the direct speed by its Euler bias, 2.3e-8."""
+    """p != 0 with a small F != 0.  From rest at the CFL step, the direct
+    route solves the slowly creeping travelling wave.  Stepped with an
+    explicit dt (the same CFL step), the row runs to the cap and is fitted;
+    the fit is off the quadrature wave's speed at n = 32, its dt -> 0
+    limit, by its Euler bias, 2.3e-8."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.01, potential=W_STD,
                            n=32, horizon=20.0)
     direct = hbar(spec)
-    assert direct.speed == pytest.approx(0.0095274713, abs=1e-10)
     assert direct.uncertainty <= 1e-12
     assert direct.horizon == 0.0
+    _, (speed, _, _) = _quadrature_wave(spec)
+    assert speed == pytest.approx(0.0095274713, abs=1e-10)
     dt = 0.9 / (plan_for("periodic", 32, 1.0, 0.5).stiffness + W_STD.derivative_bound(2))
     trace = solve_cell_evolution(replace(spec, dt=dt))
     fit = estimate_lambda(trace)
@@ -436,7 +523,7 @@ def test_uncovered_row_runs_to_the_cap():
     assert fit.horizon == spec.horizon
     assert fit.speed == 0.009527448291138715
     assert fit.uncertainty == 6.938893903907228e-18
-    assert abs(fit.speed - direct.speed) == pytest.approx(2.3e-8, rel=0.05)
+    assert abs(fit.speed - speed) == pytest.approx(2.3e-8, rel=0.05)
 
 
 # criterion 08's strong table: s = 0.3, slope 0, 21 drives, n = 256, horizon 150

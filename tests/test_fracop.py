@@ -57,6 +57,25 @@ def test_periodic_quadrature_matches_spectral_on_modes(s, k):
     assert np.max(np.abs(quad - exact)) <= 2e-3 * scale
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_spectral_plan_scales_with_g_like_the_quadrature_plan(s):
+    """Both torus plans are linear in g: at g = 1.5 C(1,s) and at the
+    directional g_e of an anisotropic kernel, each is g/C(1,s) times its
+    g = C(1,s) plan, and the spectral plan is cached per g."""
+    n, half = 64, 1.5
+    x = 2.0 * half * np.arange(n) / n
+    v = np.cos(2 * np.pi * x / (2 * half)) + 0.2 * np.sin(4 * np.pi * x / (2 * half)) + 0.1
+    c = normalization_constant(s)
+    kernel = AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3,), sin_coeffs=(0.2,))
+    for g in (1.5 * c, kernel.directional_constant(s, (0.6, 0.8))):
+        for geometry in ("periodic", "spectral"):
+            base = plan_for(geometry, n, half, s).apply(v)
+            scaled = plan_for(geometry, n, half, s, g).apply(v)
+            assert np.max(np.abs(scaled - (g / c) * base)) <= 1e-13 * np.max(np.abs(base))
+        assert plan_for("spectral", n, half, s, g) is plan_for("spectral", n, half, s, g)
+        assert plan_for("spectral", n, half, s, g) is not plan_for("spectral", n, half, s)
+
+
 def test_periodic_apply_kills_constants():
     n, q = 128, 1.0
     plan = periodic_plan(n, q, 0.4, normalization_constant(0.4), 8)

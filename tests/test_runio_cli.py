@@ -529,3 +529,17 @@ def test_cli_homogenize_sub_missing_slope_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "numeric.slope" in err and "slope 1/4" in err
+
+
+def test_cli_homogenize_super_without_drive_0_exits_2(tmp_path, capsys):
+    """The weak branch reads the table's drive-0 rows; a table with none
+    exits 2 and names the table, as the strong branch does for its slope."""
+    _write_drive_table(tmp_path / "t-hbar-table.csv", [((1, 2), [-0.5, 0.5], 1.0)])
+    d = _homog_sub_cfg_dict(0.5)
+    d["operator"]["s"] = 0.75
+    d["numeric"]["branch"] = "super"
+    rc = cli.main(["homogenize", "--config", str(write_cfg(tmp_path, d)),
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "inputs.hbar_table" in err and "t-hbar-table.csv" in err and "drive 0.0" in err
