@@ -106,7 +106,6 @@ clamped or hidden.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -517,8 +516,9 @@ def hbar_table(
     """Effective speeds over a (slope, drive) grid, sorted by (slope, drive).
 
     ``base`` supplies everything except the grid axes.  With workers > 1 the
-    cells run in separate processes; the merged rows are sorted either way,
-    so output order is deterministic.
+    cells run in a pool of min(workers, cells) processes (a single cell runs
+    in this process); the merged rows are sorted either way, so output order
+    is deterministic.
     """
     slopes = [as_rational(p) for p in slopes]
     jobs = [
@@ -526,9 +526,13 @@ def hbar_table(
         for p in sorted(set(slopes))
         for F in sorted({float(F) for F in drives})
     ]
+    # the pool forks all its workers at once, busy or not
+    workers = min(workers, len(jobs))
     if workers <= 1:
         rows = [_table_worker(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_table_worker, jobs))
     rows.sort(key=lambda r: (r["slope_num"] / r["slope_den"], r["drive"]))

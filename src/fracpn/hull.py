@@ -14,6 +14,12 @@ guards the closure.  For s < 1/2 the corrector sum does not converge, so each
 corrector term is cut off by a C^2 quintic bump supported in |z| <= 2R with
 R = 1/(2 d |p0|); at any x at most three cutoff terms are nonzero.
 
+The lattice sums are evaluated over blocks of 64 grid points (_BLOCK_ROWS),
+so their temporaries hold 64 x n_terms values whatever the grid size:
+building on 1024 points with n_terms = 64 (128 in the Cauchy pass)
+allocates at most about 1 MB at once.  Each point's terms are added in the
+same order as by whole-grid sums, so the blocks change no bit of h - x.
+
 The residual operator is
 
     NL[h] = lam h' - d^2s L0 - d^2s |p0|^2s I[h] + W'(h),
@@ -283,6 +289,8 @@ class _EvenTailModel:
 # ansatz
 # ---------------------------------------------------------------------------
 
+_BLOCK_ROWS = 64  # grid points per block of the lattice sums
+
 
 @dataclass(eq=False)
 class HullAnsatz:
@@ -321,7 +329,15 @@ class HullAnsatz:
 
 
 def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
-    """h(x) - x for the lattice ansatz at points x (vectorized over x)."""
+    """h(x) - x for the lattice ansatz at points x, in blocks of _BLOCK_ROWS."""
+    out = np.empty(x.shape)
+    for lo in range(0, x.size, _BLOCK_ROWS):
+        out[lo:lo + _BLOCK_ROWS] = _assemble_block(ansatz, x[lo:lo + _BLOCK_ROWS], n_terms)
+    return out
+
+
+def _assemble_block(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
+    """h(x) - x at a block of points, each lattice sum as block x n_terms arrays."""
     scale = ansatz.scale
     s = ansatz.s
     two_s = 2.0 * s

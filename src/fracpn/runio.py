@@ -16,7 +16,6 @@ and the operator normalization constant.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -346,6 +345,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_sha256(cfg: RunConfig) -> str:
+    # hashlib maps OpenSSL: load it here, once the solve is done, not at start-up
+    import hashlib
+
     canonical = json.dumps(
         json.loads(serialize_config(cfg)), sort_keys=True, separators=(",", ":")
     )

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fracpn import hull
 from fracpn.cell import CellProblemSpec, as_rational, hbar
 from fracpn.fracop import GridField, TailModel, normalization_constant, plan_for
 from fracpn.hull import (
@@ -136,6 +138,62 @@ def test_cutoff_terms_bounded(layer_s03, psi_s03):
     assert ans.cutoff.R == pytest.approx(2.0)
     for x in (0.0, 0.3, 0.5, 1.7):
         assert ans.nonzero_cutoff_terms(x) <= 3
+
+
+def _unblocked_g(ans, x, n_terms):
+    """h(x) - x with every lattice sum taken over all points at once, as
+    len(x) x n_terms arrays: the reference for the streamed sums."""
+    scale = ans.scale
+    d2s = ans.delta ** (2.0 * ans.s)
+    phi = ans.phi_model
+    out = np.full(x.shape, d2s * ans.L0 / ans.alpha)
+    out += phi.phi_tilde(x / scale) + np.floor(x) + 1.0 - x
+    i = np.arange(1, n_terms + 1, dtype=float)
+    zp = (x[:, None] + i[None, :]) / scale
+    zm = (x[:, None] - i[None, :]) / scale
+    out += np.sum(phi.phi_tilde(zp) + phi.phi_tilde(zm), axis=1)
+    out += phi.pair_closure(x, scale, n_terms + 1)
+    if ans.cutoff is None:
+        psi = ans.psi_model
+        out += d2s * psi.eval(x / scale)
+        out += d2s * np.sum(psi.eval(zp) + psi.eval(zm), axis=1)
+        out += d2s * psi.sum_closure(x, scale, n_terms + 1)
+    else:
+        for z in (x / scale, zp, zm):
+            vals = ans.psi.field.eval(z) * ans.cutoff(z)
+            out += d2s * (vals if vals.ndim == 1 else np.sum(vals, axis=1))
+    return out
+
+
+@pytest.mark.parametrize("tag, cutoff", [("s075", False), ("s03", True)])
+def test_streamed_lattice_sums_match_unblocked(request, tag, cutoff):
+    """Row blocks change no bit of h - x, on either corrector branch and on
+    point counts that leave a short last block."""
+    lay = request.getfixturevalue(f"layer_{tag}")
+    psi = request.getfixturevalue(f"psi_{tag}")
+    n_grid = 7 * hull._BLOCK_ROWS + 13
+    ans = build_ansatz(0.2, 1.0, 1.0, lay, psi=psi, n_terms=64, n_grid=n_grid,
+                       cauchy_tol=1e-6)
+    assert (ans.cutoff is not None) == cutoff
+    assert np.array_equal(ans.g_values, _unblocked_g(ans, ans.grid, 2 * ans.n_terms))
+    x = np.linspace(-0.7, 2.3, 2 * hull._BLOCK_ROWS + 5)
+    assert np.array_equal(ans.eval_g(x), _unblocked_g(ans, x, ans.n_terms))
+
+
+@pytest.mark.parametrize("tag", ["s075", "s03"])
+def test_build_ansatz_memory_is_bounded(request, tag):
+    """The lattice sums stream in row blocks: building on 1024 points with
+    64 (and, in the Cauchy pass, 128) terms allocates at most 2 MB at once."""
+    lay = request.getfixturevalue(f"layer_{tag}")
+    psi = request.getfixturevalue(f"psi_{tag}")
+    tracemalloc.start()
+    try:
+        build_ansatz(0.05, 1.0, 1.0, lay, psi=psi, n_terms=64, n_grid=1024,
+                     cauchy_tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_build_validation(layer_half, layer_s075, psi_s075):

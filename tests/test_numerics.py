@@ -151,14 +151,23 @@ def test_cg_reports_max_iter_when_unconverged():
 
 
 def test_cli_import_loads_no_scipy():
-    """Every fracpn command is its own process: start-up must stay numpy-only."""
+    """Every fracpn command is its own process: start-up must stay numpy-only,
+    with no process pool and no OpenSSL (hashlib), and a one-row table runs
+    without the pool even when workers are offered."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracpn.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracpn.cli; "
-         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    script = """
+import sys, fracpn, fracpn.cli
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[0] in ('scipy', 'concurrent') or m == '_hashlib')
+print(heavy())
+from fracpn.cell import CellProblemSpec, hbar_table
+spec = CellProblemSpec(s=0.5, slope=fracpn.as_rational(0.5), drive=0.0,
+                       potential=fracpn.PeriodicPotential.standard(), n=64, horizon=1.0)
+print(len(hbar_table(spec, [0.5], [0.0], workers=4)), heavy())
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "1 []"]
