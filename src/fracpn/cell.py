@@ -21,7 +21,8 @@ discrete flow; a violation beyond roundoff slack aborts the run.
 
 The effective speed for (p, F) comes by one of two routes.  Each row makes
 one ``solve_cell_evolution`` call, and ``estimate_lambda`` turns its trace
-into the reported speed, uncertainty and corrector amplitude.
+into the reported speed, uncertainty and corrector amplitude; the row is
+``converged`` when the uncertainty is at most FIT_TOL.
 
 Direct route.  A row with no forcing (none, or no live term, see
 ``Forcing.is_zero``), started from rest at the CFL step
@@ -101,6 +102,11 @@ horizon, where a stop on a steady fit would come at t = 25, so it takes 8x
 those steps.  A stepped F = 0 row reads its fitted speed, zero to roundoff,
 not an exact 0.0.  Results carry an explicit ``converged`` flag; nothing is
 clamped or hidden.
+
+Tables.  ``hbar_table`` runs a table whose rows may step (a live forcing
+or an explicit ``dt``) in a pool of ``workers`` processes, and every
+other table in this process: its rows take the direct route in
+milliseconds, less than forking a pool costs.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ QUAD_RTOL = 1e-14  # (a): relative agreement of two trapezoid values
 QUAD_MAX_NODES = 2**20  # (a): a quadrature unsettled here sends the row to be stepped
 AMP_SAMPLES = 2**16  # (a): fewest points on which the corrector's extrema are read
 REST_SAMPLES = 1024  # (a): samples of a period searched for the rest point's sign change
-FIT_TOL = 1e-3  # default fit tolerance
+FIT_TOL = 1e-3  # largest uncertainty of a converged speed
 CERTIFY_RTOL = 1e-12  # (b): last |dlambda| and grid-pair difference, relative to max(1, |lambda|)
 WAVE_MAX_N = 1024  # (b): largest spectral grid m; its dense Jacobian is (m + 1)^2 floats (~8.4 MB)
 WAVE_MAX_ITER = 20  # (b): Newton steps before the row is stepped instead
@@ -454,9 +460,9 @@ def _ls_slope(t, y):
     return float(coef[0]), float(coef[1])
 
 
-def estimate_lambda(trace: CellTrace, tol: float = FIT_TOL) -> SpeedFit:
+def estimate_lambda(trace: CellTrace) -> SpeedFit:
     """The effective speed of a trace; ``converged`` records whether its
-    uncertainty is at most ``tol``.
+    uncertainty is at most FIT_TOL.
 
     A direct trace reports its ``certified`` (speed, uncertainty,
     corrector amplitude) as they stand.  A stepped trace is fitted over
@@ -481,18 +487,17 @@ def estimate_lambda(trace: CellTrace, tol: float = FIT_TOL) -> SpeedFit:
         resid = y - (speed * t + intercept)
         amp = 0.5 * float(resid.max() - resid.min())
     return SpeedFit(speed=speed, uncertainty=unc, corrector_amplitude=amp,
-                    converged=bool(unc <= tol), envelope_bound=trace.envelope_bound,
+                    converged=bool(unc <= FIT_TOL), envelope_bound=trace.envelope_bound,
                     horizon=trace.horizon)
 
 
-def hbar(spec: CellProblemSpec, tol: float = FIT_TOL) -> SpeedFit:
+def hbar(spec: CellProblemSpec) -> SpeedFit:
     """Effective speed for one (slope, drive) pair."""
-    return estimate_lambda(solve_cell_evolution(spec), tol=tol)
+    return estimate_lambda(solve_cell_evolution(spec))
 
 
-def _table_worker(args):
-    spec, tol = args
-    fit = hbar(spec, tol)
+def _table_worker(spec):
+    fit = hbar(spec)
     return {
         "slope_num": spec.slope.numerator,
         "slope_den": spec.slope.denominator,
@@ -506,28 +511,24 @@ def _table_worker(args):
     }
 
 
-def hbar_table(
-    base: CellProblemSpec,
-    slopes,
-    drives,
-    tol: float = FIT_TOL,
-    workers: int = 1,
-) -> list:
+def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
     """Effective speeds over a (slope, drive) grid, sorted by (slope, drive).
 
-    ``base`` supplies everything except the grid axes.  With workers > 1 the
-    cells run in a pool of min(workers, cells) processes (a single cell runs
-    in this process); the merged rows are sorted either way, so output order
-    is deterministic.
+    ``base`` supplies everything except the grid axes.  A table whose rows
+    may step (``base`` has a live forcing or a ``dt``) runs in a pool of
+    min(workers, cells) processes when that is more than one; any other
+    table runs in this process (module docstring).  The merged rows are
+    sorted either way, so output order is deterministic.
     """
     slopes = [as_rational(p) for p in slopes]
     jobs = [
-        (replace(base, slope=p, drive=float(F)), tol)
+        replace(base, slope=p, drive=float(F))
         for p in sorted(set(slopes))
         for F in sorted({float(F) for F in drives})
     ]
+    stepped = base.dt is not None or not (base.forcing is None or base.forcing.is_zero)
     # the pool forks all its workers at once, busy or not
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs)) if stepped else 1
     if workers <= 1:
         rows = [_table_worker(j) for j in jobs]
     else:

@@ -67,10 +67,9 @@ def _run_layer(cfg, path, base, workers):
 
 def _run_corrector(cfg, path, base, workers):
     lay = _load_layer(cfg, base)
-    tol = cfg.option("tol")
-    psi = layer.solve_corrector_psi(lay, float(cfg.numeric["L0"]), tol=tol)
-    runio.write_json_result(path, runio.make_meta(cfg, lay.g_const, {"cg_tol": tol}),
-                            layer.corrector_to_dict(psi))
+    psi = layer.solve_corrector_psi(lay, float(cfg.numeric["L0"]))
+    meta = runio.make_meta(cfg, lay.g_const, {"cg_tol": layer.CORRECTOR_RTOL})
+    runio.write_json_result(path, meta, layer.corrector_to_dict(psi))
     print(f"wrote {path}  (c = {psi.c:.6f}, residual = {psi.residual_sup_inner:.2e})")
     return 0
 
@@ -89,26 +88,23 @@ def _cell_spec(cfg, slope, drive):
 
 
 def _run_hbar(cfg, path, base, workers):
-    fit_tol = cfg.option("fit_tol")
     spec = _cell_spec(cfg, _slope(cfg.numeric["slope"], "slope"), cfg.numeric["drive"])
-    [row] = cell.hbar_table(spec, [spec.slope], [spec.drive], tol=fit_tol)
-    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": fit_tol})
+    [row] = cell.hbar_table(spec, [spec.slope], [spec.drive])
+    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": cell.FIT_TOL})
     runio.write_csv(path, cell.TABLE_COLUMNS, [row], meta)
     print(f"wrote {path}  (speed = {row['speed']:.6g}, converged = {row['converged']})")
     return 0 if row["converged"] else 1
 
 
 def _run_hbar_table(cfg, path, base, workers):
-    fit_tol = cfg.option("fit_tol")
     slopes = [_slope(p, "slopes") for p in cfg.numeric["slopes"]]
     rows = cell.hbar_table(
         _cell_spec(cfg, slopes[0], 0.0),
         slopes=slopes,
         drives=[float(F) for F in cfg.numeric["drives"]],
-        tol=fit_tol,
         workers=workers if workers is not None else cfg.option("workers"),
     )
-    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": fit_tol})
+    meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": cell.FIT_TOL})
     runio.write_csv(path, cell.TABLE_COLUMNS, rows, meta)
     bad = sum(1 for r in rows if not r["converged"])
     print(f"wrote {path}  ({len(rows)} rows, {bad} unconverged)")
@@ -149,7 +145,7 @@ def _run_homogenize(cfg, path, base, workers):
         )
         for e in num["eps_list"]
     ]
-    report = homog.convergence_report(specs, law, checkpoints=cfg.option("checkpoints"))
+    report = homog.convergence_report(specs, law)
     meta = runio.make_meta(
         cfg, kernel_constant(cfg.s, cfg.g_const), {"law_coverage": law.coverage}
     )
@@ -176,7 +172,7 @@ def _run_ansatz_residual(cfg, path, base, workers):
     meta = runio.make_meta(cfg, lay.g_const, {"cauchy_tol": cauchy_tol})
     result = {
         "delta": ans.delta, "p0": ans.p0, "L0": ans.L0, "s": ans.s,
-        "kind": ans.kind, "n_terms": ans.n_terms,
+        "n_terms": ans.n_terms,
         "cauchy_diff": ans.cauchy_diff,
         "cutoff_R": None if ans.cutoff is None else ans.cutoff.R,
         "lam": rep.lam, "sup_abs": rep.sup_abs, "over_d2s": rep.over_d2s,
@@ -192,13 +188,12 @@ def _run_ansatz_residual(cfg, path, base, workers):
 def _run_orowan(cfg, path, base, workers):
     num = cfg.numeric
     lay = _load_layer(cfg, base)
-    fit_tol = cfg.option("fit_tol")
     rep = hull.orowan_check(
         [float(d) for d in num["delta_list"]],
         float(num["p0"]), float(num["L0"]), lay,
-        n=cfg.option("n"), horizon=cfg.option("horizon"), fit_tol=fit_tol,
+        n=cfg.option("n"), horizon=cfg.option("horizon"),
     )
-    meta = runio.make_meta(cfg, lay.g_const, {"fit_tol": fit_tol})
+    meta = runio.make_meta(cfg, lay.g_const, {"fit_tol": cell.FIT_TOL})
     meta["target"] = rep.target
     runio.write_csv(path, hull.OROWAN_COLUMNS, rep.rows, meta)
     for w in rep.warnings:

@@ -19,7 +19,8 @@ slope must satisfy slope / eps^a_W in Z so the pinning term stays periodic
 (and 1/eps in Z when a forcing is present).  The eps problem is the cell
 module's torus flow with eps-power scales (``cell.torus_flow``), and both
 problems step by ``cell.euler_steps``.  dt is the largest step within the
-CFL bound that splits each checkpoint interval into k >= 4 whole steps, so
+CFL bound that splits each of the CHECKPOINTS - 1 intervals between
+equally spaced checkpoints of [0, horizon] into k >= 4 whole steps, so
 every snapshot is an exact Euler state.
 """
 
@@ -51,6 +52,8 @@ __all__ = [
 
 BRANCH_WEAK = "super"  # s >= 1/2: operator fades, speed = law(slope)
 BRANCH_STRONG = "sub"  # s <= 1/2: operator survives, speed = law(I[u])
+CHECKPOINTS = 33  # shared snapshot times of the eps and effective runs
+COMPACT = (0.1, 1.0)  # the compared time window, as fractions of the horizon
 
 
 class OutsideTableError(ValueError):
@@ -152,27 +155,26 @@ class Trajectory:
         return np.arange(n) / n
 
 
-def _run(rhs, w0, dt_cfl: float, T: float, checkpoints: int,
-         max_steps: float = math.inf) -> Trajectory:
-    """Explicit Euler states at `checkpoints` equally spaced times of [0, T],
+def _run(rhs, w0, dt_cfl: float, T: float, max_steps: float = math.inf) -> Trajectory:
+    """Explicit Euler states at CHECKPOINTS equally spaced times of [0, T],
     k >= 4 whole steps of dt <= dt_cfl apart (module docstring)."""
-    spacing = T / (checkpoints - 1)
+    spacing = T / (CHECKPOINTS - 1)
     k = max(4, math.ceil(spacing / dt_cfl))
-    dt, nsteps = spacing / k, k * (checkpoints - 1)
+    dt, nsteps = spacing / k, k * (CHECKPOINTS - 1)
     if nsteps > max_steps:
         raise StepBudgetError(
             f"{nsteps} steps exceed the budget {max_steps} (CFL step "
             f"{dt_cfl:.3e}); use a larger eps or a shorter horizon"
         )
-    snaps = np.empty((checkpoints, w0.size))
+    snaps = np.empty((CHECKPOINTS, w0.size))
     snaps[0] = w0
     for j, w in euler_steps(rhs, w0, dt, nsteps):
         if j % k == 0:
             snaps[j // k] = w
-    return Trajectory(times=np.linspace(0.0, T, checkpoints), remainders=snaps, dt=dt)
+    return Trajectory(times=np.linspace(0.0, T, CHECKPOINTS), remainders=snaps, dt=dt)
 
 
-def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory:
+def solve_eps_problem(spec: EpsProblemSpec) -> Trajectory:
     n = spec.n
     h = 1.0 / n
     plan = plan_for("periodic", n, 0.5, spec.s, spec.g_const)
@@ -189,7 +191,7 @@ def solve_eps_problem(spec: EpsProblemSpec, checkpoints: int = 33) -> Trajectory
 
     rhs, dt_cfl = torus_flow(plan, spec.potential, spec.forcing, spec.slope * x, x / eps,
                              a=op_scale, b=eps ** (-a_W), c=eps ** (-a_t))
-    traj = _run(rhs, w0, dt_cfl, spec.horizon, checkpoints, spec.max_steps)
+    traj = _run(rhs, w0, dt_cfl, spec.horizon, spec.max_steps)
 
     # comparison envelope: |w(t) - w0| <= (sup|W'| + sup|sigma| + eps^a_op sup|I[w0]|) t
     times = traj.times
@@ -305,7 +307,7 @@ class EffectiveProblemSpec:
                 raise ValueError("strong branch needs the operator order s")
 
 
-def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajectory:
+def solve_effective(spec: EffectiveProblemSpec) -> Trajectory:
     n = spec.n
     h = 1.0 / n
     x = h * np.arange(n)
@@ -329,7 +331,7 @@ def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajec
         def rhs(t, w):
             return law(plan.apply(w))
 
-    return _run(rhs, w0, dt_cfl, spec.horizon, checkpoints)
+    return _run(rhs, w0, dt_cfl, spec.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +339,14 @@ def solve_effective(spec: EffectiveProblemSpec, checkpoints: int = 33) -> Trajec
 # ---------------------------------------------------------------------------
 
 
-def convergence_report(
-    eps_specs,
-    law,
-    compact=(0.1, 1.0),
-    checkpoints: int = 33,
-) -> dict:
+def convergence_report(eps_specs, law) -> dict:
     """Compare oscillatory runs against the effective limit on a compact.
 
     ``eps_specs`` are EpsProblemSpec values sharing everything but eps, in
     strictly decreasing eps order.  The error e(eps) is the sup over the
-    compact time window (fractions of the horizon) and the whole torus of
-    |w_eps - w_eff| at shared checkpoints.  Non-monotone e is reported as
-    a failed flag, not an exception.
+    compact time window COMPACT (fractions of the horizon) and the whole
+    torus of |w_eps - w_eff| at the shared checkpoints.  Non-monotone e is
+    reported as a failed flag, not an exception.
     """
     if len(eps_specs) < 2:
         raise ValueError("need at least two eps values")
@@ -361,19 +358,16 @@ def convergence_report(
         if replace(sp, eps=base.eps) != base:
             raise ValueError("eps specs must differ only in eps")
 
-    eff = solve_effective(
-        EffectiveProblemSpec(
-            branch=base.branch, law=law, slope=base.slope, profile=base.profile,
-            horizon=base.horizon, n=base.n, s=base.s, g_const=base.g_const,
-        ),
-        checkpoints,
-    )
-    lo, hi = compact
+    eff = solve_effective(EffectiveProblemSpec(
+        branch=base.branch, law=law, slope=base.slope, profile=base.profile,
+        horizon=base.horizon, n=base.n, s=base.s, g_const=base.g_const,
+    ))
+    lo, hi = COMPACT
     window = (eff.times >= lo * base.horizon - 1e-12) & (eff.times <= hi * base.horizon + 1e-12)
 
     errors = []
     for sp in eps_specs:
-        tr = solve_eps_problem(sp, checkpoints)
+        tr = solve_eps_problem(sp)
         diff = np.abs(tr.remainders[window] - eff.remainders[window])
         errors.append(float(diff.max()))
 
@@ -383,6 +377,6 @@ def convergence_report(
         "eps_list": [float(e) for e in eps_list],
         "errors": errors,
         "compact": [float(lo), float(hi)],
-        "grids": {"n": base.n, "checkpoints": checkpoints, "horizon": base.horizon},
+        "grids": {"n": base.n, "checkpoints": CHECKPOINTS, "horizon": base.horizon},
         "monotone_decreasing": monotone,
     }

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellProblemSpec, as_rational, hbar
+from .cell import FIT_TOL, CellProblemSpec, as_rational, hbar
 from .fracop import (
     GridField,
     TailModel,
@@ -290,6 +290,7 @@ class _EvenTailModel:
 # ---------------------------------------------------------------------------
 
 _BLOCK_ROWS = 64  # grid points per block of the lattice sums
+_PERIOD = 2.0  # the evaluation grid spans two periods of the integer lattice
 
 
 @dataclass(eq=False)
@@ -298,14 +299,12 @@ class HullAnsatz:
     p0: float
     L0: float
     s: float
-    kind: str                      # "lattice" or "single"
     n_terms: int
     layer: LayerSolution
     psi: CorrectorSolution | None
     cutoff: CutoffFunction | None
-    grid: np.ndarray               # x samples (two periods for lattice kind)
+    grid: np.ndarray               # x samples over _PERIOD
     g_values: np.ndarray           # h(x) - x on the grid
-    period: float
     cauchy_diff: float
     alpha: float
     phi_model: _OddTailModel            # phi - H with its far-field model
@@ -316,8 +315,10 @@ class HullAnsatz:
         return self.delta * abs(self.p0)
 
     def eval_g(self, x) -> np.ndarray:
-        """h(x) - x at arbitrary points (fresh lattice sums, no interpolation)."""
-        return _assemble_g(self, np.asarray(x, dtype=float), self.n_terms)
+        """h(x) - x at points x of any shape (fresh lattice sums, no
+        interpolation); the result has x's shape."""
+        x = np.asarray(x, dtype=float)
+        return _assemble_g(self, x.ravel(), self.n_terms).reshape(x.shape)
 
     def nonzero_cutoff_terms(self, x) -> int:
         """Number of nonzero corrector*cutoff terms at x (s < 1/2 branch)."""
@@ -388,29 +389,16 @@ def build_ansatz(
     The closure is validated by rebuilding with 2 n_terms: the sup change
     must be below cauchy_tol, else HullTailError (with the observed
     difference, which estimates the tail error).
-
-    n_terms = 0 is the single-transition diagnostic (requires L0 = 0,
-    delta*|p0| = 1): the residual then reduces to the layer equation.
     """
     if p0 == 0.0:
         raise ValueError("p0 must be nonzero")
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be a positive integer (got {n_terms})")
     s = layer.s
     if psi is not None and psi.s != s:
         raise ValueError("layer and corrector were built at different s")
     alpha = layer.potential.curvature_at_zero
     scale = delta * abs(p0)
-
-    if n_terms == 0:
-        if L0 != 0.0 or scale != 1.0:
-            raise ValueError("single-transition mode needs L0 = 0 and delta*|p0| = 1")
-        x = layer.field.nodes
-        return HullAnsatz(
-            delta=delta, p0=p0, L0=0.0, s=s, kind="single", n_terms=0,
-            layer=layer, psi=None, cutoff=None, grid=x,
-            g_values=layer.field.values - x, period=2.0 * layer.field.half_width,
-            cauchy_diff=0.0, alpha=alpha, phi_model=_OddTailModel(layer), psi_model=None,
-        )
-
     if 1.0 / scale < 2.0:
         raise ValueError(
             f"lattice spacing too small: need 1/(delta |p0|) >= 2, got {1.0/scale:.3f}"
@@ -420,12 +408,12 @@ def build_ansatz(
 
     cutoff = CutoffFunction(R=0.5 / scale) if (s < 0.5 and L0 != 0.0) else None
 
-    x = 2.0 * np.arange(n_grid) / n_grid  # two periods of the integer lattice
+    x = _PERIOD * np.arange(n_grid) / n_grid
     ans = HullAnsatz(
-        delta=delta, p0=p0, L0=L0, s=s, kind="lattice", n_terms=n_terms,
+        delta=delta, p0=p0, L0=L0, s=s, n_terms=n_terms,
         layer=layer, psi=psi if L0 != 0.0 else None, cutoff=cutoff,
-        grid=x, g_values=np.empty(n_grid), period=2.0,
-        cauchy_diff=math.nan, alpha=alpha, phi_model=_OddTailModel(layer),
+        grid=x, g_values=np.empty(n_grid), cauchy_diff=math.nan,
+        alpha=alpha, phi_model=_OddTailModel(layer),
         psi_model=_EvenTailModel(psi) if L0 != 0.0 and cutoff is None else None,
     )
 
@@ -476,27 +464,12 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
     if lam is None:
         lam = d ** (1.0 + two_s) * layer.c0 * abs(ansatz.p0) * L0
     W = layer.potential
-
-    if ansatz.kind == "single":
-        n = layer.field.n
-        plan = plan_for("line", n, layer.field.half_width, s, layer.g_const)
-        Ih = plan.apply(layer.field.values, layer.field.tail)
-        hp = layer.phi_prime
-        values = lam * hp - d**two_s * L0 - (d * abs(ansatz.p0))**two_s * Ih \
-            + eval_potential(W, layer.field.values, 1)
-        inner = slice(n // 10, n - n // 10)
-        sup = float(np.max(np.abs(values[inner])))
-        return ResidualReport(
-            field=GridField.line(values, layer.field.half_width, TailModel.zero()),
-            sup_abs=sup, over_d2s=sup / d**two_s, lam=lam, delta=d, L0=L0,
-        )
-
     g = ansatz.g_values
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g))) > 1e3:
         raise HullTailError("h - x is not bounded on the grid; closure invalid")
     n = g.size
-    hx = ansatz.period / n
-    plan = plan_for("periodic", n, 0.5 * ansatz.period, s, layer.g_const, r=0.25)
+    hx = _PERIOD / n
+    plan = plan_for("periodic", n, 0.5 * _PERIOD, s, layer.g_const, r=0.25)
     Ih = plan.apply(g)
     hp = 1.0 + (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * hx)
     h = ansatz.grid + g
@@ -504,7 +477,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
         + eval_potential(W, h, 1)
     sup = float(np.max(np.abs(values)))
     return ResidualReport(
-        field=GridField.periodic(values, ansatz.period),
+        field=GridField.periodic(values, _PERIOD),
         sup_abs=sup, over_d2s=sup / d**two_s, lam=lam, delta=d, L0=L0,
     )
 
@@ -571,14 +544,13 @@ def orowan_check(
     layer: LayerSolution,
     n: int = 512,
     horizon: float = 200.0,
-    fit_tol: float = 1e-3,
 ) -> OrowanReport:
     """Effective speeds at slope = delta p0, drive = delta^2s L0, compared
     with the small-slope law ratio -> c0 |p0| L0.
 
     The speeds come from the cell module (independent of the ansatz), so the
-    two pipelines cross-validate.  Unconverged fits are reported in warnings
-    and the report is still returned.
+    two pipelines cross-validate.  Fits whose uncertainty exceeds
+    cell.FIT_TOL are reported in warnings and the report is still returned.
     """
     deltas = list(delta_list)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -593,11 +565,11 @@ def orowan_check(
             s=s, slope=as_rational(d * p0), drive=d**two_s * L0,
             potential=layer.potential, n=n, horizon=horizon, g_const=layer.g_const,
         )
-        fit = hbar(spec, tol=fit_tol)
+        fit = hbar(spec)
         ratio = fit.speed / d ** (1.0 + two_s)
         if not fit.converged:
             warnings.append(
-                f"delta={d}: speed fit uncertainty {fit.uncertainty:.2e} above {fit_tol:.1e}"
+                f"delta={d}: speed fit uncertainty {fit.uncertainty:.2e} above {FIT_TOL:.1e}"
             )
         rows.append({
             "delta": d,

@@ -17,6 +17,8 @@ layer equation, and both solves run on one deflated PCG (``_deflated_pcg``):
 M is a singular M-matrix with near-kernel phi' > 0, hence positive
 semidefinite, so CG runs on the complement of phi', preconditioned by the
 circulant inverse (alpha + sigma)^-1 of the plan's zero-tail symbol sigma.
+A Newton step is solved to relative tolerance _NEWTON_RTOL, and each
+corrector solve to CORRECTOR_RTOL.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 _NEWTON_MAX = 20  # Newton steps per layer pass
 _NEWTON_RTOL = 1e-3  # relative PCG tolerance of a Newton step
+CORRECTOR_RTOL = 1e-9  # relative PCG tolerance of a corrector solve
 _CG_MAX = 400  # PCG iterations per linear solve
 
 
@@ -367,13 +370,13 @@ class CorrectorSolution:
     odd_tail_amplitude: float  # fitted amplitude of sign(x)|x|^(-2s); reported, not asserted
 
 
-def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> CorrectorSolution:
+def solve_corrector_psi(layer: LayerSolution, L0: float) -> CorrectorSolution:
     """Solve I[psi] - W''(phi) psi = (L0/alpha)(W''(phi) - alpha) + c phi'.
 
     ``_deflated_pcg`` on the window with a zero far-field closure (relative
-    tolerance ``tol``), followed by one tail refit and a re-solve with the
-    fitted tail moved to the right-hand side.  psi is linear in L0; L0 = 0
-    returns the zero corrector.
+    tolerance CORRECTOR_RTOL), followed by one tail refit and a re-solve
+    with the fitted tail moved to the right-hand side.  psi is linear in L0;
+    L0 = 0 returns the zero corrector.
     """
     s = layer.s
     W = layer.potential
@@ -395,7 +398,7 @@ def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> C
     wpp = eval_potential(W, phi, 2)
     rhs0 = (L0 / alpha) * (wpp - alpha) + c * layer.phi_prime
 
-    psi, its0 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, -rhs0, tol)
+    psi, its0 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, -rhs0, CORRECTOR_RTOL)
 
     # fit an even power tail and re-solve with it on the right-hand side
     two_s = 2.0 * s
@@ -408,7 +411,8 @@ def solve_corrector_psi(layer: LayerSolution, L0: float, tol: float = 1e-9) -> C
     tail = TailModel(powers_minus=((amp_l, beta),), powers_plus=((amp_r, beta),))
 
     tail_infl = plan.apply(np.zeros(n), tail)  # operator applied to the tail extension alone
-    psi, its1 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, tail_infl - rhs0, tol, x0=psi)
+    psi, its1 = _deflated_pcg(plan, wpp, alpha, layer.phi_prime, tail_infl - rhs0,
+                              CORRECTOR_RTOL, x0=psi)
 
     full = plan.apply(psi, tail)
     residual = full - wpp * psi - rhs0

@@ -190,14 +190,6 @@ class Forcing:
     def is_zero(self) -> bool:
         return not any(t.is_live for t in self.terms)
 
-    @property
-    def even_in_y(self) -> bool:
-        return all(t.kind_x == "cos" or not t.is_live for t in self.terms)
-
-    @property
-    def odd_in_y(self) -> bool:
-        return all(t.kind_x == "sin" or not t.is_live for t in self.terms)
-
     def __call__(self, t, y):
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast_shapes(np.shape(t), y.shape))

@@ -57,20 +57,19 @@ class Command:
     inputs: tuple = ()
 
 
-_CELL_DEFAULTS = {"n": 512, "horizon": 200.0, "fit_tol": 1e-3}
+_CELL_DEFAULTS = {"n": 512, "horizon": 200.0}
 
 COMMANDS = {
     "layer": Command("layer-profile", "{p}-layer.json", (),
                      {"n": 2048, "half_width": 20.0, "tol": 1e-7}),
-    "corrector": Command("layer-corrector", "{p}-corrector.json", ("L0",),
-                         {"tol": 1e-9}, ("layer",)),
+    "corrector": Command("layer-corrector", "{p}-corrector.json", ("L0",), {}, ("layer",)),
     "hbar": Command("effective-speed", "{p}-hbar.csv", ("slope", "drive"),
                     _CELL_DEFAULTS),
     "hbar-table": Command("effective-speed-table", "{p}-hbar-table.csv",
                           ("slopes", "drives"), {**_CELL_DEFAULTS, "workers": 1}),
     "homogenize": Command("homogenization-error", "{p}-homog.json",
                           ("branch", "eps_list", "slope"),
-                          {"n": 256, "horizon": 1.0, "profile": (), "checkpoints": 33},
+                          {"n": 256, "horizon": 1.0, "profile": ()},
                           ("hbar_table",)),
     "ansatz-residual": Command("hull-residual", "{p}-ansatz.json", ("delta", "p0", "L0"),
                                {"n_terms": 64, "n_grid": 1024, "cauchy_tol": 1e-8},
@@ -240,15 +239,14 @@ def validate_raw(raw: dict) -> list:
             f"'{command}'"
         )
 
-    for key in ("n", "n_terms", "n_grid", "workers", "checkpoints"):
+    for key in ("n", "n_terms", "n_grid", "workers"):
         if key in numeric and (
             not isinstance(numeric[key], int) or isinstance(numeric[key], bool)
-            or numeric[key] < (0 if key == "n_terms" else 1)
+            or numeric[key] < 1
         ):
-            kind = "nonnegative" if key == "n_terms" else "positive"
-            errors.append(f"numeric.{key}: must be a {kind} integer")
-    for key in ("half_width", "tol", "drive", "horizon", "fit_tol",
-                "L0", "delta", "p0", "cauchy_tol", "slope"):
+            errors.append(f"numeric.{key}: must be a positive integer")
+    for key in ("half_width", "tol", "drive", "horizon", "L0", "delta", "p0",
+                "cauchy_tol", "slope"):
         if key in numeric and not _is_num(numeric[key]):
             errors.append(f"numeric.{key}: must be a finite number")
     for key in ("eps_list", "delta_list", "drives", "slopes"):
@@ -296,16 +294,6 @@ def validate_raw(raw: dict) -> list:
         and "corrector" not in inputs
     ):
         errors.append("inputs.corrector: required for ansatz-residual with L0 != 0")
-    # n_terms = 0 is the single-transition diagnostic of hull.build_ansatz
-    if (
-        command == "ansatz-residual"
-        and type(numeric.get("n_terms")) is int and numeric["n_terms"] == 0
-        and all(_is_num(numeric.get(k)) for k in ("L0", "delta", "p0"))
-        and (numeric["L0"] != 0 or numeric["delta"] * abs(numeric["p0"]) != 1.0)
-    ):
-        errors.append(
-            "numeric.n_terms: 0 (single transition) needs L0 = 0 and delta*|p0| = 1"
-        )
 
     out = raw.get("output", {})
     if not isinstance(out, dict) or not all(isinstance(v, str) for v in out.values()):

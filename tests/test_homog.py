@@ -233,7 +233,8 @@ def test_convergence_report_small_real_run():
                        profile=prof, potential=W_STD, n=64, horizon=0.1)
         for e in (0.5, 0.25)
     ]
-    rep = convergence_report(specs, DriveLaw.identity(2.0), compact=(0.1, 1.0))
+    rep = convergence_report(specs, DriveLaw.identity(2.0))
+    assert rep["compact"] == [0.1, 1.0]
     assert len(rep["errors"]) == 2
     assert all(np.isfinite(rep["errors"]))
     assert all(e > 0.0 for e in rep["errors"])

@@ -101,19 +101,8 @@ def test_cutoff_operator_far_field():
         cutoff_operator_values(tau, np.array([1.5]), s, g)
 
 
-def test_single_transition_reduces_to_layer(layer_half):
-    ans = build_ansatz(1.0, 1.0, 0.0, layer_half, n_terms=0)
-    assert ans.kind == "single"
-    rep = nl_residual(ans)
-    assert rep.lam == 0.0
-    assert rep.sup_abs < 1e-5
-    assert rep.over_d2s == rep.sup_abs
-
-
 def test_lattice_build_basic(layer_half):
     ans = build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=64, n_grid=512)
-    assert ans.kind == "lattice"
-    assert ans.period == 2.0
     assert ans.cauchy_diff <= 1e-8
     n = ans.g_values.size
     # the grid spans two unit periods; h - x repeats across them exactly
@@ -129,6 +118,17 @@ def test_lattice_reflection_symmetry(layer_half):
     x = np.array([0.1, 0.3, 0.45, 0.7])
     total = ans.eval_g(x) + ans.eval_g(-x)
     assert np.max(total) - np.min(total) < 1e-6
+
+
+def test_eval_g_keeps_the_shape_of_x(layer_half):
+    """A scalar and a 2-D array of points give the 1-D call's values in
+    their own shape."""
+    ans = build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=64, n_grid=256)
+    flat = np.array([0.1, 0.3, 0.45, 0.7])
+    g = ans.eval_g(flat)
+    assert ans.eval_g(0.3).shape == () and ans.eval_g(0.3) == g[1]
+    square = ans.eval_g(flat.reshape(2, 2))
+    assert square.shape == (2, 2) and np.array_equal(square.ravel(), g)
 
 
 def test_cutoff_terms_bounded(layer_s03, psi_s03):
@@ -200,9 +200,7 @@ def test_build_validation(layer_half, layer_s075, psi_s075):
     with pytest.raises(ValueError):
         build_ansatz(0.25, 0.0, 0.0, layer_half)
     with pytest.raises(ValueError):
-        build_ansatz(1.0, 1.0, 1.0, layer_half, psi=None, n_terms=0)
-    with pytest.raises(ValueError):
-        build_ansatz(0.5, 1.0, 0.0, layer_half, n_terms=0)  # scale != 1
+        build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=0)
     with pytest.raises(ValueError):
         build_ansatz(0.6, 1.0, 0.0, layer_half)  # spacing 1/0.6 < 2
     with pytest.raises(ValueError):

@@ -96,7 +96,6 @@ def test_liveness_is_shared_by_is_zero_and_sup_norm():
                     ForcingTerm(2.0, 3, 0, "cos", "sin")))
     assert dead.is_zero
     assert dead.sup_norm() == 0.0
-    assert dead.even_in_y and dead.odd_in_y
     assert not Forcing((ForcingTerm(1.0, 0, 1),)).is_zero
 
 
@@ -116,9 +115,8 @@ def test_sup_norm_dominates_samples():
 def test_forcing_parity_helpers():
     even = Forcing((ForcingTerm(0.5, 1, 2, "cos", "cos"),))
     odd = Forcing((ForcingTerm(0.5, 1, 1, "cos", "sin"),))
-    assert even.even_in_y and not even.odd_in_y
-    assert odd.odd_in_y and not odd.even_in_y
     y = np.linspace(0, 1, 7)
+    np.testing.assert_allclose(even(0.3, y), even(0.3, -y), atol=1e-15)
     np.testing.assert_allclose(odd(0.3, y), -odd(0.3, -y), atol=1e-15)
 
 

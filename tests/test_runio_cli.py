@@ -113,22 +113,20 @@ def test_table_defaults_are_library_defaults():
     """Each CLI default is the default of the library call it feeds, with
     the same type, so the API and the CLI cannot drift apart."""
     cell_defaults = {"n": _field(cell.CellProblemSpec, "n"),
-                     "horizon": _field(cell.CellProblemSpec, "horizon"),
-                     "fit_tol": cell.FIT_TOL}
+                     "horizon": _field(cell.CellProblemSpec, "horizon")}
     library = {
         "layer": {"n": _arg(layer.solve_layer, "n"),
                   "half_width": _arg(layer.solve_layer, "R_dom"),
                   "tol": _arg(layer.solve_layer, "tol")},
-        "corrector": {"tol": _arg(layer.solve_corrector_psi, "tol")},
+        "corrector": {},
         "hbar": cell_defaults,
         "hbar-table": {**cell_defaults, "workers": _arg(cell.hbar_table, "workers")},
         "homogenize": {"n": _field(homog.EpsProblemSpec, "n"),
                        "horizon": _field(homog.EpsProblemSpec, "horizon"),
-                       "profile": homog.InitialProfile.zero().terms,
-                       "checkpoints": _arg(homog.convergence_report, "checkpoints")},
+                       "profile": homog.InitialProfile.zero().terms},
         "ansatz-residual": {k: _arg(hull.build_ansatz, k)
                             for k in ("n_terms", "n_grid", "cauchy_tol")},
-        "orowan": {k: _arg(hull.orowan_check, k) for k in ("n", "horizon", "fit_tol")},
+        "orowan": {k: _arg(hull.orowan_check, k) for k in ("n", "horizon")},
     }
     table = {name: c.optional for name, c in runio.COMMANDS.items()}
     assert table == library
@@ -418,13 +416,37 @@ def test_cli_schema_error_exit_code(tmp_path, capsys):
     assert "operator.s" in err and "(0, 1)" in err
 
 
-def test_cli_layer_rejects_flow_time(tmp_path, capsys):
-    # the layer solve has no time stepping, so flow_time is an unknown key
-    cfg = write_cfg(tmp_path, layer_cfg_dict(flow_time=40.0))
-    rc = cli.main(["layer", "--config", str(cfg), "--out", str(tmp_path)])
+# the required numeric keys of each command, at valid values
+_REQUIRED = {
+    "layer": {},
+    "corrector": {"L0": 1.0},
+    "hbar": {"slope": 0.5, "drive": 0.7},
+    "hbar-table": {"slopes": [0.5], "drives": [0.7]},
+    "homogenize": {"branch": "sub", "eps_list": [0.5, 0.25], "slope": 0.0},
+    "orowan": {"delta_list": [0.2], "p0": 1.0, "L0": 1.0},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("layer", "flow_time", 40.0),  # the layer solve has no time stepping
+    # options fixed as module constants, at the values they defaulted to
+    ("corrector", "tol", 1e-9),
+    ("hbar", "fit_tol", 1e-3),
+    ("hbar-table", "fit_tol", 1e-3),
+    ("orowan", "fit_tol", 1e-3),
+    ("homogenize", "checkpoints", 33),
+])
+def test_cli_layer_rejects_flow_time(tmp_path, capsys, command, key, value):
+    """A numeric key the command does not take exits 2 and is named; the
+    config without it is valid."""
+    d = {"command": command, "operator": {"s": 0.5}, "potential": {"cosine": [A1]},
+         "numeric": dict(_REQUIRED[command]),
+         "inputs": {k: f"t-{k}.json" for k in runio.COMMANDS[command].inputs}}
+    runio.parse_config_text(json.dumps(d))
+    d["numeric"][key] = value
+    rc = cli.main([command, "--config", str(write_cfg(tmp_path, d)), "--out", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "numeric: unknown keys ['flow_time']" in err
+    assert f"numeric: unknown keys ['{key}']" in capsys.readouterr().err
 
 
 def test_cli_missing_artifact(tmp_path, capsys):
@@ -461,29 +483,17 @@ def _ansatz_cfg_dict(**numeric):
 
 
 @pytest.mark.parametrize("numeric", [
-    {"delta": 1.0, "p0": 1.0, "L0": 1.0, "n_terms": 0},
-    {"delta": 0.5, "p0": 1.0, "L0": 0.0, "n_terms": 0},
-    {"delta": 1.0, "p0": 1.0, "L0": 0.0, "n_terms": -1},
+    {"delta": 1.0, "p0": 1.0, "L0": 0.0, "n_terms": 0},
+    {"delta": 0.1, "p0": 1.0, "L0": 0.0, "n_terms": 0},
+    {"delta": 0.1, "p0": 1.0, "L0": 0.0, "n_terms": -1},
 ])
 def test_cli_single_transition_needs_unit_scale(tmp_path, capsys, numeric):
+    """There is no single-transition mode (n_terms = 0) at any scale:
+    n_terms must be a positive integer like the other counts."""
     cfg = write_cfg(tmp_path, _ansatz_cfg_dict(**numeric))
     rc = cli.main(["ansatz-residual", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
-    assert "numeric.n_terms" in capsys.readouterr().err
-
-
-def test_cli_single_transition_residual_is_layer_residual(tmp_path, capsys):
-    """n_terms = 0 with L0 = 0 and delta |p0| = 1 reduces the hull residual to
-    the layer equation, evaluated on the README s = 1/2 layer."""
-    [layer_cfg] = [p for p in SHIPPED_CONFIGS if p.name == "layer-half.json"]
-    assert cli.main(["layer", "--config", str(layer_cfg), "--out", str(tmp_path)]) == 0
-    cfg = write_cfg(tmp_path, _ansatz_cfg_dict(delta=1.0, p0=1.0, L0=0.0, n_terms=0))
-    rc = cli.main(["ansatz-residual", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 0
-    lay = runio.read_json_result(tmp_path / "half-layer.json")["result"]
-    ans = runio.read_json_result(tmp_path / "single-ansatz.json")["result"]
-    assert ans["kind"] == "single" and ans["n_terms"] == 0
-    assert ans["sup_abs"] == pytest.approx(lay["residual_sup_inner"], rel=1e-12, abs=0.0)
+    assert "numeric.n_terms: must be a positive integer" in capsys.readouterr().err
 
 
 def _write_drive_table(path, laws):
