@@ -102,11 +102,6 @@ horizon, where a stop on a steady fit would come at t = 25, so it takes 8x
 those steps.  A stepped F = 0 row reads its fitted speed, zero to roundoff,
 not an exact 0.0.  Results carry an explicit ``converged`` flag; nothing is
 clamped or hidden.
-
-Tables.  ``hbar_table`` runs a table whose rows may step (a live forcing
-or an explicit ``dt``) in a pool of ``workers`` processes, and every
-other table in this process: its rows take the direct route in
-milliseconds, less than forking a pool costs.
 """
 
 from __future__ import annotations
@@ -514,11 +509,10 @@ def _table_worker(spec):
 def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
     """Effective speeds over a (slope, drive) grid, sorted by (slope, drive).
 
-    ``base`` supplies everything except the grid axes.  A table whose rows
-    may step (``base`` has a live forcing or a ``dt``) runs in a pool of
-    min(workers, cells) processes when that is more than one; any other
-    table runs in this process (module docstring).  The merged rows are
-    sorted either way, so output order is deterministic.
+    ``base`` supplies everything except the grid axes.  With workers > 1 the
+    cells run in a pool of min(workers, cells) processes (a single cell runs
+    in this process); the merged rows are sorted either way, so output order
+    is deterministic.
     """
     slopes = [as_rational(p) for p in slopes]
     jobs = [
@@ -526,9 +520,8 @@ def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
         for p in sorted(set(slopes))
         for F in sorted({float(F) for F in drives})
     ]
-    stepped = base.dt is not None or not (base.forcing is None or base.forcing.is_zero)
     # the pool forks all its workers at once, busy or not
-    workers = min(workers, len(jobs)) if stepped else 1
+    workers = min(workers, len(jobs))
     if workers <= 1:
         rows = [_table_worker(j) for j in jobs]
     else:

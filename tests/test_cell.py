@@ -119,9 +119,8 @@ def test_fit_window_needs_samples():
 
 
 def test_table_rows_sorted_and_parallel_consistent():
-    # a live forcing makes every row step, so the table runs in the pool
-    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
-                           forcing=Forcing((ForcingTerm(0.05, 1, 1),)), n=64, horizon=10.0)
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0,
+                           potential=W_STD, n=64, horizon=40.0)
     slopes = [Fraction(1, 2), Fraction(0)]
     drives = [0.6, -0.6, 0.0]
     seq = hbar_table(base, slopes=slopes, drives=drives, workers=1)

@@ -436,7 +436,7 @@ _REQUIRED = {
     ("orowan", "fit_tol", 1e-3),
     ("homogenize", "checkpoints", 33),
 ])
-def test_cli_layer_rejects_flow_time(tmp_path, capsys, command, key, value):
+def test_cli_rejects_unknown_numeric_keys(tmp_path, capsys, command, key, value):
     """A numeric key the command does not take exits 2 and is named; the
     config without it is valid."""
     d = {"command": command, "operator": {"s": 0.5}, "potential": {"cosine": [A1]},
@@ -488,8 +488,10 @@ def _ansatz_cfg_dict(**numeric):
     {"delta": 0.1, "p0": 1.0, "L0": 0.0, "n_terms": -1},
 ])
 def test_cli_single_transition_needs_unit_scale(tmp_path, capsys, numeric):
-    """There is no single-transition mode (n_terms = 0) at any scale:
-    n_terms must be a positive integer like the other counts."""
+    """n_terms must be a positive integer like the other counts.  The name
+    is kept on purpose from the removed single-transition mode (n_terms = 0):
+    its unit-scale config (delta |p0| = 1, L0 = 0, the first case) now exits
+    2 like any other n_terms below 1."""
     cfg = write_cfg(tmp_path, _ansatz_cfg_dict(**numeric))
     rc = cli.main(["ansatz-residual", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
