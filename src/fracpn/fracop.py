@@ -59,7 +59,6 @@ from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 __all__ = [
@@ -602,9 +601,33 @@ def spectral_plan(n: int, period: float, s: float, g_const: float) -> SpectralPl
 # line plan
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = leggauss(32)
+# The 32-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs for its
+# 16 positive nodes; numpy.polynomial.legendre.leggauss(32) is exactly
+# symmetric and gives these values.  A literal keeps numpy.polynomial out of
+# every command.
+_GL_HALF = np.array([
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on (0, 1)
 _GL_W = 0.5 * _GL_WEIGHTS  # weights summing to 1
+_BASIS_ROWS = 256  # nodes per block of the far-field basis (256 x 32 temporaries)
 
 
 class LinePlan:
@@ -688,14 +711,16 @@ class LinePlan:
         return self._nodes
 
     def _power_basis(self, side: int, beta: float):
-        """|pad|^(-beta) and B(side, beta) for one tail power, cached."""
+        """|pad|^(-beta) and B(side, beta) for one tail power, cached; B is
+        summed over blocks of _BASIS_ROWS nodes, not as one n x 32 array."""
         key = (side, beta)
         if key not in self._powers:
-            far_dist = self.far_z[None, :] + side * self._nodes[:, None]
-            self._powers[key] = (
-                self._pad_dist[side] ** (-beta),
-                far_dist ** (-beta) @ self.far_w,
-            )
+            x = self._nodes
+            basis = np.empty(self.n)
+            for lo in range(0, self.n, _BASIS_ROWS):
+                far_dist = self.far_z[None, :] + side * x[lo:lo + _BASIS_ROWS, None]
+                basis[lo:lo + _BASIS_ROWS] = far_dist ** (-beta) @ self.far_w
+            self._powers[key] = (self._pad_dist[side] ** (-beta), basis)
         return self._powers[key]
 
     def apply(self, values: np.ndarray, tail: TailModel) -> np.ndarray:

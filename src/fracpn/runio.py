@@ -16,6 +16,7 @@ and the operator normalization constant.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -332,14 +333,25 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
-def config_sha256(cfg: RunConfig) -> str:
-    # hashlib maps OpenSSL: load it here, once the solve is done, not at start-up
+def _sha256():
+    """The interpreter's built-in SHA-256, which maps no OpenSSL: ``_sha2`` on
+    CPython >= 3.12, ``_sha256`` on 3.10-3.11.  ``hashlib`` (OpenSSL) only
+    where neither is built, e.g. a FIPS build."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
     import hashlib
 
+    return hashlib.sha256
+
+
+def config_sha256(cfg: RunConfig) -> str:
     canonical = json.dumps(
         json.loads(serialize_config(cfg)), sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256()(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

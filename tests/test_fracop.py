@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,46 @@ def test_tail_model_eval_and_shift():
     assert shifted.eval(np.array([8.0]))[0] == pytest.approx(
         t.eval(np.array([8.0]))[0] - 2.0 - 0.5 * 8.0
     )
+
+
+def test_gauss_legendre_table_matches_leggauss():
+    """The literal 32-point rule is leggauss(32) to roundoff (not bitwise:
+    leggauss rests on LAPACK's eigvalsh) and exactly symmetric."""
+    from numpy.polynomial.legendre import leggauss
+
+    from fracpn.fracop import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = leggauss(32)
+    assert np.max(np.abs(_GL_NODES - nodes)) <= 4e-16
+    assert np.max(np.abs(_GL_WEIGHTS - weights)) <= 4e-16
+    assert np.array_equal(_GL_NODES, -_GL_NODES[::-1])
+    assert np.array_equal(_GL_WEIGHTS, _GL_WEIGHTS[::-1])
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("beta", [0.6, 1.5])
+def test_line_plan_power_basis_is_the_whole_grid_sum(side, beta):
+    """The blocked far-field basis equals the n x 32 formula bit for bit, on
+    a grid whose last block is short."""
+    n = 600
+    plan = LinePlan(n, 20.0, 0.5, INV_PI, int(round(n / 40.0)))
+    pad_pow, basis = plan._power_basis(side, beta)
+    x = plan.nodes()
+    whole = (plan.far_z[None, :] + side * x[:, None]) ** (-beta) @ plan.far_w
+    assert np.array_equal(basis, whole)
+    assert np.array_equal(pad_pow, plan._pad_dist[side] ** (-beta))
+
+
+def test_line_plan_power_basis_memory():
+    """At n = 4096 the basis allocates well under one n x 32 array (1 MB)."""
+    plan = LinePlan(4096, 40.0, 0.5, INV_PI, 51)
+    tracemalloc.start()
+    try:
+        plan._power_basis(1, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_line_plan_rejects_bad_sizes():

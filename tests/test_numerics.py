@@ -5,6 +5,7 @@ the oracle here for the Hurwitz zeta, the gamma-based normalization, the
 not-a-knot spline, the golden-section search and preconditioned CG.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -150,24 +151,35 @@ def test_cg_reports_max_iter_when_unconverged():
     assert info == 3
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     """Every fracpn command is its own process: start-up must stay numpy-only,
-    with no process pool and no OpenSSL (hashlib), and a one-row table runs
-    without the pool even when workers are offered."""
+    with no process pool, a one-row table runs without the pool even when
+    workers are offered, and a command run end to end maps no OpenSSL
+    (hashlib) and imports no numpy.polynomial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracpn.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    config = tmp_path / "layer.json"
+    config.write_text(json.dumps({
+        "command": "layer", "operator": {"s": 0.5},
+        "potential": {"cosine": [0.025330295910584444]},
+        "numeric": {"n": 256, "half_width": 20.0}, "output": {"prefix": "t"}}))
     script = """
 import sys, fracpn, fracpn.cli
 def heavy():
     return sorted(m for m in sys.modules
-                  if m.split('.')[0] in ('scipy', 'concurrent') or m == '_hashlib')
+                  if m.split('.')[0] in ('scipy', 'concurrent') or m == '_hashlib'
+                  or m.startswith('numpy.polynomial'))
 print(heavy())
 from fracpn.cell import CellProblemSpec, hbar_table
 spec = CellProblemSpec(s=0.5, slope=fracpn.as_rational(0.5), drive=0.0,
                        potential=fracpn.PeriodicPotential.standard(), n=64, horizon=1.0)
 print(len(hbar_table(spec, [0.5], [0.0], workers=4)), heavy())
+code = fracpn.cli.main(["layer", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, heavy())
 """
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "1 []"]
+    out = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "run")],
+                         env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["[]", "1 []"] and lines[-1] == "0 []"
+    assert (tmp_path / "run" / "t-layer.json").is_file()

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -55,6 +56,15 @@ def test_config_round_trip():
     cfg2 = runio.parse_config_text(text)
     assert runio.serialize_config(cfg2) == text
     assert runio.config_sha256(cfg) == runio.config_sha256(cfg2)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_config_sha256_is_hashlib_sha256(path):
+    """The built-in SHA-256 gives hashlib's digest of the canonical text."""
+    cfg = runio.parse_config(path)
+    canonical = json.dumps(json.loads(runio.serialize_config(cfg)), sort_keys=True,
+                           separators=(",", ":"))
+    assert runio.config_sha256(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_shipped_configs_parse_and_chain():
