@@ -1,34 +1,19 @@
 """Numerical laboratory for fractional-operator layer dynamics.
 
 Modules:
-    fracop    -- singular-kernel operator quadrature (line / periodic)
+    fracop    -- fractional-operator plans (line / periodic / spectral)
     potential -- periodic multi-well potentials and space-time forcing
     layer     -- standing transition profiles and their drive correctors
     cell      -- cell evolutions on the torus and effective speeds
     homog     -- oscillatory problems, effective laws, convergence reports
-    hull      -- hull-function ansatz, lattice series, residual checks
+    hull      -- hull-function ansatz, residual and speed-law checks
     runio     -- run configs and deterministic result files
     cli       -- `fracpn` batch entry point
 """
 
-from .fracop import (
-    GridField,
-    TailModel,
-    levy_apply_quadrature,
-    levy_apply_spectral,
-    line_plan,
-    normalization_constant,
-    periodic_plan,
-    plan_for,
-)
+from .fracop import GridField, TailModel, normalization_constant, plan_for
 from .potential import Forcing, ForcingTerm, PeriodicPotential
-from .layer import (
-    CorrectorSolution,
-    LayerSolution,
-    check_layer_decay,
-    solve_corrector_psi,
-    solve_layer,
-)
+from .layer import CorrectorSolution, LayerSolution, solve_corrector_psi, solve_layer
 from .cell import CellProblemSpec, as_rational, hbar, hbar_table, solve_cell_evolution
 from .homog import (
     DriveLaw,
@@ -41,14 +26,6 @@ from .homog import (
     solve_effective,
     solve_eps_problem,
 )
-from .hull import (
-    CutoffFunction,
-    HullAnsatz,
-    bilinear_form_B,
-    build_ansatz,
-    claim1_series,
-    nl_residual,
-    orowan_check,
-)
+from .hull import CutoffFunction, HullAnsatz, build_ansatz, nl_residual, orowan_check
 
 __version__ = "0.1.0"

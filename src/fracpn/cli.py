@@ -119,7 +119,7 @@ def _run_homogenize(cfg, path, base, workers):
     if branch == homog.BRANCH_WEAK:
         if not any(r["drive"] == 0.0 for r in rows):
             raise runio.ConfigError([f"inputs.hbar_table: {table_path} has no rows at drive 0.0"])
-        law = homog.SlopeLaw.from_rows(rows, drive=0.0)
+        law = homog.SlopeLaw.from_rows(rows)
     else:
         p = _slope(num["slope"], "slope")
         if not any(r["slope_num"] == p.numerator and r["slope_den"] == p.denominator

@@ -65,12 +65,8 @@ __all__ = [
     "AnisotropyKernel",
     "TailModel",
     "GridField",
-    "SplitConsistencyReport",
     "normalization_constant",
     "kernel_constant",
-    "levy_apply_quadrature",
-    "levy_apply_spectral",
-    "split_consistency_check",
     "plan_for",
     "periodic_plan",
     "line_plan",
@@ -190,11 +186,6 @@ class AnisotropyKernel:
             m *= (s + 1.0 - j) / (s + j)
             total += (a * math.cos(2 * j * phi) + b * math.sin(2 * j * phi)) * m
         return 0.5 * total
-
-    @classmethod
-    def fractional_laplacian(cls, s, dimension: int = 1) -> "AnisotropyKernel":
-        """The kernel of -(-Delta)^s in the given dimension."""
-        return cls(dimension=dimension, constant=normalization_constant(_coerce_s(s), dimension))
 
 
 def _coerce_g_const(g) -> float:
@@ -318,16 +309,6 @@ class TailModel:
     def zero(cls) -> "TailModel":
         return cls()
 
-    def shifted(self, const: float, slope: float = 0.0) -> "TailModel":
-        """Tail of u - (slope * x + const); power terms are unaffected."""
-        return TailModel(
-            c_minus=self.c_minus - const,
-            c_plus=self.c_plus - const,
-            slope=self.slope - slope,
-            powers_minus=self.powers_minus,
-            powers_plus=self.powers_plus,
-        )
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= 0.0, self.c_plus, self.c_minus) + self.slope * x
@@ -417,11 +398,9 @@ class GridField:
         return out
 
 
-def _coerce_r(r) -> float | None:
+def _coerce_r(r) -> float:
     """The split radius, which separates the gradient-compensated inner
     quadrature from the plain-difference outer one, as a positive float."""
-    if r is None:
-        return None
     r = float(r)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"split radius must be positive (got {r})")
@@ -763,7 +742,7 @@ def line_plan(n: int, half_width: float, s: float, g_const: float, m_inner: int)
 
 
 # ---------------------------------------------------------------------------
-# public operator applications
+# plan factory
 # ---------------------------------------------------------------------------
 
 
@@ -785,7 +764,7 @@ def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
     ``"spectral"`` (the exact symbol; no ``r``), and the half-width for
     ``"line"``.  ``g=None`` is C(1,s); ``r=None`` is min(1, extent/2).  The
     inner-cell count round(r/h) is clamped to [2, extent/h], so a grid with
-    h > r/2 gets two cells (``levy_apply_quadrature`` rejects it instead).
+    h > r/2 gets two cells.
     """
     s = _coerce_s(s)
     g_const = kernel_constant(s, g)
@@ -798,135 +777,3 @@ def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
     if geometry == "line":
         return line_plan(n, float(extent), s, g_const, m)
     raise ValueError(f"geometry must be 'periodic', 'spectral' or 'line' (got {geometry!r})")
-
-
-def levy_apply_quadrature(field: GridField, s, g, r=None) -> GridField:
-    """Apply the Levy operator by quadrature; returns inner + outer parts.
-
-    ``r`` is the split radius (defaults to min(1, half the reachable extent));
-    values below 2h are rejected.  Non-finite field samples are rejected.
-    """
-    s = _coerce_s(s)
-    g_const = _coerce_g_const(g)
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field contains non-finite samples")
-    extent = 0.5 * field.period if field.geometry == "periodic" else field.half_width
-    r = _split_radius(r, extent)
-    if r < 2.0 * field.h:
-        raise ValueError(
-            f"split radius r = {r:.3g} is below 2h = {2*field.h:.3g}: too few near cells"
-        )
-    if r > extent + 1e-12:
-        raise ValueError(f"split radius r = {r:.3g} exceeds the quadrature extent {extent:.3g}")
-    plan = plan_for(field.geometry, field.n, extent, s, g_const, r)
-    if field.geometry == "periodic":
-        out = plan.apply(field.values)
-        return GridField.periodic(out, field.period)
-    out = plan.apply(field.values, field.tail)
-    return GridField.line(out, field.half_width, tail=None)
-
-
-def levy_apply_spectral(field: GridField, s) -> GridField:
-    """Fourier-multiplier application of -(-Delta)^s on a torus: the
-    spectral plan at g = C(1,s), so constants map to the zero field."""
-    if field.geometry != "periodic":
-        raise ValueError("spectral application requires a periodic field")
-    plan = plan_for("spectral", field.n, 0.5 * field.period, s)
-    return GridField.periodic(plan.apply(field.values), field.period)
-
-
-@dataclass(frozen=True)
-class SplitConsistencyReport:
-    r1: float
-    r2: float
-    sup_diff: float
-    sup_diff_coarse: float
-    scale: float
-    converged: bool
-
-
-def split_consistency_check(field: GridField, s, g, r1, r2) -> SplitConsistencyReport:
-    """Compare the operator evaluated with two split radii.
-
-    The difference is pure quadrature error and must shrink under grid
-    refinement; the report compares the native grid against the field
-    restricted to every second node and flags non-convergence (e.g. for
-    discontinuous data, where the difference does not decay).
-    """
-    s = _coerce_s(s)
-    g_const = _coerce_g_const(g)
-    r1 = _coerce_r(r1)
-    r2 = _coerce_r(r2)
-
-    def sup_diff(f: GridField) -> float:
-        a = levy_apply_quadrature(f, s, g_const, r1).values
-        b = levy_apply_quadrature(f, s, g_const, r2).values
-        return float(np.max(np.abs(a - b)))
-
-    fine = sup_diff(field)
-    coarse_vals = field.values[::2]
-    if field.geometry == "periodic":
-        coarse = GridField.periodic(coarse_vals, field.period)
-    else:
-        coarse = GridField.line(coarse_vals, field.half_width, field.tail)
-    coarse_diff = sup_diff(coarse)
-
-    scale = float(np.max(np.abs(levy_apply_quadrature(field, s, g_const, r1).values)))
-    tiny = 1e-13 * max(scale, 1.0)
-    converged = fine <= max(0.6 * coarse_diff, tiny)
-    return SplitConsistencyReport(
-        r1=r1, r2=r2, sup_diff=fine, sup_diff_coarse=coarse_diff, scale=scale, converged=converged
-    )
-
-
-# ---------------------------------------------------------------------------
-# paired product form (shared by the hull module's bilinear form)
-# ---------------------------------------------------------------------------
-
-
-def pair_product_form(
-    plan: LinePlan,
-    f_values: np.ndarray,
-    f_tail: TailModel,
-    g_values: np.ndarray,
-    g_tail: TailModel,
-    indices: np.ndarray,
-) -> np.ndarray:
-    """sum_k c_k [ (f(x+kh)-f(x)) (g(x+kh)-g(x)) + (f(x-kh)-f(x)) (g(x-kh)-g(x)) ]
-    plus the matching Gauss-Legendre far-field term, at the requested node
-    indices.  Uses exactly the same weights and far-field nodes as
-    ``LinePlan.apply``, so the product identity
-
-        I[f g] = f I[g] + g I[f] + pair_product_form(f, g)
-
-    holds at shared nodes to rounding accuracy.
-    """
-    n, K, h = plan.n, plan.K, plan.h
-    x = plan.nodes()
-    pad_left = x[0] - h * np.arange(K, 0, -1)
-    pad_right = x[-1] + h * np.arange(1, K + 1)
-
-    def extend(vals, tail):
-        return np.concatenate([tail.eval(pad_left), vals, tail.eval(pad_right)])
-
-    F = extend(f_values, f_tail)
-    G = extend(g_values, g_tail)
-    c = plan.coeffs
-    out = np.zeros(len(indices))
-    for out_i, j in enumerate(indices):
-        jj = j + K
-        fj, gj = F[jj], G[jj]
-        dfp = F[jj + 1 : jj + K + 1] - fj
-        dfm = F[jj - K : jj][::-1] - fj
-        dgp = G[jj + 1 : jj + K + 1] - gj
-        dgm = G[jj - K : jj][::-1] - gj
-        acc = float(np.dot(c, dfp * dgp + dfm * dgm))
-        # far field with the same transformed Gauss-Legendre nodes
-        zf = plan.far_z
-        fp = f_tail.eval(x[j] + zf) - fj
-        fm = f_tail.eval(x[j] - zf) - fj
-        gp = g_tail.eval(x[j] + zf) - gj
-        gm = g_tail.eval(x[j] - zf) - gj
-        acc += plan.far_coeff * float(np.dot(plan.far_w, fp * gp + fm * gm))
-        out[out_i] = acc
-    return out

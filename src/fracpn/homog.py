@@ -268,16 +268,17 @@ class DriveLaw(_Table1D):
 
 
 class SlopeLaw(_Table1D):
-    """speed as a function of the front slope (weak branch)."""
+    """speed as a function of the front slope (weak branch); a table gives
+    it by its rows at drive 0."""
 
     def __init__(self, slopes, speeds):
         super().__init__(slopes, speeds, "slope law")
 
     @classmethod
-    def from_rows(cls, rows, drive: float = 0.0) -> "SlopeLaw":
-        sel = [r for r in rows if r["drive"] == drive]
+    def from_rows(cls, rows) -> "SlopeLaw":
+        sel = [r for r in rows if r["drive"] == 0.0]
         if not sel:
-            raise ValueError(f"no rows with drive {drive}")
+            raise ValueError("no rows with drive 0.0")
         return cls([r["slope_num"] / r["slope_den"] for r in sel],
                    [r["speed"] for r in sel])
 

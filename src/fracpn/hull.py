@@ -28,9 +28,7 @@ The residual operator is
 evaluated on a two-period grid with I[h] taken through the periodic plan
 applied to h(x) - x (the affine part contributes nothing).
 
-Also here: the lattice series limits (signed and one-sided power sums with
-tail closure), odd power sums of the layer tail, the bilinear form B making
-I[fg] = f I[g] + g I[f] - B(f,g) exact, and the small-slope speed law check
+Also here: the small-slope speed law check
 ratio(d) = speed(d p0, d^2s L0) / d^(1+2s) -> c0 |p0| L0.
 """
 
@@ -42,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import FIT_TOL, CellProblemSpec, as_rational, hbar
-from .fracop import (
-    GridField,
-    TailModel,
-    _em_tail,
-    pair_product_form,
-    plan_for,
-)
+from .fracop import GridField, _em_tail, plan_for
 from .layer import CorrectorSolution, LayerSolution, _fit_amplitude
 from .potential import eval_potential
 
@@ -60,10 +52,6 @@ __all__ = [
     "OrowanReport",
     "build_ansatz",
     "nl_residual",
-    "claim1_series",
-    "claim2_power_sum",
-    "cutoff_operator_values",
-    "bilinear_form_B",
     "orowan_check",
     "OROWAN_COLUMNS",
 ]
@@ -110,46 +98,6 @@ def _em_pair(a: int, gamma, beta: float):
     return integral + 0.5 * f0 - f1 / 12.0 + f3 / 720.0
 
 
-def _em_pair_error(a: int, gamma, beta: float):
-    """Magnitude of the first neglected Euler-Maclaurin term."""
-    g = float(np.max(np.abs(np.asarray(gamma, dtype=float))))
-    coef = beta * (beta + 1) * (beta + 2) * (beta + 3) * (beta + 4) / 30240.0
-    return coef * abs((a - g) ** (-beta - 5.0) - (a + g) ** (-beta - 5.0) + 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# lattice series (signed and one-sided limits)
-# ---------------------------------------------------------------------------
-
-
-def claim1_series(gamma: float, s: float, tol: float = 1e-10):
-    """Limits of the lattice kernel sums at x = i0 + gamma.
-
-    Returns (S0, S_minus, S_plus):
-        S0      = sum_{i>=1} [(i+gamma)^-2s - (i-gamma)^-2s]   (signed sum)
-        S_minus = sum_{i>=1} (i+gamma)^-(1+2s)
-        S_plus  = sum_{i>=1} (i-gamma)^-(1+2s)
-    by direct summation plus Euler-Maclaurin closure, with the truncation
-    grown until the first neglected term is below tol.
-    """
-    if not -0.5 < gamma <= 0.5:
-        raise ValueError(f"gamma must lie in (-1/2, 1/2] (got {gamma})")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1) (got {s})")
-    two_s = 2.0 * s
-    a = 64
-    while _em_pair_error(a, gamma, two_s) > 0.5 * tol and a < 2**20:
-        a *= 2
-    if _em_pair_error(a, gamma, two_s) > 0.5 * tol:
-        raise RuntimeError(f"series truncation for tol={tol} not reachable")
-    i = np.arange(1, a, dtype=float)
-    S0 = float(np.sum((i + gamma) ** (-two_s) - (i - gamma) ** (-two_s))
-               + _em_pair(a, gamma, two_s))
-    Sm = float(np.sum((i + gamma) ** (-1.0 - two_s)) + _em_tail(a, gamma, 1.0 + two_s))
-    Sp = float(np.sum((i - gamma) ** (-1.0 - two_s)) + _em_tail(a, -gamma, 1.0 + two_s))
-    return S0, Sm, Sp
-
-
 # ---------------------------------------------------------------------------
 # cutoff
 # ---------------------------------------------------------------------------
@@ -170,24 +118,6 @@ class CutoffFunction:
         t = np.clip((np.abs(z) - self.R) / self.R, 0.0, 1.0)
         smooth = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
         return 1.0 - smooth
-
-    @property
-    def support_radius(self) -> float:
-        return 2.0 * self.R
-
-
-def cutoff_operator_values(tau: CutoffFunction, z, s: float, g_const: float):
-    """I[tau](z) for |z| > 2R (outside the support): there the principal
-    value is an ordinary integral g * int tau(y)/|z-y|^(1+2s) dy over the
-    support, done by a 256-point Gauss-Legendre rule."""
-    z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) <= tau.support_radius):
-        raise ValueError("cutoff_operator_values needs |z| outside the support")
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    y = tau.support_radius * nodes
-    wy = tau.support_radius * weights * tau(y)
-    return g_const * np.sum(wy / np.abs(z[:, None] - y[None, :]) ** (1.0 + 2.0 * s),
-                            axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +243,6 @@ class HullAnsatz:
     @property
     def scale(self) -> float:
         return self.delta * abs(self.p0)
-
-    def eval_g(self, x) -> np.ndarray:
-        """h(x) - x at points x of any shape (fresh lattice sums, no
-        interpolation); the result has x's shape."""
-        x = np.asarray(x, dtype=float)
-        return _assemble_g(self, x.ravel(), self.n_terms).reshape(x.shape)
-
-    def nonzero_cutoff_terms(self, x) -> int:
-        """Number of nonzero corrector*cutoff terms at x (s < 1/2 branch)."""
-        if self.cutoff is None:
-            raise ValueError("no cutoff on this ansatz")
-        i = np.arange(-self.n_terms, self.n_terms + 1)
-        z = (float(x) - i) / self.scale
-        return int(np.sum(self.cutoff(z) > 0.0))
 
 
 def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
@@ -483,45 +399,6 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# odd power sums of the layer tail (strong-branch bound checks)
-# ---------------------------------------------------------------------------
-
-
-def claim2_power_sum(layer: LayerSolution, delta: float, p0: float, x: float,
-                     k: int, n_terms: int = 512) -> float:
-    """sum_{i != i0} [phi_tilde((x-i)/(d|p0|))]^(2k-1) with tail closure,
-    where i0 = the integer nearest x."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    scale = delta * abs(p0)
-    model = _OddTailModel(layer)
-    i0 = round(x)
-    i = np.arange(i0 - n_terms, i0 + n_terms + 1)
-    i = i[i != i0].astype(float)
-    vals = model.phi_tilde((x - i) / scale) ** (2 * k - 1)
-    total = float(np.sum(vals))
-    # closure: leading tail (A |z|^-2s)^(2k-1), odd pair structure
-    beta = 2.0 * layer.s * (2 * k - 1)
-    gamma = x - i0
-    amp = model.A ** (2 * k - 1)
-    total += -amp * scale**beta * _em_pair(n_terms + 1, gamma, beta)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# bilinear form
-# ---------------------------------------------------------------------------
-
-
-def bilinear_form_B(plan, f_values, f_tail, g_values, indices):
-    """B(f, g) at the given nodes, with g compactly supported on the window,
-    such that I[fg] = f I[g] + g I[f] - B(f, g) holds exactly for the same
-    quadrature plan."""
-    zero = TailModel.zero()
-    return -pair_product_form(plan, f_values, f_tail, g_values, zero, indices)
-
-
-# ---------------------------------------------------------------------------
 # small-slope speed law
 # ---------------------------------------------------------------------------
 
@@ -531,10 +408,6 @@ class OrowanReport:
     rows: tuple          # dicts with OROWAN_COLUMNS keys
     target: float
     warnings: tuple
-
-    @property
-    def abs_errs(self) -> tuple:
-        return tuple(r["abs_err"] for r in self.rows)
 
 
 def orowan_check(

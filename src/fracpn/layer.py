@@ -34,11 +34,8 @@ from .potential import PeriodicPotential, eval_potential
 __all__ = [
     "LayerSolution",
     "CorrectorSolution",
-    "DecayEntry",
-    "DecayReport",
     "LayerConvergenceError",
     "solve_layer",
-    "check_layer_decay",
     "solve_corrector_psi",
     "layer_to_dict",
     "layer_from_dict",
@@ -240,118 +237,6 @@ def solve_layer(
             "R_dom": R_dom,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# decay diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecayEntry:
-    name: str
-    expected_exponent: float
-    fitted_exponent: float
-    fitted_amplitude: float
-    kind: str  # "exact" (rate saturated) or "upper" (envelope bound)
-    envelope_ok: bool
-    window: tuple
-
-    @property
-    def exponent_ok(self) -> bool:
-        if self.kind == "exact":
-            return abs(self.fitted_exponent - self.expected_exponent) <= 0.15 * self.expected_exponent
-        return self.fitted_exponent >= 0.85 * self.expected_exponent
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    entries: tuple
-
-    def entry(self, name: str) -> DecayEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.exponent_ok and e.envelope_ok for e in self.entries)
-
-
-def _decay_entry(name, x, q, expected, kind, check_x=None, check_q=None) -> DecayEntry:
-    fitted_exp, _ = _fit_exponent(x, q)
-    amp = float(np.max(np.abs(q) * (1.0 + x**expected)))
-    if check_x is None:
-        check_x, check_q = x, q
-    envelope_ok = bool(
-        np.all(np.abs(check_q) * (1.0 + np.abs(check_x) ** expected) <= 2.0 * amp + 1e-300)
-    )
-    return DecayEntry(
-        name=name,
-        expected_exponent=expected,
-        fitted_exponent=fitted_exp,
-        fitted_amplitude=amp,
-        kind=kind,
-        envelope_ok=envelope_ok,
-        window=(float(x.min()), float(x.max())),
-    )
-
-
-def check_layer_decay(layer: LayerSolution, psi: "CorrectorSolution | None" = None) -> DecayReport:
-    """Fit far-field decay exponents and check factor-2 envelopes.
-
-    phi - H and phi' saturate their rates (2s and 1+2s); phi'' and psi' are
-    envelope bounds (1+2s) — for even potentials the corrector is even and
-    its odd leading tail vanishes, so psi' genuinely decays faster than the
-    bound; the check there is one-sided.
-    """
-    s = layer.s
-    two_s = 2.0 * s
-    R = layer.field.half_width
-    x = layer.field.nodes
-    h = layer.field.h
-    phi = layer.field.values
-
-    lo, hi = max(4.0, 0.15 * R), 0.7 * R
-    sel = (np.abs(x) >= lo) & (np.abs(x) <= hi)
-    outer = (np.abs(x) >= lo) & (np.abs(x) <= 0.9 * R)
-    ax = np.abs(x)
-
-    phi_tilde = phi - (x >= 0.0)
-    entries = [
-        _decay_entry("phi_minus_H", ax[sel], phi_tilde[sel], two_s, "exact",
-                     ax[outer], phi_tilde[outer]),
-        _decay_entry("phi_prime", ax[sel], layer.phi_prime[sel], 1.0 + two_s, "exact",
-                     ax[outer], layer.phi_prime[outer]),
-    ]
-    phi_pp = np.gradient(layer.phi_prime, h)
-    entries.append(
-        _decay_entry("phi_second", ax[sel], phi_pp[sel], 1.0 + two_s, "upper",
-                     ax[outer], phi_pp[outer])
-    )
-    if s >= 0.5:
-        # remainder after removing the known leading tail (reported only;
-        # its true decay is faster than the 1+2s bound, which is not
-        # saturated for even potentials)
-        (a_minus, _), = layer.field.tail.powers_minus
-        (a_plus, _), = layer.field.tail.powers_plus
-        amp = np.where(x > 0, a_plus, a_minus)
-        rem = phi_tilde - amp * np.where(ax > 0, ax, 1.0) ** (-two_s)
-        entries.append(
-            _decay_entry("phi_minus_H_corrected", ax[sel], rem[sel], 1.0 + two_s, "upper")
-        )
-    if psi is not None:
-        psiv = psi.field.values
-        psi_prime = np.gradient(psiv, h)
-        entries.append(
-            _decay_entry("psi", ax[sel], psiv[sel], min(1.0 + two_s, 4.0 * s), "upper")
-        )
-        entries.append(
-            _decay_entry("psi_prime", ax[sel], psi_prime[sel], 1.0 + two_s, "upper",
-                         ax[outer], psi_prime[outer])
-        )
-    return DecayReport(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,32 @@ def test_no_unused_imports(path):
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= set(ast.literal_eval(node.value))
     assert not imported - used, f"{path.name} imports unused names {sorted(imported - used)}"
+
+
+# AnisotropyKernel has no command caller until a config can name an
+# anisotropic kernel and a direction (ROADMAP item 11)
+AWAITING_CALLER = {"AnisotropyKernel"}
+
+
+def _reads(tree):
+    """Names a module reads, as a bare name or an attribute, outside the
+    top-level statement that defines them."""
+    reads = set()
+    for stmt in tree.body:
+        own = {getattr(stmt, "name", None)}
+        own |= {t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)}
+        nodes = list(ast.walk(stmt))
+        names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        reads |= names - own
+    return reads
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_read_in_the_package(name):
+    """Every name in a module's __all__ is read somewhere in the package
+    outside its own definition (the re-exporting __init__ does not count)."""
+    mod = importlib.import_module(f"fracpn.{name}")
+    read = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES))
+    unread = sorted(set(mod.__all__) - read - AWAITING_CALLER)
+    assert not unread, f"fracpn.{name}.__all__ names nothing in the package reads: {unread}"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,12 @@ from hypothesis import strategies as st
 
 from fracpn.fracop import (
     AnisotropyKernel,
-    GridField,
     LinePlan,
     TailModel,
-    levy_apply_quadrature,
-    levy_apply_spectral,
     line_plan,
     normalization_constant,
-    pair_product_form,
     periodic_plan,
     plan_for,
-    split_consistency_check,
 )
 
 INV_PI = 0.3183098861837907  # 1/pi
@@ -48,11 +44,10 @@ def test_periodic_quadrature_matches_spectral_on_modes(s, k):
     """cos modes are eigenfunctions: both routes must give -(2 pi k/q)^2s."""
     n, q = 512, 2.0
     x = q * np.arange(n) / n
-    f = GridField.periodic(np.cos(2 * np.pi * k * x / q), q)
-    g = normalization_constant(s)
-    quad = levy_apply_quadrature(f, s, g).values
-    spec = levy_apply_spectral(f, s).values
-    exact = -((2 * np.pi * k / q) ** (2 * s)) * f.values
+    f = np.cos(2 * np.pi * k * x / q)
+    quad = plan_for("periodic", n, q / 2, s).apply(f)
+    spec = plan_for("spectral", n, q / 2, s).apply(f)
+    exact = -((2 * np.pi * k / q) ** (2 * s)) * f
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(spec - exact)) <= 1e-11 * scale
     assert np.max(np.abs(quad - exact)) <= 2e-3 * scale
@@ -108,7 +103,7 @@ def _line_apply_reference(plan, u, tail):
     x = h * (np.arange(n) - n // 2)
     a = tail.slope
     b = float(np.mean(u - a * x))
-    red = tail.shifted(b, a)
+    red = replace(tail, c_minus=tail.c_minus - b, c_plus=tail.c_plus - b, slope=0.0)
     U = np.concatenate([
         red.eval(x[0] - h * np.arange(K, 0, -1)),
         u - (a * x + b),
@@ -165,38 +160,18 @@ def test_line_plan_symbol_is_zero_tail_operator(s):
 
 
 def test_split_radius_consistency_smooth_field():
-    n, q = 256, 1.0
-    x = np.arange(n) / n
-    f = GridField.periodic(np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x), q)
-    rep = split_consistency_check(f, 0.6, normalization_constant(0.6), 0.1, 0.25)
-    assert rep.converged
-    assert rep.sup_diff <= rep.sup_diff_coarse
+    """Two split radii differ by quadrature error alone, which shrinks when
+    the grid is refined (native grid against every second node)."""
+    q, s = 1.0, 0.6
 
+    def sup_diff(n):
+        x = q * np.arange(n) / n
+        f = np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
+        a = plan_for("periodic", n, q / 2, s, r=0.1).apply(f)
+        b = plan_for("periodic", n, q / 2, s, r=0.25).apply(f)
+        return float(np.max(np.abs(a - b)))
 
-def test_split_radius_consistency_flags_rough_field():
-    n, q = 256, 1.0
-    rng = np.random.default_rng(0)
-    f = GridField.periodic(rng.normal(size=n), q)
-    rep = split_consistency_check(f, 0.6, normalization_constant(0.6), 0.1, 0.25)
-    assert not rep.converged
-
-
-def test_pair_product_identity_generic_fields():
-    n, R, s = 512, 12.0, 0.35
-    h = 2 * R / n
-    x = -R + h * np.arange(n)
-    f = np.tanh(x) * np.exp(-0.01 * x * x)
-    g = 1.0 / (1.0 + x * x)
-    zero = TailModel.zero()
-    plan = line_plan(n, R, s, normalization_constant(s), int(round(1.0 / h)))
-    idx = np.arange(n // 8, 7 * n // 8, 37)
-    lhs = plan.apply(f * g, zero)[idx]
-    rhs = (
-        f[idx] * plan.apply(g, zero)[idx]
-        + g[idx] * plan.apply(f, zero)[idx]
-        + pair_product_form(plan, f, zero, g, zero, idx)
-    )
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    assert sup_diff(256) <= 0.6 * sup_diff(128)
 
 
 def test_tail_model_eval_and_shift():
@@ -204,8 +179,8 @@ def test_tail_model_eval_and_shift():
                   powers_minus=((0.2, 1.5),), powers_plus=((-0.2, 1.5),))
     assert t.eval(np.array([-8.0]))[0] == pytest.approx(0.2 * 8.0**-1.5)
     assert t.eval(np.array([8.0]))[0] == pytest.approx(1.0 - 0.2 * 8.0**-1.5)
-    # shifted(c, m) is the tail of u - (m x + c)
-    shifted = t.shifted(2.0, 0.5)
+    # the tail of u - (m x + c) shifts the constants by c and the slope by m
+    shifted = replace(t, c_minus=t.c_minus - 2.0, c_plus=t.c_plus - 2.0, slope=t.slope - 0.5)
     assert shifted.eval(np.array([8.0]))[0] == pytest.approx(
         t.eval(np.array([8.0]))[0] - 2.0 - 0.5 * 8.0
     )
@@ -277,18 +252,10 @@ def test_plan_for_inner_cells(geometry, n, extent, r, m_inner):
         assert plan.half_width == extent
 
 
-def test_plan_for_clamps_coarse_grids_but_quadrature_rejects_them():
+def test_plan_for_clamps_coarse_grids():
     # a q = 20 cell torus on 16 nodes has h = 1.25 > r/2: the solvers get
-    # two inner cells, the field-level quadrature refuses the radius
+    # two inner cells
     assert plan_for("periodic", 16, 10.0, 0.5).m_inner == 2
-    field = GridField.periodic(np.sin(2 * np.pi * np.arange(16) / 16), 20.0)
-    with pytest.raises(ValueError, match="below 2h"):
-        levy_apply_quadrature(field, 0.5, INV_PI)
-    fine = GridField.periodic(np.zeros(64), 1.0)
-    with pytest.raises(ValueError, match="below 2h"):
-        levy_apply_quadrature(fine, 0.5, INV_PI, r=0.02)
-    with pytest.raises(ValueError, match="exceeds"):
-        levy_apply_quadrature(fine, 0.5, INV_PI, r=0.6)
     with pytest.raises(ValueError, match="geometry"):
         plan_for("torus", 64, 0.5, 0.5)
 
@@ -312,7 +279,7 @@ def test_periodic_apply_is_linear(a, b, s):
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
 def test_directional_constant_isotropic_is_c1(s):
-    kern = AnisotropyKernel.fractional_laplacian(s, dimension=2)
+    kern = AnisotropyKernel(dimension=2, constant=normalization_constant(s, 2))
     for e in [(1.0, 0.0), (0.0, -2.0), (0.3, 0.7)]:
         assert kern.directional_constant(s, e) == pytest.approx(
             normalization_constant(s), rel=1e-14
@@ -368,7 +335,7 @@ def test_kernel_positivity_is_checked_between_samples():
         AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3, -0.1),
                          sin_coeffs=(0.2, 0.05, -0.04)),
         AnisotropyKernel(dimension=2, constant=1.0, cos_coeffs=(0.3,)),
-        AnisotropyKernel.fractional_laplacian(0.3, dimension=2),
+        AnisotropyKernel(dimension=2, constant=normalization_constant(0.3, 2)),
     ]
     theta = np.linspace(0.0, np.pi, 100_001)
     for k in kernels:

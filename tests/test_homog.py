@@ -82,12 +82,12 @@ def test_law_from_rows():
     ]
     dl = DriveLaw.from_rows(rows)
     assert dl(0.0) == pytest.approx(0.0)
-    sl = SlopeLaw.from_rows(rows, drive=0.0)
+    sl = SlopeLaw.from_rows(rows)
     assert sl(0.75) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         DriveLaw.from_rows(rows, slope_num=7)
     with pytest.raises(ValueError):
-        SlopeLaw.from_rows(rows, drive=3.0)
+        SlopeLaw.from_rows(rows[:2])  # no rows at drive 0
 
 
 def test_eps_spec_commensurability():

@@ -7,19 +7,10 @@ import pytest
 
 from fracpn import hull
 from fracpn.cell import CellProblemSpec, as_rational, hbar
-from fracpn.fracop import GridField, TailModel, normalization_constant, plan_for
-from fracpn.hull import (
-    CutoffFunction,
-    HullTailError,
-    bilinear_form_B,
-    build_ansatz,
-    claim1_series,
-    claim2_power_sum,
-    cutoff_operator_values,
-    nl_residual,
-    orowan_check,
-)
+from fracpn.fracop import TailModel, normalization_constant, plan_for
+from fracpn.hull import CutoffFunction, HullTailError, build_ansatz, nl_residual, orowan_check
 from fracpn.layer import solve_layer
+from reference import bilinear_form_B, claim1_series
 
 # Hurwitz-zeta values: sum (i+1/2)^-2 = pi^2/2 - 4, sum (i-1/2)^-2 = pi^2/2
 S_MINUS_HALF = math.pi**2 / 2.0 - 4.0
@@ -71,7 +62,6 @@ def test_cutoff_shape():
     vals = tau(z)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.allclose(vals, tau(-z))
-    assert tau.support_radius == 3.0
     with pytest.raises(ValueError):
         CutoffFunction(R=0.0)
 
@@ -84,21 +74,6 @@ def test_cutoff_is_c2_at_the_seams():
         d2 = (tau(z0 + h) - 2 * tau(z0) + tau(z0 - h)) / h**2
         assert abs(d1) < 1e-6
         assert abs(d2) < 1e-2
-
-
-def test_cutoff_operator_far_field():
-    tau = CutoffFunction(R=1.0)
-    g = 1.0 / math.pi
-    s = 0.5
-    z = np.array([50.0, 100.0])
-    vals = cutoff_operator_values(tau, z, s, g)
-    assert np.all(vals > 0.0)
-    # mass of the bump is 3R, so I[tau](z) ~ g * 3R / z^(1+2s)
-    mass = 3.0
-    for zi, vi in zip(z, vals):
-        assert vi == pytest.approx(g * mass / zi**2, rel=1e-2)
-    with pytest.raises(ValueError):
-        cutoff_operator_values(tau, np.array([1.5]), s, g)
 
 
 def test_lattice_build_basic(layer_half):
@@ -116,19 +91,8 @@ def test_lattice_reflection_symmetry(layer_half):
     g(x) + g(-x) is constant."""
     ans = build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=64, n_grid=256)
     x = np.array([0.1, 0.3, 0.45, 0.7])
-    total = ans.eval_g(x) + ans.eval_g(-x)
+    total = hull._assemble_g(ans, x, ans.n_terms) + hull._assemble_g(ans, -x, ans.n_terms)
     assert np.max(total) - np.min(total) < 1e-6
-
-
-def test_eval_g_keeps_the_shape_of_x(layer_half):
-    """A scalar and a 2-D array of points give the 1-D call's values in
-    their own shape."""
-    ans = build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=64, n_grid=256)
-    flat = np.array([0.1, 0.3, 0.45, 0.7])
-    g = ans.eval_g(flat)
-    assert ans.eval_g(0.3).shape == () and ans.eval_g(0.3) == g[1]
-    square = ans.eval_g(flat.reshape(2, 2))
-    assert square.shape == (2, 2) and np.array_equal(square.ravel(), g)
 
 
 def test_cutoff_terms_bounded(layer_s03, psi_s03):
@@ -136,8 +100,9 @@ def test_cutoff_terms_bounded(layer_s03, psi_s03):
                        n_terms=64, n_grid=256, cauchy_tol=1e-6)
     assert ans.cutoff is not None
     assert ans.cutoff.R == pytest.approx(2.0)
+    i = np.arange(-ans.n_terms, ans.n_terms + 1)
     for x in (0.0, 0.3, 0.5, 1.7):
-        assert ans.nonzero_cutoff_terms(x) <= 3
+        assert np.count_nonzero(ans.cutoff((x - i) / ans.scale) > 0.0) <= 3
 
 
 def _unblocked_g(ans, x, n_terms):
@@ -177,7 +142,7 @@ def test_streamed_lattice_sums_match_unblocked(request, tag, cutoff):
     assert (ans.cutoff is not None) == cutoff
     assert np.array_equal(ans.g_values, _unblocked_g(ans, ans.grid, 2 * ans.n_terms))
     x = np.linspace(-0.7, 2.3, 2 * hull._BLOCK_ROWS + 5)
-    assert np.array_equal(ans.eval_g(x), _unblocked_g(ans, x, ans.n_terms))
+    assert np.array_equal(hull._assemble_g(ans, x, ans.n_terms), _unblocked_g(ans, x, ans.n_terms))
 
 
 @pytest.mark.parametrize("tag", ["s075", "s03"])
@@ -212,47 +177,33 @@ def test_build_validation(layer_half, layer_s075, psi_s075):
                      cauchy_tol=1e-14)
 
 
-def test_claim2_scaling(layer_half):
-    x = 0.3
-    v_02 = claim2_power_sum(layer_half, 0.2, 1.0, x, k=1)
-    v_01 = claim2_power_sum(layer_half, 0.1, 1.0, x, k=1)
-    gamma = x - round(x)
-    # bound |sum| <= C k delta^(2s(2k-1)) |gamma| with C order one
-    two_s = 2.0 * layer_half.s
-    assert abs(v_02) <= 1.5 * 0.2**two_s * abs(gamma)
-    assert abs(v_01) <= 1.5 * 0.1**two_s * abs(gamma)
-    # leading-order scaling in delta
-    assert v_01 / v_02 == pytest.approx(0.5**two_s, rel=0.25)
-    # odd in the offset from the nearest lattice point
-    v_neg = claim2_power_sum(layer_half, 0.2, 1.0, -x, k=1)
-    assert v_neg == pytest.approx(-v_02, rel=1e-5)
-    # higher odd powers are much smaller
-    v_k2 = claim2_power_sum(layer_half, 0.2, 1.0, x, k=2)
-    assert abs(v_k2) <= 2.0 * 0.2 ** (3 * two_s) * abs(gamma)
-    with pytest.raises(ValueError):
-        claim2_power_sum(layer_half, 0.2, 1.0, x, k=0)
-
-
-def test_bilinear_form_identity(layer_half):
-    layer = layer_half
-    n = layer.field.n
-    plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
-    f_vals = layer.field.values
-    f_tail = layer.field.tail
-    bump = CutoffFunction(R=3.0)
-    g_vals = bump(layer.field.nodes)
+@pytest.mark.parametrize("case", ["generic", "layer"])
+def test_pair_product_identity(request, case):
+    """I[fg] = f I[g] + g I[f] - B(f, g) at shared nodes, for two smooth
+    zero-tail fields and for the s = 1/2 layer (with its tail) times a bump."""
     zero = TailModel.zero()
-
-    rng = np.random.default_rng(7)
-    idx = rng.integers(n // 10, n - n // 10, size=10)
-    B = bilinear_form_B(plan, f_vals, f_tail, g_vals, idx)
-
-    I_fg = plan.apply(f_vals * g_vals, zero)
-    I_g = plan.apply(g_vals, zero)
-    I_f = plan.apply(f_vals, f_tail)
-    lhs = I_fg[idx]
-    rhs = f_vals[idx] * I_g[idx] + g_vals[idx] * I_f[idx] - B
-    assert np.max(np.abs(lhs - rhs)) < 1e-6
+    if case == "generic":
+        n, R, s = 512, 12.0, 0.35
+        h = 2 * R / n
+        x = -R + h * np.arange(n)
+        f, f_tail = np.tanh(x) * np.exp(-0.01 * x * x), zero
+        g = 1.0 / (1.0 + x * x)
+        plan = plan_for("line", n, R, s)
+        idx, tol = np.arange(n // 8, 7 * n // 8, 37), 1e-12
+    else:
+        layer = request.getfixturevalue("layer_half")
+        n = layer.field.n
+        plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
+        f, f_tail = layer.field.values, layer.field.tail
+        g = CutoffFunction(R=3.0)(layer.field.nodes)
+        idx, tol = np.random.default_rng(7).integers(n // 10, n - n // 10, size=10), 1e-6
+    lhs = plan.apply(f * g, zero)[idx]
+    rhs = (
+        f[idx] * plan.apply(g, zero)[idx]
+        + g[idx] * plan.apply(f, f_tail)[idx]
+        - bilinear_form_B(plan, f, f_tail, g, idx)
+    )
+    assert np.max(np.abs(lhs - rhs)) < tol
 
 
 def test_bilinear_form_bound_off_support(layer_half):

@@ -7,7 +7,6 @@ from fracpn.fracop import normalization_constant
 from fracpn.layer import (
     LayerConvergenceError,
     _monotone,
-    check_layer_decay,
     corrector_from_dict,
     corrector_to_dict,
     layer_from_dict,
@@ -16,6 +15,7 @@ from fracpn.layer import (
     solve_layer,
 )
 from fracpn.potential import PeriodicPotential
+from reference import check_layer_decay
 
 TWO_PI = 2.0 * math.pi
 INV_PI = 1.0 / math.pi
