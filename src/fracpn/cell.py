@@ -107,6 +107,8 @@ clamped or hidden.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -506,13 +508,68 @@ def _table_worker(spec):
     }
 
 
+def _fork_rows(jobs, workers: int) -> list:
+    """``_table_worker`` of every job, in ``workers`` forked children.  The
+    claims (4-byte indices of each chunk's first job) go into a pipe in one
+    write of at most PIPE_BUF bytes before the fork, so none blocks or is
+    read half-written.  Each child sends its (index, row) pairs, or a row's
+    exception, through its own pipe and leaves by os._exit."""
+    n = len(jobs)
+    claims, w = os.pipe()
+    size = -(-n // (os.fpathconf(w, "PC_PIPE_BUF") // 4))  # jobs per claim
+    os.write(w, b"".join(i.to_bytes(4, "little") for i in range(0, n, size)))
+    os.close(w)
+    children = []  # (pid, result pipe) of each child not yet reaped
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    try:
+                        got = []
+                        while rec := os.read(claims, 4):
+                            i = int.from_bytes(rec, "little")
+                            got += [(j, _table_worker(jobs[j]))
+                                    for j in range(i, min(i + size, n))]
+                    except Exception as exc:
+                        got = exc
+                    with os.fdopen(w, "wb") as out:
+                        out.write(pickle.dumps(got))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        rows = [None] * n
+        while children:
+            pid, result = children[0]
+            with result:
+                data = result.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                raise RuntimeError(f"table worker {pid} exited ({status}) without its rows")
+            if isinstance(got := pickle.loads(data), Exception):
+                raise got
+            for i, row in got:
+                rows[i] = row
+        return rows
+    finally:
+        os.close(claims)
+        for pid, result in children:  # left by a row's error or an interrupt
+            from signal import SIGKILL
+            result.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
     """Effective speeds over a (slope, drive) grid, sorted by (slope, drive).
 
     ``base`` supplies everything except the grid axes.  With workers > 1 the
-    cells run in a pool of min(workers, cells) processes (a single cell runs
-    in this process); the merged rows are sorted either way, so output order
-    is deterministic.
+    rows run in min(workers, rows) forked children (a single row, or a
+    platform without ``os.fork``, runs here); the merged rows are sorted
+    either way, so output order is deterministic.
     """
     slopes = [as_rational(p) for p in slopes]
     jobs = [
@@ -520,14 +577,10 @@ def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
         for p in sorted(set(slopes))
         for F in sorted({float(F) for F in drives})
     ]
-    # the pool forks all its workers at once, busy or not
     workers = min(workers, len(jobs))
-    if workers <= 1:
-        rows = [_table_worker(j) for j in jobs]
+    if workers > 1 and hasattr(os, "fork"):
+        rows = _fork_rows(jobs, workers)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_table_worker, jobs))
+        rows = [_table_worker(j) for j in jobs]
     rows.sort(key=lambda r: (r["slope_num"] / r["slope_den"], r["drive"]))
     return rows

@@ -261,11 +261,6 @@ class DriveLaw(_Table1D):
             raise ValueError(f"no rows with slope {slope_num}/{slope_den}")
         return cls([r["drive"] for r in sel], [r["speed"] for r in sel])
 
-    @classmethod
-    def identity(cls, radius: float, points: int = 2) -> "DriveLaw":
-        xs = np.linspace(-radius, radius, max(2, points))
-        return cls(xs, xs)
-
 
 class SlopeLaw(_Table1D):
     """speed as a function of the front slope (weak branch); a table gives

@@ -12,6 +12,7 @@ wells, which keeps the transition-layer mobility constants clean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,10 +84,6 @@ class PeriodicPotential:
             raise ValueError("potential must not be identically zero")
         object.__setattr__(self, "cosine_coeffs", coeffs)
 
-    @classmethod
-    def standard(cls) -> "PeriodicPotential":
-        return cls((1.0 / (4.0 * math.pi**2),))
-
     def value(self, v):
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
@@ -94,17 +91,16 @@ class PeriodicPotential:
             out += a * (1.0 - np.cos(_TWO_PI * k * v))
         return out
 
-    def derivative(self, v, order: int = 1):
-        return eval_potential(self, v, order)
-
     @property
     def curvature_at_zero(self) -> float:
         """W''(0) = sum_k a_k (2 pi k)^2; must be positive for layer work."""
         return sum(a * (_TWO_PI * k) ** 2 for k, a in enumerate(self.cosine_coeffs, start=1))
 
+    @functools.cache
     def sup_derivative(self, order: int = 1) -> float:
         """sup over a period of |W^(order)|, by dense sampling plus
-        golden-section refinement around the sampled peak."""
+        golden-section refinement around the sampled peak.  Computed once
+        per process for each (potential, order): every cell row asks."""
         vs = np.linspace(0.0, 1.0, 2**14, endpoint=False)
         vals = np.abs(eval_potential(self, vs, order))
         i = int(np.argmax(vals))
@@ -197,12 +193,14 @@ class Forcing:
             out = out + term.eval(t, y)
         return out
 
+    @functools.cache
     def sup_norm(self) -> float:
         """sup |sigma| over the (t, y) torus: dense sampling, then
         alternating golden-section refinement in each coordinate that some
         live term depends on.  Each axis takes at least 4 samples per period
         of its highest live mode (and at least 256): at 2 per period a term's
-        equal peaks fall on neighbouring samples and leave no bracket."""
+        equal peaks fall on neighbouring samples and leave no bracket.
+        Computed once per process for each forcing: every cell row asks."""
         live = [f for f in self.terms if f.is_live]
         if not live:
             return 0.0

@@ -1,12 +1,12 @@
 import pytest
 
 from fracpn.layer import solve_corrector_psi, solve_layer
-from fracpn.potential import PeriodicPotential
+from reference import standard_potential
 
 
 @pytest.fixture(scope="session")
 def W_std():
-    return PeriodicPotential.standard()
+    return standard_potential()
 
 
 @pytest.fixture(scope="session")

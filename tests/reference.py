@@ -10,15 +10,32 @@ None of these is on a command's path; the tests use them to check what is:
   ``fracop._em_tail`` that the hull's lattice sums use;
 - ``check_layer_decay``: fitted far-field decay exponents of a layer (and
   corrector) from ``solve_layer``, with factor-2 envelope checks.
+
+It also builds two test inputs: ``standard_potential``, the curvature-one
+well, and ``identity_law``, the drive law whose speed is the drive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fracpn.fracop import _em_tail
+from fracpn.homog import DriveLaw
 from fracpn.hull import _em_pair
 from fracpn.layer import _fit_exponent
+from fracpn.potential import PeriodicPotential
+
+
+def standard_potential() -> PeriodicPotential:
+    """W(v) = (1 - cos 2 pi v) / (4 pi^2): W'(v) = sin(2 pi v) / (2 pi), and
+    unit curvature at the wells."""
+    return PeriodicPotential((1.0 / (4.0 * math.pi**2),))
+
+
+def identity_law(radius: float) -> DriveLaw:
+    """The drive law speed = drive on [-radius, radius]."""
+    return DriveLaw([-radius, radius], [-radius, radius])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -22,8 +25,9 @@ from fracpn.cell import (
 )
 from fracpn.fracop import AnisotropyKernel, plan_for
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, eval_potential
+from reference import standard_potential
 
-W_STD = PeriodicPotential.standard()
+W_STD = standard_potential()
 SUP_WP = 1.0 / (2.0 * math.pi)  # sup |W'| for the standard potential
 
 
@@ -124,12 +128,73 @@ def test_table_rows_sorted_and_parallel_consistent():
     slopes = [Fraction(1, 2), Fraction(0)]
     drives = [0.6, -0.6, 0.0]
     seq = hbar_table(base, slopes=slopes, drives=drives, workers=1)
-    par = hbar_table(base, slopes=slopes, drives=drives, workers=2)
     keys = [(r["slope_num"] / r["slope_den"], r["drive"]) for r in seq]
     assert keys == sorted(keys)
     assert len(seq) == 6
-    for a, b in zip(seq, par):
-        assert a == b
+    for workers in (2, 3, 7):  # 7: more workers than rows
+        assert hbar_table(base, slopes=slopes, drives=drives, workers=workers) == seq
+
+
+def _cheap_row(spec):
+    return {"slope_num": spec.slope.numerator, "slope_den": spec.slope.denominator,
+            "drive": spec.drive}
+
+
+def _failing_row(spec):
+    if spec.drive == 0.5:
+        raise CellStabilityError("row 0.5 left the envelope")
+    if spec.drive == 0.7:
+        os._exit(3)  # a child that dies without sending its rows
+    return _cheap_row(spec)
+
+
+@pytest.mark.parametrize("drives, error, match", [
+    ([0.1, 0.3, 0.5, 0.9], CellStabilityError, "row 0.5 left the envelope"),
+    ([0.1, 0.3, 0.7, 0.9], RuntimeError, "exited \\(3\\) without its rows"),
+], ids=["row-error", "child-dies"])
+def test_table_pool_failure_reraises_and_leaves_no_child(monkeypatch, drives, error, match):
+    """A row's exception in a child re-raises here with its type and
+    message, a child that dies without its rows raises RuntimeError, and
+    either way every child has been reaped."""
+    monkeypatch.setattr(fracpn.cell, "_table_worker", _failing_row)
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD, n=32)
+    with pytest.raises(error, match=match):
+        hbar_table(base, slopes=[Fraction(0)], drives=drives, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupted_table_pool_leaves_no_child(monkeypatch):
+    """An interrupt while the children work kills and reaps them."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fracpn.cell, "_table_worker", lambda spec: time.sleep(60))
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD, n=32)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            hbar_table(base, slopes=[Fraction(0)], drives=[0.1, 0.3], workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_table_pool_claims_more_rows_than_a_pipe_buffer_holds(monkeypatch):
+    """20 000 rows take more 4-byte claims than one PIPE_BUF write holds,
+    and their pickled rows more than a pipe buffers: the claims go by chunk
+    and the table completes."""
+    monkeypatch.setattr(fracpn.cell, "_table_worker", _cheap_row)
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD, n=32)
+    drives = [0.25 * k for k in range(10_000)]
+    rows = hbar_table(base, slopes=[Fraction(0), Fraction(1, 2)], drives=drives, workers=3)
+    assert rows == [_cheap_row(replace(base, slope=p, drive=F))
+                    for p in (Fraction(0), Fraction(1, 2)) for F in drives]
 
 
 # criterion 04's grid: s = 1/2, n = 512, horizon 200

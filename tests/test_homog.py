@@ -21,8 +21,9 @@ from fracpn.homog import (
     solve_eps_problem,
 )
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential
+from reference import identity_law, standard_potential
 
-W_STD = PeriodicPotential.standard()
+W_STD = standard_potential()
 
 
 def test_branch_exponents_values():
@@ -120,13 +121,13 @@ def test_eps_spec_forcing_periodicity_only_for_live_forcing():
 def test_effective_spec_validation():
     prof = InitialProfile.zero()
     with pytest.raises(TypeError):
-        EffectiveProblemSpec(branch=BRANCH_WEAK, law=DriveLaw.identity(1.0),
+        EffectiveProblemSpec(branch=BRANCH_WEAK, law=identity_law(1.0),
                              slope=0.0, profile=prof)
     with pytest.raises(TypeError):
         EffectiveProblemSpec(branch=BRANCH_STRONG, law=SlopeLaw.constant(0.0, 1.0),
                              slope=0.0, profile=prof, s=0.4)
     with pytest.raises(ValueError):
-        EffectiveProblemSpec(branch=BRANCH_STRONG, law=DriveLaw.identity(1.0),
+        EffectiveProblemSpec(branch=BRANCH_STRONG, law=identity_law(1.0),
                              slope=0.0, profile=prof)
 
 
@@ -148,7 +149,7 @@ def test_strong_effective_identity_law_mode_decay():
     s = 0.5
     amp = 0.1
     prof = InitialProfile(terms=((amp, 1, "cos"),))
-    spec = EffectiveProblemSpec(branch=BRANCH_STRONG, law=DriveLaw.identity(1.0),
+    spec = EffectiveProblemSpec(branch=BRANCH_STRONG, law=identity_law(1.0),
                                 slope=0.0, profile=prof, horizon=0.1, n=256, s=s)
     tr = solve_effective(spec)
     mu = (2.0 * math.pi) ** (2.0 * s)
@@ -185,7 +186,7 @@ def test_convergence_report_validation():
         return EpsProblemSpec(branch=BRANCH_STRONG, eps=eps, s=0.4, slope=0.0,
                               profile=prof, potential=None, n=n, horizon=0.05)
 
-    law = DriveLaw.identity(1.0)
+    law = identity_law(1.0)
     with pytest.raises(ValueError):
         convergence_report([spec(0.5)], law)
     with pytest.raises(ValueError):
@@ -203,7 +204,7 @@ def test_convergence_report_rejects_specs_that_differ_beyond_eps():
         return EpsProblemSpec(branch=BRANCH_STRONG, eps=eps, s=0.4, slope=0.0, profile=prof,
                               potential=potential, n=32, horizon=0.05, g_const=g_const)
 
-    law = DriveLaw.identity(1.0)
+    law = identity_law(1.0)
     for other in (spec(0.25, potential=PeriodicPotential((0.02,))), spec(0.25, potential=None),
                   spec(0.25, g_const=2.0)):
         with pytest.raises(ValueError, match="differ only in eps"):
@@ -217,7 +218,7 @@ def test_convergence_report_trivial_case_is_exact():
                        profile=prof, potential=None, n=32, horizon=0.05)
         for e in (0.5, 0.25)
     ]
-    rep = convergence_report(specs, DriveLaw.identity(1.0))
+    rep = convergence_report(specs, identity_law(1.0))
     assert rep["errors"] == [0.0, 0.0]
     assert rep["eps_list"] == [0.5, 0.25]
     assert rep["branch"] == BRANCH_STRONG
@@ -233,7 +234,7 @@ def test_convergence_report_small_real_run():
                        profile=prof, potential=W_STD, n=64, horizon=0.1)
         for e in (0.5, 0.25)
     ]
-    rep = convergence_report(specs, DriveLaw.identity(2.0))
+    rep = convergence_report(specs, identity_law(2.0))
     assert rep["compact"] == [0.1, 1.0]
     assert len(rep["errors"]) == 2
     assert all(np.isfinite(rep["errors"]))

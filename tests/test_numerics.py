@@ -23,7 +23,8 @@ from scipy.special import zeta as scipy_zeta
 import fracpn
 from fracpn.fracop import CubicSpline, _hurwitz_zeta, normalization_constant
 from fracpn.layer import _cg
-from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min
+from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min, eval_potential
+from reference import standard_potential
 
 
 @pytest.mark.parametrize("sigma", [1.02, 1.2, 1.6, 2.0, 2.5, 2.98])
@@ -87,10 +88,10 @@ def test_golden_min_rejects_invalid_brackets():
 def _scipy_sup_derivative(W, order):
     """The sup norm as computed with scipy's golden search."""
     vs = np.linspace(0.0, 1.0, 2**14, endpoint=False)
-    vals = np.abs(W.derivative(vs, order))
+    vals = np.abs(eval_potential(W, vs, order))
     i = int(np.argmax(vals))
     dh = vs[1] - vs[0]
-    res = minimize_scalar(lambda v: -abs(float(W.derivative(v, order))),
+    res = minimize_scalar(lambda v: -abs(float(eval_potential(W, v, order))),
                           bracket=(vs[i] - dh, vs[i], vs[i] + dh), method="golden",
                           options={"xtol": 1e-12})
     return max(float(vals[i]), -float(res.fun))
@@ -114,7 +115,7 @@ def _scipy_forcing_sup(sigma):
 
 
 def test_sup_norms_match_scipy_golden():
-    for W in (PeriodicPotential.standard(), PeriodicPotential((0.02, -0.004, 0.001))):
+    for W in (standard_potential(), PeriodicPotential((0.02, -0.004, 0.001))):
         for order in (1, 2, 3):
             assert W.sup_derivative(order) == _scipy_sup_derivative(W, order)
     sigma = Forcing((ForcingTerm(0.3, 1, 2, "cos", "sin"),
@@ -153,9 +154,10 @@ def test_cg_reports_max_iter_when_unconverged():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     """Every fracpn command is its own process: start-up must stay numpy-only,
-    with no process pool, a one-row table runs without the pool even when
-    workers are offered, and a command run end to end maps no OpenSSL
-    (hashlib) and imports no numpy.polynomial."""
+    with no process pool; a one-row table runs in-process even when workers
+    are offered, a multi-row table forks its workers without concurrent or
+    multiprocessing, and a command run end to end maps no OpenSSL (hashlib)
+    and imports no numpy.polynomial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracpn.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -168,18 +170,20 @@ def test_cli_import_loads_no_scipy(tmp_path):
 import sys, fracpn, fracpn.cli
 def heavy():
     return sorted(m for m in sys.modules
-                  if m.split('.')[0] in ('scipy', 'concurrent') or m == '_hashlib'
-                  or m.startswith('numpy.polynomial'))
+                  if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')
+                  or m == '_hashlib' or m.startswith('numpy.polynomial'))
 print(heavy())
 from fracpn.cell import CellProblemSpec, hbar_table
-spec = CellProblemSpec(s=0.5, slope=fracpn.as_rational(0.5), drive=0.0,
-                       potential=fracpn.PeriodicPotential.standard(), n=64, horizon=1.0)
+W = fracpn.PeriodicPotential((0.025330295910584444,))
+spec = CellProblemSpec(s=0.5, slope=fracpn.as_rational(0.5), drive=0.0, potential=W, n=64,
+                       horizon=1.0)
 print(len(hbar_table(spec, [0.5], [0.0], workers=4)), heavy())
+print(len(hbar_table(spec, [0.0, 0.5], [0.0, 0.1], workers=2)), heavy())
 code = fracpn.cli.main(["layer", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(code, heavy())
 """
     out = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "run")],
                          env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["[]", "1 []"] and lines[-1] == "0 []"
+    assert lines[:3] == ["[]", "1 []", "4 []"] and lines[-1] == "0 []"
     assert (tmp_path / "run" / "t-layer.json").is_file()
