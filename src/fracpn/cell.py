@@ -147,6 +147,7 @@ QUAD_MAX_NODES = 2**20  # (a): a quadrature unsettled here sends the row to be s
 AMP_SAMPLES = 2**16  # (a): fewest points on which the corrector's extrema are read
 REST_SAMPLES = 1024  # (a): samples of a period searched for the rest point's sign change
 FIT_TOL = 1e-3  # largest uncertainty of a converged speed
+MAX_DEN = 64  # largest slope denominator
 CERTIFY_RTOL = 1e-12  # (b): last |dlambda| and grid-pair difference, relative to max(1, |lambda|)
 WAVE_MAX_N = 1024  # (b): largest spectral grid m; its dense Jacobian is (m + 1)^2 floats (~8.4 MB)
 WAVE_MAX_ITER = 20  # (b): Newton steps before the row is stepped instead
@@ -158,29 +159,27 @@ class CellStabilityError(RuntimeError):
     step, never legitimate dynamics)."""
 
 
-def as_rational(p, q_max: int = 64) -> Fraction:
+def as_rational(p) -> Fraction:
     """Coerce a slope to an exactly-representable Fraction.
 
-    Floats are accepted only when some fraction with denominator <= q_max
+    Floats are accepted only when some fraction with denominator <= MAX_DEN
     reproduces them to 1e-12; otherwise the caller must pass a Fraction.
     """
     if isinstance(p, Fraction):
         frac = p
     elif isinstance(p, int):
         frac = Fraction(p)
-    elif isinstance(p, tuple) and len(p) == 2:
-        frac = Fraction(int(p[0]), int(p[1]))
     elif isinstance(p, float):
-        frac = Fraction(p).limit_denominator(q_max)
+        frac = Fraction(p).limit_denominator(MAX_DEN)
         if abs(float(frac) - p) > 1e-12:
             raise ValueError(
-                f"slope {p!r} is not a rational with denominator <= {q_max}"
+                f"slope {p!r} is not a rational with denominator <= {MAX_DEN}"
             )
     else:
         raise TypeError(f"cannot interpret slope of type {type(p).__name__}")
-    if frac.denominator > q_max:
+    if frac.denominator > MAX_DEN:
         raise ValueError(
-            f"slope denominator {frac.denominator} exceeds the supported maximum {q_max}"
+            f"slope denominator {frac.denominator} exceeds the supported maximum {MAX_DEN}"
         )
     return frac
 

@@ -178,7 +178,7 @@ def _run_ansatz_residual(cfg, path, base, workers):
         "lam": rep.lam, "sup_abs": rep.sup_abs, "over_d2s": rep.over_d2s,
         "grid": ans.grid.tolist(),
         "h_minus_x": ans.g_values.tolist(),
-        "residual": rep.field.values.tolist(),
+        "residual": rep.values.tolist(),
     }
     runio.write_json_result(path, meta, result)
     print(f"wrote {path}  (sup|NL| = {rep.sup_abs:.3e}, /d^2s = {rep.over_d2s:.4f})")
@@ -214,6 +214,13 @@ _HANDLERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """``--workers``: a positive integer, as the config key ``workers`` is."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer (got {text!r})")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracpn",
@@ -225,9 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the '{name}' pipeline")
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes (tables only)")
     return parser
+
+
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -235,32 +247,32 @@ def main(argv=None) -> int:
     try:
         cfg = runio.parse_config(args.config)
     except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
+        return _error(f"config file not found: {args.config}", 2)
+    except OSError as exc:  # a directory, say
+        return _error(f"cannot read config file {args.config}: {exc.strerror}", 2)
+    except UnicodeDecodeError as exc:
+        return _error(f"config file {args.config} is not UTF-8 text "
+                      f"({exc.reason} at byte {exc.start})", 2)
     except runio.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     if cfg.command != args.command:
-        print(
-            f"error: config command '{cfg.command}' does not match CLI "
-            f"subcommand '{args.command}'",
-            file=sys.stderr,
-        )
-        return 2
+        return _error(f"config command '{cfg.command}' does not match CLI "
+                      f"subcommand '{args.command}'", 2)
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # an existing file, say
+        return _error(f"cannot use --out {args.out} as a directory: {exc.strerror}", 2)
     base = (args.out, os.path.dirname(os.path.abspath(args.config)))
     path = os.path.join(args.out, runio.COMMANDS[cfg.command].out.format(p=cfg.prefix))
     try:
         code = _HANDLERS[cfg.command](cfg, path, base, args.workers)
     except runio.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (runio.MissingArtifactError, layer.LayerConvergenceError, hull.HullTailError,
             cell.CellStabilityError, homog.OutsideTableError,
             homog.StepBudgetError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     return code
 
 

@@ -40,15 +40,16 @@ piecewise-linear interpolation against exact kernel moments.  This removes
 the O(h^(2-2s)) error of naive cell-mass rules and restores O(h^2) accuracy
 uniformly in s.
 
-Periodic fields fold the kernel over all images using the Hurwitz zeta
+The periodic plan folds the kernel over all images using the Hurwitz zeta
 function: a direct sum of its first 64 terms plus the Euler-Maclaurin tail
-(``_em_tail``, shared with the hull's lattice sums).  Line fields carry an
-explicit power-law tail model and close the far field with a Gauss-Legendre
-rule after the substitution z = Z t^(-1/2s) (which maps [Z, inf) to (0, 1]
-with a constant Jacobian factor).  That closure is affine in the tail's
-constants, slope and power amplitudes, so a line plan caches its basis once
-per (side, exponent) and an application costs one FFT convolution of length
-n + 2K (rounded up to a power of two) plus a few n-length vector operations.
+(``_em_tail``, shared with the hull's lattice sums).  Line fields
+(``GridField``) carry an explicit power-law tail model and close the far
+field with a Gauss-Legendre rule after the substitution z = Z t^(-1/2s)
+(which maps [Z, inf) to (0, 1] with a constant Jacobian factor).  That
+closure is affine in the tail's constants, slope and power amplitudes, so a
+line plan caches its basis once per (side, exponent) and an application
+costs one FFT convolution of length n + 2K (rounded up to a power of two)
+plus a few n-length vector operations.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ __all__ = [
     "normalization_constant",
     "kernel_constant",
     "plan_for",
-    "periodic_plan",
-    "line_plan",
 ]
 
 
@@ -305,10 +304,6 @@ class TailModel:
             self, "powers_plus", tuple((float(a), float(b)) for a, b in self.powers_plus)
         )
 
-    @classmethod
-    def zero(cls) -> "TailModel":
-        return cls()
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x >= 0.0, self.c_plus, self.c_minus) + self.slope * x
@@ -323,49 +318,24 @@ class TailModel:
 
 @dataclass
 class GridField:
-    """Uniformly sampled field, either on a torus of period ``period`` or on
-    a symmetric line window [-half_width, half_width) with a far-field
-    ``tail`` model."""
+    """A field sampled at n (even) uniform nodes of the line window
+    [-half_width, half_width), with its far-field ``tail`` model."""
 
     values: np.ndarray
-    geometry: str
-    period: float | None = None
-    half_width: float | None = None
-    tail: TailModel | None = None
+    half_width: float
+    tail: TailModel
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        self.half_width = float(self.half_width)
         if self.values.ndim != 1 or self.values.size < 8:
             raise ValueError("field values must be a 1-D array with at least 8 samples")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-        if self.geometry == "periodic":
-            if not (self.period and self.period > 0.0):
-                raise ValueError("periodic fields need a positive period")
-            if self.half_width is not None:
-                raise ValueError("periodic fields do not take half_width")
-        elif self.geometry == "line":
-            if not (self.half_width and self.half_width > 0.0):
-                raise ValueError("line fields need a positive half_width")
-            if self.period is not None:
-                raise ValueError("line fields do not take period")
-            if self.values.size % 2:
-                raise ValueError("line fields need an even number of samples")
-        else:
-            raise ValueError(f"geometry must be 'periodic' or 'line' (got {self.geometry!r})")
-
-    @classmethod
-    def periodic(cls, values, period: float) -> "GridField":
-        return cls(values=np.asarray(values, dtype=float), geometry="periodic", period=float(period))
-
-    @classmethod
-    def line(cls, values, half_width: float, tail: TailModel | None) -> "GridField":
-        return cls(
-            values=np.asarray(values, dtype=float),
-            geometry="line",
-            half_width=float(half_width),
-            tail=tail,
-        )
+        if not self.half_width > 0.0:
+            raise ValueError("line fields need a positive half_width")
+        if self.values.size % 2:
+            raise ValueError("line fields need an even number of samples")
 
     @property
     def n(self) -> int:
@@ -373,14 +343,10 @@ class GridField:
 
     @property
     def h(self) -> float:
-        if self.geometry == "periodic":
-            return self.period / self.n
         return 2.0 * self.half_width / self.n
 
     @property
     def nodes(self) -> np.ndarray:
-        if self.geometry == "periodic":
-            return self.h * np.arange(self.n)
         return self.h * (np.arange(self.n) - self.n // 2)
 
     @cached_property
@@ -388,7 +354,7 @@ class GridField:
         return CubicSpline(self.nodes, self.values)
 
     def eval(self, x):
-        """Line-field value anywhere: the cubic spline through the samples
+        """The field anywhere: the cubic spline through the samples
         for |x| <= half_width - 2h, the tail model beyond."""
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) <= self.half_width - 2.0 * self.h
@@ -509,7 +475,8 @@ def _hurwitz_zeta(sigma: float, a):
 
 
 class PeriodicPlan:
-    """Precomputed circulant quadrature for fields of a fixed (n, period, s, g, r)."""
+    """Precomputed circulant quadrature for n samples of a torus of fixed
+    (n, period, s, g, r)."""
 
     def __init__(self, n: int, period: float, s: float, g_const: float, m_inner: int):
         self.n = n
@@ -551,11 +518,6 @@ class PeriodicPlan:
         return np.fft.irfft(np.fft.rfft(v) * self.kernel_hat, n=self.n)
 
 
-@lru_cache(maxsize=64)
-def periodic_plan(n: int, period: float, s: float, g_const: float, m_inner: int) -> PeriodicPlan:
-    return PeriodicPlan(n, period, s, g_const, m_inner)
-
-
 class SpectralPlan:
     """The exact symbol on an n-point torus: mode k is multiplied by
     -(g/C(1,s)) |2 pi k / period|^(2s).  Spectrally accurate, but with no
@@ -569,11 +531,6 @@ class SpectralPlan:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(values) * self.symbol, n=self.n)
-
-
-@lru_cache(maxsize=64)
-def spectral_plan(n: int, period: float, s: float, g_const: float) -> SpectralPlan:
-    return SpectralPlan(n, period, s, g_const)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +592,7 @@ class LinePlan:
     sum(far_w)) on the diagonal.  ``symbol`` caches the exact spectrum
     (rfft) of -I embedded as a circulant of length 2n: zero-padding a window
     field to 2n, multiplying by ``symbol`` in Fourier and keeping the first
-    n outputs gives -apply(v, TailModel.zero()).  The layer and corrector
+    n outputs gives -apply(v, TailModel()).  The layer and corrector
     solves precondition with (alpha + symbol)^-1.
     """
 
@@ -676,7 +633,7 @@ class LinePlan:
 
         x = h * (np.arange(n) - n // 2)
         x.setflags(write=False)
-        self._nodes = x
+        self.nodes = x
         self._w_sum = float(self.far_w.sum())
         # distances from the origin of the pad nodes on each side (+1 right,
         # -1 left), where that side's tail powers are sampled
@@ -686,15 +643,12 @@ class LinePlan:
         }
         self._powers = {}  # (side, beta) -> (|pad|^(-beta), B(side, beta))
 
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
     def _power_basis(self, side: int, beta: float):
         """|pad|^(-beta) and B(side, beta) for one tail power, cached; B is
         summed over blocks of _BASIS_ROWS nodes, not as one n x 32 array."""
         key = (side, beta)
         if key not in self._powers:
-            x = self._nodes
+            x = self.nodes
             basis = np.empty(self.n)
             for lo in range(0, self.n, _BASIS_ROWS):
                 far_dist = self.far_z[None, :] + side * x[lo:lo + _BASIS_ROWS, None]
@@ -708,7 +662,7 @@ class LinePlan:
         u = np.asarray(values, dtype=float)
         if u.size != self.n:
             raise ValueError(f"expected {self.n} samples (got {u.size})")
-        x = self._nodes
+        x = self.nodes
 
         # subtract the affine part so that exactly-affine data maps to exact
         # zeros (no catastrophic cancellation in the convolution); the
@@ -736,11 +690,6 @@ class LinePlan:
         return out
 
 
-@lru_cache(maxsize=64)
-def line_plan(n: int, half_width: float, s: float, g_const: float, m_inner: int) -> LinePlan:
-    return LinePlan(n, half_width, s, g_const, m_inner)
-
-
 # ---------------------------------------------------------------------------
 # plan factory
 # ---------------------------------------------------------------------------
@@ -758,22 +707,28 @@ def _split_radius(r, extent: float) -> float:
 
 def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
     """The plan for an n-point grid: the one place that picks a quadrature
-    plan's split radius and inner-cell count.
+    plan's split radius and inner-cell count, and the only plan factory.
 
     ``extent`` is half the period for ``geometry="periodic"`` and
     ``"spectral"`` (the exact symbol; no ``r``), and the half-width for
     ``"line"``.  ``g=None`` is C(1,s); ``r=None`` is min(1, extent/2).  The
     inner-cell count round(r/h) is clamped to [2, extent/h], so a grid with
-    h > r/2 gets two cells.
+    h > r/2 gets two cells.  Equal normalised arguments give the same plan.
     """
     s = _coerce_s(s)
     g_const = kernel_constant(s, g)
     if geometry == "spectral":
-        return spectral_plan(n, 2.0 * extent, s, g_const)
+        return _plan(SpectralPlan, n, 2.0 * extent, s, g_const)
     h = 2.0 * extent / n
     m = max(2, min(int(round(_split_radius(r, extent) / h)), int(extent / h)))
     if geometry == "periodic":
-        return periodic_plan(n, 2.0 * extent, s, g_const, m)
+        return _plan(PeriodicPlan, n, 2.0 * extent, s, g_const, m)
     if geometry == "line":
-        return line_plan(n, float(extent), s, g_const, m)
+        return _plan(LinePlan, n, float(extent), s, g_const, m)
     raise ValueError(f"geometry must be 'periodic', 'spectral' or 'line' (got {geometry!r})")
+
+
+@lru_cache(maxsize=128)
+def _plan(cls, *args):
+    """``plan_for``'s cache: one plan per class and normalised arguments."""
+    return cls(*args)

@@ -54,6 +54,7 @@ BRANCH_WEAK = "super"  # s >= 1/2: operator fades, speed = law(slope)
 BRANCH_STRONG = "sub"  # s <= 1/2: operator survives, speed = law(I[u])
 CHECKPOINTS = 33  # shared snapshot times of the eps and effective runs
 COMPACT = (0.1, 1.0)  # the compared time window, as fractions of the horizon
+MAX_STEPS = 2_000_000  # step budget of an eps run
 
 
 class OutsideTableError(ValueError):
@@ -84,7 +85,7 @@ def branch_exponents(branch: str, s: float) -> tuple:
 class InitialProfile:
     """Smooth 1-periodic profile sum_i amp_i * trig(2 pi mode_i x)."""
 
-    terms: tuple  # of (amp, mode, kind), kind in {"sin", "cos"}
+    terms: tuple = ()  # of (amp, mode, kind), kind in {"sin", "cos"}
 
     def __post_init__(self):
         for amp, mode, kind in self.terms:
@@ -100,10 +101,6 @@ class InitialProfile:
             f = np.sin if kind == "sin" else np.cos
             out = out + amp * f(2.0 * math.pi * mode * x)
         return out
-
-    @classmethod
-    def zero(cls) -> "InitialProfile":
-        return cls(terms=())
 
 
 def _check_integer(value: float, what: str):
@@ -123,7 +120,6 @@ class EpsProblemSpec:
     n: int = 256
     horizon: float = 1.0
     g_const: float | None = None
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
@@ -148,11 +144,6 @@ class Trajectory:
     times: np.ndarray      # (m,)
     remainders: np.ndarray  # (m, n): w so that u = slope * x + w
     dt: float
-
-    @property
-    def nodes(self) -> np.ndarray:
-        n = self.remainders.shape[1]
-        return np.arange(n) / n
 
 
 def _run(rhs, w0, dt_cfl: float, T: float, max_steps: float = math.inf) -> Trajectory:
@@ -191,7 +182,7 @@ def solve_eps_problem(spec: EpsProblemSpec) -> Trajectory:
 
     rhs, dt_cfl = torus_flow(plan, spec.potential, spec.forcing, spec.slope * x, x / eps,
                              a=op_scale, b=eps ** (-a_W), c=eps ** (-a_t))
-    traj = _run(rhs, w0, dt_cfl, spec.horizon, spec.max_steps)
+    traj = _run(rhs, w0, dt_cfl, spec.horizon, MAX_STEPS)
 
     # comparison envelope: |w(t) - w0| <= (sup|W'| + sup|sigma| + eps^a_op sup|I[w0]|) t
     times = traj.times
@@ -276,10 +267,6 @@ class SlopeLaw(_Table1D):
             raise ValueError("no rows with drive 0.0")
         return cls([r["slope_num"] / r["slope_den"] for r in sel],
                    [r["speed"] for r in sel])
-
-    @classmethod
-    def constant(cls, value: float, radius: float) -> "SlopeLaw":
-        return cls([-radius, radius], [value, value])
 
 
 @dataclass(eq=False)

@@ -23,7 +23,7 @@ same order as by whole-grid sums, so the blocks change no bit of h - x.
 The residual operator is
 
     NL[h] = lam h' - d^2s L0 - d^2s |p0|^2s I[h] + W'(h),
-    lam = d^(1+2s) c0 |p0| L0 by default,
+    lam = d^(1+2s) c0 |p0| L0,
 
 evaluated on a two-period grid with I[h] taken through the periodic plan
 applied to h(x) - x (the affine part contributes nothing).
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import FIT_TOL, CellProblemSpec, as_rational, hbar
-from .fracop import GridField, _em_tail, plan_for
+from .fracop import _em_tail, plan_for
 from .layer import CorrectorSolution, LayerSolution, _fit_amplitude
 from .potential import eval_potential
 
@@ -356,29 +356,25 @@ def build_ansatz(
 
 @dataclass(eq=False)
 class ResidualReport:
-    field: GridField
+    values: np.ndarray     # NL[h] on the ansatz grid
     sup_abs: float
     over_d2s: float        # sup |NL| / delta^2s
     lam: float
-    delta: float
-    L0: float
 
 
-def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
-                L0: float | None = None) -> ResidualReport:
-    """NL[h] = lam h' - d^2s L0 - d^2s |p0|^2s I[h] + W'(h) on the grid.
+def nl_residual(ansatz: HullAnsatz) -> ResidualReport:
+    """NL[h] = lam h' - d^2s L0 - d^2s |p0|^2s I[h] + W'(h) on the grid,
+    lam = d^(1+2s) c0 |p0| L0.
 
-    lam defaults to d^(1+2s) c0 |p0| L0.  I[h] is the periodic operator
-    applied to h - x; h' is h by centered differences (exactly 1 + g').
+    I[h] is the periodic operator applied to h - x; h' is h by centered
+    differences (exactly 1 + g').
     """
     layer = ansatz.layer
     s = ansatz.s
     two_s = 2.0 * s
     d = ansatz.delta
-    if L0 is None:
-        L0 = ansatz.L0
-    if lam is None:
-        lam = d ** (1.0 + two_s) * layer.c0 * abs(ansatz.p0) * L0
+    L0 = ansatz.L0
+    lam = d ** (1.0 + two_s) * layer.c0 * abs(ansatz.p0) * L0
     W = layer.potential
     g = ansatz.g_values
     if not np.all(np.isfinite(g)) or float(np.max(np.abs(g))) > 1e3:
@@ -392,10 +388,7 @@ def nl_residual(ansatz: HullAnsatz, lam: float | None = None,
     values = lam * hp - d**two_s * L0 - (d * abs(ansatz.p0))**two_s * Ih \
         + eval_potential(W, h, 1)
     sup = float(np.max(np.abs(values)))
-    return ResidualReport(
-        field=GridField.periodic(values, _PERIOD),
-        sup_abs=sup, over_d2s=sup / d**two_s, lam=lam, delta=d, L0=L0,
-    )
+    return ResidualReport(values=values, sup_abs=sup, over_d2s=sup / d**two_s, lam=lam)
 
 
 # ---------------------------------------------------------------------------

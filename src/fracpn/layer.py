@@ -50,6 +50,8 @@ _NEWTON_MAX = 20  # Newton steps per layer pass
 _NEWTON_RTOL = 1e-3  # relative PCG tolerance of a Newton step
 CORRECTOR_RTOL = 1e-9  # relative PCG tolerance of a corrector solve
 _CG_MAX = 400  # PCG iterations per linear solve
+MIN_HALF_WIDTH = 20.0  # smallest window half-width: the tail fits need room
+MIN_N = 8  # fewest nodes; n is a power of two
 
 
 class LayerConvergenceError(RuntimeError):
@@ -63,7 +65,7 @@ class LayerConvergenceError(RuntimeError):
 
 
 def _power_of_two(n: int) -> bool:
-    return n >= 8 and (n & (n - 1)) == 0
+    return n >= MIN_N and (n & (n - 1)) == 0
 
 
 def _fit_amplitude(x, y, beta):
@@ -134,7 +136,7 @@ def solve_layer(
 ) -> LayerSolution:
     """Newton-Krylov solve of the layer equation I[phi] = W'(phi).
 
-    Requires R_dom >= 20 (tail fits need room) and n a power of two.  Three
+    Requires R_dom >= MIN_HALF_WIDTH and n a power of two >= MIN_N.  Three
     closure passes: the theory tail (exponent 2s, amplitude g/(2 s alpha)),
     then two refits of the tail amplitudes to the profile.  Each pass runs
     Newton steps from the previous profile, starting from the arctan layer:
@@ -148,10 +150,10 @@ def solve_layer(
     LayerConvergenceError.  ``steps`` counts the Newton steps and
     ``diagnostics["passes"]`` the PCG iterations of each.
     """
-    if R_dom < 20.0:
-        raise ValueError(f"layer window must satisfy R_dom >= 20 (got {R_dom})")
+    if R_dom < MIN_HALF_WIDTH:
+        raise ValueError(f"layer window must satisfy R_dom >= {MIN_HALF_WIDTH:g} (got {R_dom})")
     if not _power_of_two(n):
-        raise ValueError(f"n must be a power of two (got {n})")
+        raise ValueError(f"n must be a power of two >= {MIN_N} (got {n})")
     alpha = W.curvature_at_zero
     if alpha <= 0.0:
         raise ValueError(f"potential curvature at the wells must be positive (got {alpha})")
@@ -206,7 +208,7 @@ def solve_layer(
             "layer profile lost monotonicity", last_residual=res, monotone=False
         )
 
-    field = GridField.line(phi, R_dom, tail)
+    field = GridField(phi, R_dom, tail)
 
     rhs = plan.apply(phi, tail) - eval_potential(W, phi, 1)
     res = float(np.max(np.abs(rhs[inner])))
@@ -274,7 +276,7 @@ def solve_corrector_psi(layer: LayerSolution, L0: float) -> CorrectorSolution:
     c = L0 * layer.c0
     if L0 == 0.0:
         return CorrectorSolution(
-            s=s, L0=0.0, c=0.0, field=GridField.line(np.zeros(n), R, TailModel.zero()),
+            s=s, L0=0.0, c=0.0, field=GridField(np.zeros(n), R, TailModel()),
             residual_sup_inner=0.0,
             cg_info={"iterations": 0, "passes": 0}, odd_tail_amplitude=0.0,
         )
@@ -313,7 +315,7 @@ def solve_corrector_psi(layer: LayerSolution, L0: float) -> CorrectorSolution:
     odd_amp = _fit_amplitude(xk[sel], odd[sel], two_s)
 
     return CorrectorSolution(
-        s=s, L0=L0, c=c, field=GridField.line(psi, R, tail), residual_sup_inner=res,
+        s=s, L0=L0, c=c, field=GridField(psi, R, tail), residual_sup_inner=res,
         cg_info={"iterations": its0 + its1, "passes": 2,
                  "pcg_iterations": [its0, its1], "tail_exponent": beta},
         odd_tail_amplitude=odd_amp,
@@ -332,7 +334,7 @@ def _deflated_pcg(plan, wpp, alpha, mode, b, tol, x0=None):
     """
     n = b.size
     e = mode / np.linalg.norm(mode)
-    zero_tail = TailModel.zero()
+    zero_tail = TailModel()
     shift = alpha + plan.symbol
 
     def project(v):
@@ -393,8 +395,7 @@ def _field_to_dict(f: GridField) -> dict:
 
 
 def _field_from_dict(d: dict) -> GridField:
-    return GridField.line(np.asarray(d["values"], dtype=float), d["half_width"],
-                          TailModel(**d["tail"]))
+    return GridField(np.asarray(d["values"], dtype=float), d["half_width"], TailModel(**d["tail"]))
 
 
 def layer_to_dict(layer: LayerSolution) -> dict:

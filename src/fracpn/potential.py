@@ -84,13 +84,6 @@ class PeriodicPotential:
             raise ValueError("potential must not be identically zero")
         object.__setattr__(self, "cosine_coeffs", coeffs)
 
-    def value(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += a * (1.0 - np.cos(_TWO_PI * k * v))
-        return out
-
     @property
     def curvature_at_zero(self) -> float:
         """W''(0) = sum_k a_k (2 pi k)^2; must be positive for layer work."""
@@ -117,25 +110,19 @@ class PeriodicPotential:
         return sum(abs(a) * (_TWO_PI * k) ** order for k, a in enumerate(self.cosine_coeffs, start=1))
 
 
-def eval_potential(W: PeriodicPotential, v, order: int = 0):
-    """Evaluate W or one of its first four derivatives."""
-    if order not in (0, 1, 2, 3, 4):
-        raise ValueError(f"derivative order must be in 0..4 (got {order})")
+def eval_potential(W: PeriodicPotential, v, order: int):
+    """Evaluate W' (order 1) or W'' (order 2)."""
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2 (got {order})")
     v = np.asarray(v, dtype=float)
-    if order == 0:
-        return W.value(v)
     out = np.zeros_like(v)
     for k, a in enumerate(W.cosine_coeffs, start=1):
         w = _TWO_PI * k
         phase = w * v
         if order == 1:
             out += a * w * np.sin(phase)
-        elif order == 2:
-            out += a * w**2 * np.cos(phase)
-        elif order == 3:
-            out += -a * w**3 * np.sin(phase)
         else:
-            out += -a * w**4 * np.cos(phase)
+            out += a * w**2 * np.cos(phase)
     return out
 
 
@@ -177,10 +164,6 @@ class Forcing:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    @classmethod
-    def zero(cls) -> "Forcing":
-        return cls(())
 
     @property
     def is_zero(self) -> bool:

@@ -23,6 +23,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
+from .layer import MIN_HALF_WIDTH, MIN_N, _power_of_two
 from .potential import MAX_FORCING_MODE, Forcing, ForcingTerm, PeriodicPotential
 
 __all__ = [
@@ -147,6 +148,10 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def _validate_forcing(forcing, errors):
     if forcing is None:
         return
@@ -241,15 +246,22 @@ def validate_raw(raw: dict) -> list:
         )
 
     for key in ("n", "n_terms", "n_grid", "workers"):
-        if key in numeric and (
-            not isinstance(numeric[key], int) or isinstance(numeric[key], bool)
-            or numeric[key] < 1
-        ):
+        if key in numeric and not _is_count(numeric[key]):
             errors.append(f"numeric.{key}: must be a positive integer")
     for key in ("half_width", "tol", "drive", "horizon", "L0", "delta", "p0",
                 "cauchy_tol", "slope"):
         if key in numeric and not _is_num(numeric[key]):
             errors.append(f"numeric.{key}: must be a finite number")
+    for key in ("horizon", "tol", "cauchy_tol"):
+        if _is_num(numeric.get(key)) and numeric[key] <= 0:
+            errors.append(f"numeric.{key}: must be positive (got {numeric[key]!r})")
+    if command == "layer":  # the bounds solve_layer enforces
+        hw = numeric.get("half_width")
+        if _is_num(hw) and hw < MIN_HALF_WIDTH:
+            errors.append(f"numeric.half_width: must be at least {MIN_HALF_WIDTH:g} "
+                          f"(got {hw!r})")
+        if _is_count(numeric.get("n")) and not _power_of_two(numeric["n"]):
+            errors.append(f"numeric.n: must be a power of two >= {MIN_N} (got {numeric['n']})")
     for key in ("eps_list", "delta_list", "drives", "slopes"):
         if key in numeric:
             v = numeric[key]

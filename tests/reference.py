@@ -12,7 +12,9 @@ None of these is on a command's path; the tests use them to check what is:
   corrector) from ``solve_layer``, with factor-2 envelope checks.
 
 It also builds two test inputs: ``standard_potential``, the curvature-one
-well, and ``identity_law``, the drive law whose speed is the drive.
+well, and ``identity_law``, the drive law whose speed is the drive; and
+``potential_value`` evaluates W itself, which no command needs (they use
+W' and W'' through ``eval_potential``).
 """
 
 import math
@@ -31,6 +33,15 @@ def standard_potential() -> PeriodicPotential:
     """W(v) = (1 - cos 2 pi v) / (4 pi^2): W'(v) = sin(2 pi v) / (2 pi), and
     unit curvature at the wells."""
     return PeriodicPotential((1.0 / (4.0 * math.pi**2),))
+
+
+def potential_value(W: PeriodicPotential, v):
+    """W(v) = sum_k a_k (1 - cos(2 pi k v))."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    for k, a in enumerate(W.cosine_coeffs, start=1):
+        out += a * (1.0 - np.cos(2.0 * math.pi * k * v))
+    return out
 
 
 def identity_law(radius: float) -> DriveLaw:
@@ -54,7 +65,7 @@ def bilinear_form_B(plan, f_values, f_tail, g_values, indices):
     weights and far-field nodes of ``LinePlan.apply``.
     """
     K, h = plan.K, plan.h
-    x = plan.nodes()
+    x = plan.nodes
     F = np.concatenate([f_tail.eval(x[0] - h * np.arange(K, 0, -1)), f_values,
                         f_tail.eval(x[-1] + h * np.arange(1, K + 1))])
     G = np.concatenate([np.zeros(K), g_values, np.zeros(K)])

@@ -152,7 +152,7 @@ def test_criterion_07_product_identity(layer_half):
     n = layer.field.n
     plan = plan_for("line", n, layer.field.half_width, layer.s, layer.g_const)
     f_vals = layer.field.values
-    zero = TailModel.zero()
+    zero = TailModel()
     bump = np.exp(-0.5 * layer.field.nodes**2)
     rng = np.random.default_rng(2024)
     idx = rng.integers(n // 10, n - n // 10, size=10)

@@ -34,13 +34,16 @@ SUP_WP = 1.0 / (2.0 * math.pi)  # sup |W'| for the standard potential
 def test_as_rational_forms():
     assert as_rational(Fraction(3, 7)) == Fraction(3, 7)
     assert as_rational(2) == Fraction(2)
-    assert as_rational((3, 12)) == Fraction(1, 4)
     assert as_rational(0.5) == Fraction(1, 2)
     assert as_rational(1.0 / 3.0) == Fraction(1, 3)
     with pytest.raises(ValueError):
         as_rational(math.pi)
     with pytest.raises(ValueError):
-        as_rational(1.0 / 97.0, q_max=64)
+        as_rational(1.0 / 97.0)
+    with pytest.raises(ValueError):
+        as_rational(Fraction(1, 97))
+    with pytest.raises(TypeError):
+        as_rational((3, 12))
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,6 +136,27 @@ def test_table_rows_sorted_and_parallel_consistent():
     assert len(seq) == 6
     for workers in (2, 3, 7):  # 7: more workers than rows
         assert hbar_table(base, slopes=slopes, drives=drives, workers=workers) == seq
+
+
+def test_table_without_fork_runs_its_rows_here(monkeypatch):
+    """Where os.fork does not exist, workers > 1 runs every row in this
+    process, with the rows of workers=1."""
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0,
+                           potential=W_STD, n=64, horizon=40.0)
+    slopes, drives = [Fraction(1, 2), Fraction(0)], [0.6, -0.6, 0.0]
+    seq = hbar_table(base, slopes=slopes, drives=drives, workers=1)
+    worker, pids = fracpn.cell._table_worker, []
+
+    def row_here(spec):
+        pids.append(os.getpid())
+        return worker(spec)
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(fracpn.cell, "_table_worker", row_here)
+    assert hbar_table(base, slopes=slopes, drives=drives, workers=3) == seq
+    assert pids == [os.getpid()] * len(seq)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cheap_row(spec):
@@ -661,7 +685,7 @@ def test_forcing_excludes_the_exact_zero_certificate():
 
 
 @pytest.mark.parametrize("forcing", [
-    Forcing.zero(),
+    Forcing(),
     Forcing((ForcingTerm(0.0, 1, 1),)),
     Forcing((ForcingTerm(1.0, 0, 1, "sin"),)),
 ], ids=["no-terms", "zero-amp", "sin-mode-0"])

@@ -68,3 +68,51 @@ def test_every_export_is_read_in_the_package(name):
     read = set().union(*(_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES))
     unread = sorted(set(mod.__all__) - read - AWAITING_CALLER)
     assert not unread, f"fracpn.{name}.__all__ names nothing in the package reads: {unread}"
+
+
+def _attribute_reads():
+    """(owner, attribute, enclosing function definitions) of every attribute
+    read in the package; owner is the name the attribute is taken from, or
+    None when that is not a plain name or attribute."""
+    reads = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            owner = getattr(value, "id", None) or getattr(value, "attr", None)
+            reads.append((owner, node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return reads
+
+
+def _members():
+    """(class, member, definition, is a class/static method) of every
+    non-dunder method or property of a top-level class in the package."""
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in AWAITING_CALLER:
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    on_class = any(getattr(d, "id", None) in ("classmethod", "staticmethod")
+                                   for d in fn.decorator_list)
+                    yield cls.name, fn.name, fn, on_class
+
+
+def test_every_class_member_is_read_in_the_package():
+    """A class or static method is read as <Class>.<name>, and any other
+    method or property as an attribute, somewhere in the package outside its
+    own body; what only tests reach belongs in tests/."""
+    reads = _attribute_reads()
+    unread = [
+        f"{cls}.{name}" for cls, name, fn, on_class in _members()
+        if not any(attr == name and fn not in inside and (owner == cls or not on_class)
+                   for owner, attr, inside in reads)
+    ]
+    assert not unread, f"class members nothing in the package reads: {unread}"

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from fracpn.fracop import (
     AnisotropyKernel,
     LinePlan,
+    PeriodicPlan,
     TailModel,
-    line_plan,
     normalization_constant,
-    periodic_plan,
     plan_for,
 )
 
@@ -74,7 +73,7 @@ def test_spectral_plan_scales_with_g_like_the_quadrature_plan(s):
 
 def test_periodic_apply_kills_constants():
     n, q = 128, 1.0
-    plan = periodic_plan(n, q, 0.4, normalization_constant(0.4), 8)
+    plan = PeriodicPlan(n, q, 0.4, normalization_constant(0.4), 8)
     out = plan.apply(np.full(n, 3.7))
     assert np.max(np.abs(out)) == 0.0
 
@@ -88,7 +87,7 @@ def test_arctan_profile_solves_half_order_layer_equation():
     phi = 0.5 + np.arctan(x) / np.pi
     tail = TailModel(c_minus=0.0, c_plus=1.0,
                      powers_minus=((INV_PI, 1.0),), powers_plus=((-INV_PI, 1.0),))
-    plan = line_plan(n, R, 0.5, INV_PI, int(round(1.0 / h)))
+    plan = LinePlan(n, R, 0.5, INV_PI, int(round(1.0 / h)))
     got = plan.apply(phi, tail)
     want = -x / (np.pi * (1.0 + x * x))
     inner = slice(n // 10, n - n // 10)
@@ -127,10 +126,10 @@ def test_line_apply_matches_direct_reference(s):
     n, R = 1024, 20.0
     g = normalization_constant(s)
     plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
-    x = plan.nodes()
+    x = plan.nodes
     amp = g / (2 * s * 0.4)
     cases = [
-        (TailModel.zero(), np.exp(-x * x / 4) * np.sin(x)),
+        (TailModel(), np.exp(-x * x / 4) * np.sin(x)),
         (TailModel(c_minus=0.0, c_plus=1.0,
                    powers_minus=((amp, 2 * s),), powers_plus=((-amp, 2 * s),)),
          0.5 + np.arctan(x) / np.pi),
@@ -150,11 +149,11 @@ def test_line_plan_symbol_is_zero_tail_operator(s):
     truncating is -I with the zero tail, diagonal (far-field term) included."""
     n, R = 1024, 20.0
     plan = plan_for("line", n, R, s)
-    x = plan.nodes()
+    x = plan.nodes
     rng = np.random.default_rng(1)
     v = np.where(np.abs(x) < 0.5 * R, (1.0 - (2.0 * x / R) ** 2) ** 3, 0.0)
     v *= np.sin(1.3 * x) + 0.5 * rng.normal(size=n)
-    ref = plan.apply(v, TailModel.zero())
+    ref = plan.apply(v, TailModel())
     got = -np.fft.irfft(np.fft.rfft(v, 2 * n) * plan.symbol, 2 * n)[:n]
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -208,7 +207,7 @@ def test_line_plan_power_basis_is_the_whole_grid_sum(side, beta):
     n = 600
     plan = LinePlan(n, 20.0, 0.5, INV_PI, int(round(n / 40.0)))
     pad_pow, basis = plan._power_basis(side, beta)
-    x = plan.nodes()
+    x = plan.nodes
     whole = (plan.far_z[None, :] + side * x[:, None]) ** (-beta) @ plan.far_w
     assert np.array_equal(basis, whole)
     assert np.array_equal(pad_pow, plan._pad_dist[side] ** (-beta))
@@ -228,7 +227,7 @@ def test_line_plan_power_basis_memory():
 
 def test_line_plan_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        line_plan(100, 10.0, 0.5, INV_PI, 0)
+        LinePlan(100, 10.0, 0.5, INV_PI, 0)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +270,7 @@ def test_periodic_apply_is_linear(a, b, s):
     x = np.arange(n) / n
     u = np.sin(2 * np.pi * x)
     v = np.cos(4 * np.pi * x) ** 2
-    plan = periodic_plan(n, q, s, normalization_constant(s), 4)
+    plan = PeriodicPlan(n, q, s, normalization_constant(s), 4)
     lhs = plan.apply(a * u + b * v)
     rhs = a * plan.apply(u) + b * plan.apply(v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1.0 + abs(a) + abs(b)) * plan.stiffness

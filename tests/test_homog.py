@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracpn import homog
 from fracpn.cell import CellProblemSpec, solve_cell_evolution
 from fracpn.homog import (
     BRANCH_STRONG,
@@ -49,7 +50,7 @@ def test_initial_profile():
     x = np.linspace(0.0, 1.0, 7)
     expect = 0.3 * np.sin(2 * math.pi * x) + 0.1 * np.cos(4 * math.pi * x)
     assert np.allclose(prof(x), expect, atol=1e-15)
-    assert np.all(InitialProfile.zero()(x) == 0.0)
+    assert np.all(InitialProfile()(x) == 0.0)
     with pytest.raises(ValueError):
         InitialProfile(terms=((0.3, 1, "tan"),))
     with pytest.raises(ValueError):
@@ -68,7 +69,7 @@ def test_drive_law_clamps_monotone():
 
 
 def test_slope_law_constant():
-    law = SlopeLaw.constant(0.7, 2.0)
+    law = SlopeLaw([-2.0, 2.0], [0.7, 0.7])
     assert law(-1.3) == 0.7
     assert law.lipschitz == 0.0
     assert law.coverage == (-2.0, 2.0)
@@ -108,7 +109,7 @@ def test_eps_spec_commensurability():
 def test_eps_spec_forcing_periodicity_only_for_live_forcing():
     """1/eps in Z is asked only of a forcing that is not identically zero;
     a sin factor of mode 0 vanishes like amp 0 does."""
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
     for terms in ((ForcingTerm(0.0, 1, 1),), (ForcingTerm(1.0, 0, 1, "sin"),),
                   (ForcingTerm(1.0, 1, 0, "cos", "sin"),)):
         EpsProblemSpec(branch=BRANCH_STRONG, eps=0.3, s=0.3, slope=0.0, profile=prof,
@@ -119,12 +120,12 @@ def test_eps_spec_forcing_periodicity_only_for_live_forcing():
 
 
 def test_effective_spec_validation():
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
     with pytest.raises(TypeError):
         EffectiveProblemSpec(branch=BRANCH_WEAK, law=identity_law(1.0),
                              slope=0.0, profile=prof)
     with pytest.raises(TypeError):
-        EffectiveProblemSpec(branch=BRANCH_STRONG, law=SlopeLaw.constant(0.0, 1.0),
+        EffectiveProblemSpec(branch=BRANCH_STRONG, law=SlopeLaw([-1.0, 1.0], [0.0, 0.0]),
                              slope=0.0, profile=prof, s=0.4)
     with pytest.raises(ValueError):
         EffectiveProblemSpec(branch=BRANCH_STRONG, law=identity_law(1.0),
@@ -135,10 +136,10 @@ def test_weak_effective_constant_law_is_exact():
     """A constant speed law makes the front translate rigidly; the scheme
     reproduces it to rounding because the flux difference vanishes."""
     prof = InitialProfile(terms=((0.25, 1, "sin"),))
-    spec = EffectiveProblemSpec(branch=BRANCH_WEAK, law=SlopeLaw.constant(0.7, 4.0),
+    spec = EffectiveProblemSpec(branch=BRANCH_WEAK, law=SlopeLaw([-4.0, 4.0], [0.7, 0.7]),
                                 slope=0.5, profile=prof, horizon=0.2, n=64)
     tr = solve_effective(spec)
-    w0 = prof(tr.nodes)
+    w0 = prof(np.arange(64) / 64)
     for k, t in enumerate(tr.times):
         assert np.allclose(tr.remainders[k], w0 + 0.7 * t, atol=1e-12)
 
@@ -153,7 +154,7 @@ def test_strong_effective_identity_law_mode_decay():
                                 slope=0.0, profile=prof, horizon=0.1, n=256, s=s)
     tr = solve_effective(spec)
     mu = (2.0 * math.pi) ** (2.0 * s)
-    x = tr.nodes
+    x = np.arange(256) / 256
     worst = 0.0
     for k, t in enumerate(tr.times):
         exact = amp * math.exp(-mu * t) * np.cos(2 * math.pi * x)
@@ -162,7 +163,7 @@ def test_strong_effective_identity_law_mode_decay():
 
 
 def test_eps_problem_trivial_state_is_fixed():
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
     for branch, s in ((BRANCH_WEAK, 0.75), (BRANCH_STRONG, 0.3)):
         spec = EpsProblemSpec(branch=branch, eps=0.5, s=s, slope=0.0,
                               profile=prof, potential=None, n=32, horizon=0.05)
@@ -170,17 +171,17 @@ def test_eps_problem_trivial_state_is_fixed():
         assert np.all(tr.remainders == 0.0)
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
+    monkeypatch.setattr(homog, "MAX_STEPS", 10)
     prof = InitialProfile(terms=((0.1, 1, "sin"),))
     spec = EpsProblemSpec(branch=BRANCH_STRONG, eps=0.5, s=0.3, slope=0.0,
-                          profile=prof, potential=W_STD, n=128, horizon=1.0,
-                          max_steps=10)
+                          profile=prof, potential=W_STD, n=128, horizon=1.0)
     with pytest.raises(StepBudgetError):
         solve_eps_problem(spec)
 
 
 def test_convergence_report_validation():
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
 
     def spec(eps, n=32):
         return EpsProblemSpec(branch=BRANCH_STRONG, eps=eps, s=0.4, slope=0.0,
@@ -198,7 +199,7 @@ def test_convergence_report_validation():
 def test_convergence_report_rejects_specs_that_differ_beyond_eps():
     """Every field but eps must match the first spec's, the potential and
     g_const included: the effective limit is built from the first spec."""
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
 
     def spec(eps, potential=W_STD, g_const=None):
         return EpsProblemSpec(branch=BRANCH_STRONG, eps=eps, s=0.4, slope=0.0, profile=prof,
@@ -212,7 +213,7 @@ def test_convergence_report_rejects_specs_that_differ_beyond_eps():
 
 
 def test_convergence_report_trivial_case_is_exact():
-    prof = InitialProfile.zero()
+    prof = InitialProfile()
     specs = [
         EpsProblemSpec(branch=BRANCH_STRONG, eps=e, s=0.4, slope=0.0,
                        profile=prof, potential=None, n=32, horizon=0.05)
@@ -263,7 +264,7 @@ def test_eps_one_is_the_cell_flow(n, s, horizon, forcing, steps_per_checkpoint):
     trace = solve_cell_evolution(
         CellProblemSpec(s=s, slope=Fraction(0), drive=0.0, potential=W_STD, forcing=forcing,
                         n=n, horizon=horizon, dt=traj.dt),
-        initial=prof(traj.nodes))
+        initial=prof(np.arange(n) / n))
     assert trace.times.size == 32 * k + 1
     assert np.array_equal(trace.means[::k], traj.remainders.mean(axis=1))
     assert np.array_equal(trace.v_final, traj.remainders[-1])

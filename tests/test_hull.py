@@ -181,7 +181,7 @@ def test_build_validation(layer_half, layer_s075, psi_s075):
 def test_pair_product_identity(request, case):
     """I[fg] = f I[g] + g I[f] - B(f, g) at shared nodes, for two smooth
     zero-tail fields and for the s = 1/2 layer (with its tail) times a bump."""
-    zero = TailModel.zero()
+    zero = TailModel()
     if case == "generic":
         n, R, s = 512, 12.0, 0.35
         h = 2 * R / n
@@ -217,7 +217,7 @@ def test_bilinear_form_bound_off_support(layer_half):
     idx = np.nonzero(np.abs(layer.field.nodes) > 6.0)[0]
     idx = idx[(idx > n // 10) & (idx < n - n // 10)][::37]
     B = bilinear_form_B(plan, f_vals, layer.field.tail, g_vals, idx)
-    I_g = plan.apply(g_vals, TailModel.zero())
+    I_g = plan.apply(g_vals, TailModel())
     bound = 2.0 * np.max(np.abs(f_vals)) * I_g[idx]
     assert np.all(np.abs(B) <= bound + 1e-12)
 

@@ -12,7 +12,7 @@ from fracpn.potential import (
     eval_potential,
     sup_norms,
 )
-from reference import standard_potential
+from reference import potential_value, standard_potential
 
 A1 = 0.025330295910584444  # 1/(4 pi^2): unit curvature at the wells
 
@@ -32,38 +32,40 @@ def test_standard_sup_derivative():
 def test_wells_are_minima_at_integers():
     W = PeriodicPotential((A1, 0.003))
     v = np.array([0.0, 1.0, -2.0])
-    assert np.allclose(W.value(v), 0.0, atol=1e-15)
+    assert np.allclose(potential_value(W, v), 0.0, atol=1e-15)
     assert np.allclose(eval_potential(W, v, 1), 0.0, atol=1e-15)
     assert W.curvature_at_zero > 0.0
 
 
 @settings(max_examples=40, deadline=None)
-@given(v=st.floats(-4, 4, allow_nan=False), order=st.integers(0, 3))
+@given(v=st.floats(-4, 4, allow_nan=False), order=st.integers(0, 1))
 def test_derivatives_match_finite_differences(v, order):
+    """W' against differences of W (from the reference), W'' against W'."""
     W = PeriodicPotential((A1, 0.004, -0.001))
     h = 1e-5
     arr = np.array([v - h, v, v + h])
-    lo, mid, hi = eval_potential(W, arr, order)
+    lo, mid, hi = potential_value(W, arr) if order == 0 else eval_potential(W, arr, 1)
     deriv = eval_potential(W, np.array([v]), order + 1)[0]
     assert deriv == pytest.approx((hi - lo) / (2 * h), abs=5e-6)
 
 
 def test_eval_potential_order_range():
     W = standard_potential()
-    with pytest.raises(ValueError):
-        eval_potential(W, np.array([0.1]), 5)
+    for order in (0, 3):
+        with pytest.raises(ValueError):
+            eval_potential(W, np.array([0.1]), order)
 
 
 def test_derivative_bound_dominates_samples():
     W = PeriodicPotential((A1, -0.002, 0.0007))
     v = np.linspace(0, 1, 2001)
-    for order in (1, 2, 3):
+    for order in (1, 2):
         bound = W.derivative_bound(order)
         assert np.max(np.abs(eval_potential(W, v, order))) <= bound + 1e-12
 
 
 def test_forcing_zero_and_sup():
-    assert Forcing.zero().is_zero
+    assert Forcing().is_zero
     f = Forcing((ForcingTerm(0.3, 1, 2, "cos", "sin"),))
     assert not f.is_zero
     Kw, Ks = sup_norms(standard_potential(), f)

@@ -133,7 +133,7 @@ def test_table_defaults_are_library_defaults():
         "hbar-table": {**cell_defaults, "workers": _arg(cell.hbar_table, "workers")},
         "homogenize": {"n": _field(homog.EpsProblemSpec, "n"),
                        "horizon": _field(homog.EpsProblemSpec, "horizon"),
-                       "profile": homog.InitialProfile.zero().terms},
+                       "profile": _field(homog.InitialProfile, "terms")},
         "ansatz-residual": {k: _arg(hull.build_ansatz, k)
                             for k in ("n_terms", "n_grid", "cauchy_tol")},
         "orowan": {k: _arg(hull.orowan_check, k) for k in ("n", "horizon")},
@@ -255,11 +255,23 @@ def _hbar_bad(**edits):
     ({"potential": {"cosine": []}}, "potential.cosine"),
     ({"potential": {"cosine": [0.0]}}, "potential.cosine"),
     ({"command": ["hbar"]}, "command"),
+    ({"numeric": {"slope": 0.5, "drive": 0.7, "horizon": -1.0}}, "numeric.horizon"),
+    ({"numeric": {"slope": 0.5, "drive": 0.7, "horizon": 0}}, "numeric.horizon"),
+    ({"command": "layer", "numeric": {"half_width": 5.0}}, "numeric.half_width"),
+    ({"command": "layer", "numeric": {"n": 1000}}, "numeric.n"),
+    ({"command": "layer", "numeric": {"n": 4}}, "numeric.n"),
+    ({"command": "layer", "numeric": {"tol": 0.0}}, "numeric.tol"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "cauchy_tol": -1e-8}},
+     "numeric.cauchy_tol"),
 ], ids=["terms-int", "terms-null", "mode_t", "mode_x", "mode-cap", "cosine-empty", "cosine-zero",
-        "command-list"])
+        "command-list", "horizon-negative", "horizon-zero", "layer-half-width", "layer-n-1000",
+        "layer-n-4", "layer-tol", "cauchy-tol"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
-    cfg = write_cfg(tmp_path, _hbar_bad(**edits))
-    rc = cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path)])
+    d = _hbar_bad(**edits)
+    cfg = write_cfg(tmp_path, d)
+    command = d["command"] if isinstance(d["command"], str) else "hbar"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert f"{field}:" in capsys.readouterr().err
 
@@ -479,6 +491,47 @@ def test_cli_missing_config_file(tmp_path, capsys):
     rc = cli.main(["layer", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
     assert rc == 2
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps(hbar_cfg_dict()).encode().replace(b"free", b"fr\xe9e"))
+    assert cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "not UTF-8" in _one_error_line(capsys)
+
+
+def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["hbar", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in _one_error_line(capsys)
+
+
+def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    cfg = write_cfg(tmp_path, hbar_cfg_dict())
+    assert cli.main(["hbar", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "--out" in _one_error_line(capsys)
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    d = hbar_cfg_dict()
+    d["command"] = "hbar-table"
+    d["numeric"] = {"slopes": [0.5], "drives": [0.7, 0.8], "n": 64, "horizon": 40.0}
+    cfg = write_cfg(tmp_path, d)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hbar-table", "--config", str(cfg), "--out", str(tmp_path),
+                  "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "free-hbar-table.csv").exists()
 
 
 def _ansatz_cfg_dict(**numeric):
