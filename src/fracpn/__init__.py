@@ -9,23 +9,9 @@ Modules:
     hull      -- hull-function ansatz, residual and speed-law checks
     runio     -- run configs and deterministic result files
     cli       -- `fracpn` batch entry point
-"""
 
-from .fracop import GridField, TailModel, normalization_constant, plan_for
-from .potential import Forcing, ForcingTerm, PeriodicPotential
-from .layer import CorrectorSolution, LayerSolution, solve_corrector_psi, solve_layer
-from .cell import CellProblemSpec, as_rational, hbar, hbar_table, solve_cell_evolution
-from .homog import (
-    DriveLaw,
-    EffectiveProblemSpec,
-    EpsProblemSpec,
-    InitialProfile,
-    SlopeLaw,
-    branch_exponents,
-    convergence_report,
-    solve_effective,
-    solve_eps_problem,
-)
-from .hull import CutoffFunction, HullAnsatz, build_ansatz, nl_residual, orowan_check
+Names are imported from their modules (``from fracpn.cell import hbar``).
+The package itself loads none of them, so a command loads only what it runs.
+"""
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ atomically and are byte-identical across repeated runs of the same config.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-from . import cell, homog, hull, layer, runio
+from . import layer, runio
 from .fracop import kernel_constant
 
 
@@ -38,14 +39,16 @@ def _load_layer(cfg, base) -> layer.LayerSolution:
 def _slope(value, key: str):
     """A slope as an exact Fraction; a config slope it cannot represent is
     a config error naming `numeric.<key>`."""
+    from .cell import as_rational
     try:
-        return cell.as_rational(value)
+        return as_rational(value)
     except ValueError as exc:
         raise runio.ConfigError([f"numeric.{key}: {exc}"]) from exc
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each writes `path` and returns its exit code
+# command handlers: each writes `path` and returns its exit code, and imports
+# the modules beyond runio and layer that it runs, so a process loads only those
 # ---------------------------------------------------------------------------
 
 
@@ -75,7 +78,8 @@ def _run_corrector(cfg, path, base, workers):
 
 
 def _cell_spec(cfg, slope, drive):
-    return cell.CellProblemSpec(
+    from .cell import CellProblemSpec
+    return CellProblemSpec(
         s=cfg.s,
         slope=slope,
         drive=float(drive),
@@ -88,6 +92,7 @@ def _cell_spec(cfg, slope, drive):
 
 
 def _run_hbar(cfg, path, base, workers):
+    from . import cell
     spec = _cell_spec(cfg, _slope(cfg.numeric["slope"], "slope"), cfg.numeric["drive"])
     [row] = cell.hbar_table(spec, [spec.slope], [spec.drive])
     meta = runio.make_meta(cfg, kernel_constant(cfg.s, cfg.g_const), {"fit_tol": cell.FIT_TOL})
@@ -97,6 +102,7 @@ def _run_hbar(cfg, path, base, workers):
 
 
 def _run_hbar_table(cfg, path, base, workers):
+    from . import cell
     slopes = [_slope(p, "slopes") for p in cfg.numeric["slopes"]]
     rows = cell.hbar_table(
         _cell_spec(cfg, slopes[0], 0.0),
@@ -112,6 +118,7 @@ def _run_hbar_table(cfg, path, base, workers):
 
 
 def _run_homogenize(cfg, path, base, workers):
+    from . import homog
     num = cfg.numeric
     table_path = _input(cfg, "hbar_table", base)
     _, _, rows = runio.read_csv(table_path)
@@ -156,6 +163,7 @@ def _run_homogenize(cfg, path, base, workers):
 
 
 def _run_ansatz_residual(cfg, path, base, workers):
+    from . import hull
     num = cfg.numeric
     lay = _load_layer(cfg, base)
     L0 = float(num["L0"])
@@ -186,6 +194,7 @@ def _run_ansatz_residual(cfg, path, base, workers):
 
 
 def _run_orowan(cfg, path, base, workers):
+    from . import cell, hull
     num = cfg.numeric
     lay = _load_layer(cfg, base)
     rep = hull.orowan_check(
@@ -243,6 +252,9 @@ def _error(message, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    # the import-time heap lives until exit: keep it out of every collection,
+    # the interpreter's final one and those of forked table workers included
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = runio.parse_config(args.config)
@@ -269,9 +281,7 @@ def main(argv=None) -> int:
         code = _HANDLERS[cfg.command](cfg, path, base, args.workers)
     except runio.ConfigError as exc:
         return _error(exc, 2)
-    except (runio.MissingArtifactError, layer.LayerConvergenceError, hull.HullTailError,
-            cell.CellStabilityError, homog.OutsideTableError,
-            homog.StepBudgetError, RuntimeError, ValueError) as exc:
+    except (runio.MissingArtifactError, RuntimeError, ValueError) as exc:
         return _error(exc, 1)
     return code
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import FIT_TOL, CellProblemSpec, as_rational, hbar
 from .fracop import _em_tail, plan_for
 from .layer import CorrectorSolution, LayerSolution, _fit_amplitude
 from .potential import eval_potential
@@ -418,6 +417,8 @@ def orowan_check(
     two pipelines cross-validate.  Fits whose uncertainty exceeds
     cell.FIT_TOL are reported in warnings and the report is still returned.
     """
+    from .cell import FIT_TOL, CellProblemSpec, as_rational, hbar  # only this check steps cells
+
     deltas = list(delta_list)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"delta list must be strictly decreasing (got {deltas})")

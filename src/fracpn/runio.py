@@ -262,6 +262,9 @@ def validate_raw(raw: dict) -> list:
                           f"(got {hw!r})")
         if _is_count(numeric.get("n")) and not _power_of_two(numeric["n"]):
             errors.append(f"numeric.n: must be a power of two >= {MIN_N} (got {numeric['n']})")
+    if command == "ansatz-residual":  # nl_residual's plan needs 2 cells in a quarter period
+        if _is_count(numeric.get("n_grid")) and numeric["n_grid"] < 8:
+            errors.append(f"numeric.n_grid: must be at least 8 (got {numeric['n_grid']})")
     for key in ("eps_list", "delta_list", "drives", "slopes"):
         if key in numeric:
             v = numeric[key]

@@ -152,15 +152,21 @@ def test_cg_reports_max_iter_when_unconverged():
     assert info == 3
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    """Every fracpn command is its own process: start-up must stay numpy-only,
-    with no process pool; a one-row table runs in-process even when workers
-    are offered, a multi-row table forks its workers without concurrent or
-    multiprocessing, and a command run end to end maps no OpenSSL (hashlib)
-    and imports no numpy.polynomial."""
+def _src_env():
+    """The environment of a child interpreter that imports this fracpn."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracpn.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """Every fracpn command is its own process: start-up must stay numpy-only,
+    with no process pool, and loads none of the cell, homog and hull modules;
+    a one-row table runs in-process even when workers are offered, a
+    multi-row table forks its workers without concurrent or multiprocessing,
+    and a command run end to end maps no OpenSSL (hashlib) and imports no
+    numpy.polynomial."""
     config = tmp_path / "layer.json"
     config.write_text(json.dumps({
         "command": "layer", "operator": {"s": 0.5},
@@ -172,10 +178,12 @@ def heavy():
     return sorted(m for m in sys.modules
                   if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')
                   or m == '_hashlib' or m.startswith('numpy.polynomial'))
-print(heavy())
-from fracpn.cell import CellProblemSpec, hbar_table
-W = fracpn.PeriodicPotential((0.025330295910584444,))
-spec = CellProblemSpec(s=0.5, slope=fracpn.as_rational(0.5), drive=0.0, potential=W, n=64,
+print(heavy(), sorted(m for m in sys.modules
+                     if m in ('fracpn.cell', 'fracpn.homog', 'fracpn.hull')))
+from fracpn.cell import CellProblemSpec, as_rational, hbar_table
+from fracpn.potential import PeriodicPotential
+W = PeriodicPotential((0.025330295910584444,))
+spec = CellProblemSpec(s=0.5, slope=as_rational(0.5), drive=0.0, potential=W, n=64,
                        horizon=1.0)
 print(len(hbar_table(spec, [0.5], [0.0], workers=4)), heavy())
 print(len(hbar_table(spec, [0.0, 0.5], [0.0, 0.1], workers=2)), heavy())
@@ -183,7 +191,49 @@ code = fracpn.cli.main(["layer", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(code, heavy())
 """
     out = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "run")],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_src_env(), capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[:3] == ["[]", "1 []", "4 []"] and lines[-1] == "0 []"
+    assert lines[:3] == ["[] []", "1 []", "4 []"] and lines[-1] == "0 []"
     assert (tmp_path / "run" / "t-layer.json").is_file()
+
+
+# per command: numeric keys, inputs, and the fracpn modules it loads beyond cli,
+# fracop, layer, potential and runio, which every command loads
+COMMAND_MODULES = [
+    ("layer", {"n": 256, "half_width": 20.0}, {}, ()),
+    ("corrector", {"L0": 1.0}, {"layer": "t-layer.json"}, ()),
+    ("ansatz-residual", {"delta": 0.25, "p0": 1.0, "L0": 0.0, "n_grid": 256},
+     {"layer": "t-layer.json"}, ("hull",)),
+    ("orowan", {"delta_list": [0.5], "p0": 1.0, "L0": 1.0, "n": 64, "horizon": 40.0},
+     {"layer": "t-layer.json"}, ("cell", "hull")),
+    ("hbar", {"slope": 0.5, "drive": 0.7, "n": 64, "horizon": 40.0}, {}, ("cell",)),
+    ("hbar-table", {"slopes": [0.5], "drives": [-1.0, 0.0, 1.0], "n": 64, "horizon": 40.0},
+     {}, ("cell",)),
+    ("homogenize", {"branch": "sub", "eps_list": [0.5, 0.25], "slope": 0.5, "horizon": 0.05,
+                    "n": 64, "profile": [[0.1, 1, "sin"]]},
+     {"hbar_table": "t-hbar-table.csv"}, ("cell", "homog")),
+]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """Each command, in its own process and in chain order (later commands
+    read what earlier ones wrote), loads only the fracpn modules it runs,
+    and leaves the import-time heap frozen out of the collector."""
+    script = """
+import gc, sys
+import fracpn.cli
+code = fracpn.cli.main(sys.argv[1:])
+print(code, gc.get_freeze_count() > 0,
+      sorted(m[7:] for m in sys.modules if m.startswith('fracpn.')))
+"""
+    base = {"cli", "fracop", "layer", "potential", "runio"}
+    for command, numeric, inputs, extra in COMMAND_MODULES:
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({
+            "command": command, "operator": {"s": 0.5},
+            "potential": {"cosine": [0.025330295910584444]}, "numeric": numeric,
+            "inputs": inputs, "output": {"prefix": "t"}}))
+        out = subprocess.run([sys.executable, "-c", script, command, "--config", str(config),
+                              "--out", str(tmp_path)],
+                             env=_src_env(), capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == f"0 True {sorted(base | set(extra))}", command

@@ -264,9 +264,13 @@ def _hbar_bad(**edits):
     ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
       "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "cauchy_tol": -1e-8}},
      "numeric.cauchy_tol"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "n_grid": 2}}, "numeric.n_grid"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "n_grid": 4}}, "numeric.n_grid"),
 ], ids=["terms-int", "terms-null", "mode_t", "mode_x", "mode-cap", "cosine-empty", "cosine-zero",
         "command-list", "horizon-negative", "horizon-zero", "layer-half-width", "layer-n-1000",
-        "layer-n-4", "layer-tol", "cauchy-tol"])
+        "layer-n-4", "layer-tol", "cauchy-tol", "ansatz-n-grid-2", "ansatz-n-grid-4"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
     d = _hbar_bad(**edits)
     cfg = write_cfg(tmp_path, d)
@@ -274,6 +278,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
     rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    layer.LayerConvergenceError, hull.HullTailError, cell.CellStabilityError,
+    homog.OutsideTableError, homog.StepBudgetError,
+], ids=lambda e: e.__name__)
+def test_solver_errors_are_caught_as_runtime_or_value_errors(error):
+    """cli.main exits 1 on RuntimeError and ValueError without importing the
+    modules that define the solver and check errors, so each must be one."""
+    assert issubclass(error, (RuntimeError, ValueError))
 
 
 def test_cli_negative_profile_mode_exits_2(tmp_path, capsys):
