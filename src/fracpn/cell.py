@@ -64,14 +64,25 @@ sloped ones of the quadrature's grid error too.
     spectral plan on m = max(16, 8q), 2m, 4m, ... <= WAVE_MAX_N points
     until two successive speeds agree to CERTIFY_RTOL * max(1, |lambda|),
     and reports the finer grid's wave (``spec.n`` does not enter), its
-    uncertainty raised to the pair difference.  On each grid Newton starts
-    from V = 0, c = F / p (the free wave) and solves each step densely:
-    the Jacobian c D - I + diag W''(p x + V), bordered by p + D V and the
-    mean row, is a circulant plus a diagonal, copied into one preallocated
-    (m + 1)^2 array from a strided view of its first column (I's column is
-    one ``plan.apply``).  Once a Newton step falls to WAVE_STEP_TOL, the
-    change of lambda by one more step is the uncertainty, and the speed is
-    accepted when that is at most CERTIFY_RTOL * max(1, |lambda|).
+    uncertainty raised to the pair difference.  Newton starts the first
+    grid from V = 0, c = F / p (the free wave), and each finer grid from
+    the coarser wave, spectrally interpolated, so there it takes two or
+    three steps.  Each step is solved matrix-free, in O(m) memory: the
+    Jacobian J = c D - I + diag W''(p x + V), bordered by the column
+    p + D V and the mean row, goes to a short restarted GMRES (``_gmres``),
+    right-preconditioned by the bordered circulant P = c D - I + wbar,
+    wbar = max(0, mean W''), whose border column is the constant p.  P is
+    diagonal in Fourier, and its mode 0 holds the mean row and the speed
+    exactly, so J P^-1 = 1 + ((W'' - wbar) x + x_c D V) with x = P^-1 y:
+    the Krylov vectors are spectra (the rfft's real mode 0 carries the mean
+    row in its imaginary part), and a product costs two FFTs.  The step is
+    inexact: GMRES stops at a relative residual that follows the Newton
+    residual's fall from its first value, within WAVE_KRYLOV_RTOL, so the
+    last steps, the certifying one included, are solved tightest.  Any
+    torus plan serves, through ``plan.multiplier``, I's rfft multiplier.
+    Once a Newton step falls to WAVE_STEP_TOL, the change of lambda by one
+    more step is the uncertainty, and the speed is accepted when that is at
+    most CERTIFY_RTOL * max(1, |lambda|).
     Multiplying by U' = p + D V and summing
     gives the discrete identity c sum h (U')^2 = F p q: I and D commute
     and D is skew, so the operator term drops exactly, and the potential
@@ -84,7 +95,8 @@ sloped ones of the quadrature's grid error too.
     by v -> v + 1, so mean(v) cannot drift linearly.  The solve runs at
     |F| and the result is reflected, v(x) -> -v(-x), for F < 0 (W' is
     odd), so speeds are exactly odd in F.  A solve that has not converged
-    within WAVE_MAX_ITER steps sends the row to the stepped route at once,
+    within WAVE_MAX_ITER steps, or one of whose steps GMRES has not solved
+    in WAVE_RESTARTS cycles, sends the row to the stepped route at once,
     with no larger grid tried, and so does a pair not agreed by WAVE_MAX_N.
 
 Stepped route.  Every other row -- with forcing, with an explicit ``dt``
@@ -115,6 +127,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fracop import plan_for
+from .layer import _fit_line
 from .potential import Forcing, PeriodicPotential, eval_potential, sup_norms
 
 __all__ = [
@@ -149,9 +162,12 @@ REST_SAMPLES = 1024  # (a): samples of a period searched for the rest point's si
 FIT_TOL = 1e-3  # largest uncertainty of a converged speed
 MAX_DEN = 64  # largest slope denominator
 CERTIFY_RTOL = 1e-12  # (b): last |dlambda| and grid-pair difference, relative to max(1, |lambda|)
-WAVE_MAX_N = 1024  # (b): largest spectral grid m; its dense Jacobian is (m + 1)^2 floats (~8.4 MB)
+WAVE_MAX_N = 4096  # (b): largest spectral grid m; a Newton step holds (WAVE_KRYLOV + 1)(m + 2) floats (~1 MB)
 WAVE_MAX_ITER = 20  # (b): Newton steps before the row is stepped instead
 WAVE_STEP_TOL = 1e-10  # (b): a converged Newton step, relative to max(1, |c|)
+WAVE_KRYLOV = 30  # (b): GMRES iterations per cycle
+WAVE_RESTARTS = 4  # (b): GMRES cycles before the Newton step fails
+WAVE_KRYLOV_RTOL = (1e-4, 1e-2)  # (b): bounds of a Newton step's relative GMRES residual
 
 
 class CellStabilityError(RuntimeError):
@@ -307,77 +323,170 @@ def euler_steps(rhs, v, dt: float, nsteps: int):
         yield k + 1, v
 
 
-def travelling_wave(plan, W, px, slope: Fraction, drive: float):
+def _gmres(matvec, b, rtol: float):
+    """x with |b - matvec(x)| <= rtol |b| (2-norms), by GMRES restarted every
+    WAVE_KRYLOV iterations, or None after WAVE_RESTARTS cycles.
+    ``matvec(y, out)`` writes its product into ``out``.  Each iteration
+    orthogonalises by classical Gram-Schmidt (two matrix-vector products)
+    and updates the least-squares residual by a Givens rotation."""
+    Q = np.empty((WAVE_KRYLOV + 1, b.size))
+    x, r = None, b
+    beta = math.sqrt(float(b @ b))
+    target = rtol * beta
+    if not math.isfinite(target):
+        return None
+    for _ in range(WAVE_RESTARTS):
+        if beta <= target:
+            return np.zeros(b.size) if x is None else x
+        np.multiply(r, 1.0 / beta, out=Q[0])
+        g, cs, sn, R = [beta], [], [], []  # R[j] is column j of the triangular factor
+        for j in range(WAVE_KRYLOV):
+            w = matvec(Q[j], Q[j + 1])
+            basis = Q[: j + 1]
+            h = basis @ w
+            w -= h @ basis
+            hn = math.sqrt(float(w @ w))
+            col = h.tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = math.hypot(col[j], hn)
+            if rho == 0.0:  # matvec is singular
+                return None
+            cs.append(col[j] / rho)
+            sn.append(hn / rho)
+            col[j] = rho
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            R.append(col)
+            if abs(g[-1]) <= target or hn == 0.0:
+                break
+            w *= 1.0 / hn
+        k = len(R)
+        y = g[:k]
+        for i in range(k - 1, -1, -1):  # back substitution
+            for l in range(i + 1, k):
+                y[i] -= R[l][i] * y[l]
+            y[i] /= R[i][i]
+        dx = np.array(y) @ Q[:k]
+        x = dx if x is None else x + dx
+        if abs(g[-1]) <= target:
+            return x
+        r = b - matvec(x, Q[0])
+        beta = math.sqrt(float(r @ r))
+    return x if beta <= target else None
+
+
+def travelling_wave(plan, W, px, slope: Fraction, drive: float, start=None):
     """Route (b) (module docstring): (V, (speed, uncertainty, corrector
     amplitude)) of the travelling wave at ``drive``, V on the plan's grid,
-    or None when Newton has not converged within WAVE_MAX_ITER steps."""
+    or None when Newton has not converged within WAVE_MAX_ITER steps or
+    GMRES has failed a step.  ``start`` is Newton's first (V, c) at |drive|;
+    by default (0, |drive| / p)."""
     n = plan.n
     p = float(slope)
     a = abs(drive)
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    i_col = plan.apply(e0)
     d_hat = (2j * math.pi / plan.period) * np.arange(n // 2 + 1)
     if n % 2 == 0:
         d_hat[-1] = 0.0  # the Nyquist mode: D stays real and skew
-    d_col = np.fft.irfft(d_hat, n=n)
-
-    J = np.empty((n + 1, n + 1))
-    J[n, :n] = 1.0 / n
-    J[n, n] = 0.0
-    diag = J.reshape(-1)[: n * (n + 2): n + 2]
-    r = np.empty(n + 1)
-    V, c = np.zeros(n), a / p
-    converged = False
+    if start is None:
+        V, c = np.zeros(n), a / p
+        v_hat = np.zeros(n // 2 + 1, dtype=complex)
+    else:
+        V, c = start
+        v_hat = np.fft.rfft(V)
+    wbar, dw = 0.0, None
+    converged, r_first = False, None
     for _ in range(WAVE_MAX_ITER):
-        up = p + np.fft.irfft(np.fft.rfft(V) * d_hat, n=n)
-        col = c * d_col - i_col
-        # circulant: J[j, k] = col[(j - k) mod n]
-        J[:n, :n] = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((col[1:], col)), n)[:, ::-1]
-        J[:n, n] = up
-        r[:n] = plan.apply(V) + a - c * up
-        r[n] = -V.mean()
+        # the residual's rfft, with the mean row in mode 0's imaginary part
+        dv_hat = d_hat * v_hat  # D V; U' = p + D V borders the Jacobian
+        lin = plan.multiplier - c * d_hat  # I - c D
+        b_hat = lin * v_hat
+        b_hat[0] = complex(n * (a - c * p), -v_hat[0].real / n)
         if W is not None:
             arg = px + V
-            r[:n] -= eval_potential(W, arg, 1)
-            diag += eval_potential(W, arg, 2)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
+            b_hat -= np.fft.rfft(eval_potential(W, arg, 1))
+            dw = eval_potential(W, arg, 2)
+            wbar = max(0.0, float(dw.sum()) / n)
+            dw -= wbar
+        inv = wbar - lin
+        inv[0] = 1.0
+        inv = 1.0 / inv
+
+        def precondition(y_hat):
+            """(x_hat, x_c) = P^-1 y for the bordered circulant P: c D - I +
+            wbar bordered by the constant column p and the mean row."""
+            x_hat = inv * y_hat
+            y_c = y_hat[0].imag
+            x_hat[0] = n * y_c
+            return x_hat, (y_hat[0].real - wbar * n * y_c) / (p * n)
+
+        def matvec(y, out):
+            """J P^-1 y = y + (W'' - wbar) x + x_c D V in Fourier, into out;
+            the mean row's part of mode 0 is the identity."""
+            y_hat, out_hat = y.view(complex), out.view(complex)
+            x_hat, x_c = precondition(y_hat)
+            np.multiply(x_c, dv_hat, out=out_hat)
+            if dw is not None:
+                out_hat += np.fft.rfft(dw * np.fft.irfft(x_hat, n))
+            out_hat += y_hat
+            return out
+
+        # inexact Newton: the Krylov tolerance follows the residual's fall
+        b = b_hat.view(float)
+        r_norm = math.sqrt(float(b @ b))
+        r_first = r_norm if r_first is None else r_first
+        lo, hi = WAVE_KRYLOV_RTOL
+        y = _gmres(matvec, b, min(hi, max(lo, r_norm / r_first if r_first else 0.0)))
+        if y is None:
             return None
-        if not np.all(np.isfinite(step)):
+        x_hat, step_c = precondition(y.view(complex))
+        v_hat += x_hat
+        c += step_c
+        prev, V = V, np.fft.irfft(v_hat, n=n)
+        step = float(np.abs(V - prev).max())
+        if not math.isfinite(step + step_c):
             return None
-        V += step[:n]
-        c += step[n]
         if converged:
             break
-        converged = float(np.max(np.abs(step))) <= WAVE_STEP_TOL * max(1.0, abs(c))
+        converged = max(step, abs(step_c)) <= WAVE_STEP_TOL * max(1.0, abs(c))
     else:
         return None
-    lam, unc = float(p * c), float(abs(p * step[n]))
+    lam, unc = float(p * c), float(abs(p * step_c))
     if unc > CERTIFY_RTOL * max(1.0, abs(lam)):
         return None
     if drive == 0.0:
         return V, (0.0, 0.0, 0.0)
     if drive < 0.0:
-        return -np.roll(V[::-1], 1), (-lam, unc, 0.0)  # v(x) -> -v(-x)
+        return _reflect(V), (-lam, unc, 0.0)
     return V, (lam, unc, 0.0)
+
+
+def _reflect(V):
+    """v(x) -> -v(-x), its own inverse."""
+    return -np.roll(V[::-1], 1)
 
 
 def spectral_wave(spec: CellProblemSpec, W):
     """Route (b) on the spectral plan (module docstring): the wave on the
-    finer grid of the first pair m, 2m whose speeds agree, or None."""
+    finer grid of the first pair m, 2m whose speeds agree, or None.  Each
+    finer grid starts from the coarser wave, interpolated."""
     q = spec.torus_period
-    m, last = max(16, 8 * q), None
+    p = float(spec.slope)
+    m, last, start = max(16, 8 * q), None, None
     while m <= WAVE_MAX_N:
         plan = plan_for("spectral", m, 0.5 * q, spec.s, spec.g_const)
-        px = float(spec.slope) * ((q / m) * np.arange(m))
-        if (wave := travelling_wave(plan, W, px, spec.slope, spec.drive)) is None:
+        px = p * ((q / m) * np.arange(m))
+        if (wave := travelling_wave(plan, W, px, spec.slope, spec.drive, start)) is None:
             return None
         V, (lam, unc, amp) = wave
         if last is not None and abs(lam - last) <= CERTIFY_RTOL * max(1.0, abs(lam)):
             return V, (lam, max(unc, abs(lam - last)), amp)
+        # the next grid's start: this wave at |F|, spectrally interpolated
+        v_hat = np.zeros(m + 1, dtype=complex)
+        v_hat[: m // 2 + 1] = 2.0 * np.fft.rfft(_reflect(V) if spec.drive < 0.0 else V)
+        v_hat[m // 2] *= 0.5  # the Nyquist mode, split between +-m/2
+        start = (np.fft.irfft(v_hat, n=2 * m), abs(lam) / p)
         last, m = lam, 2 * m
     return None
 
@@ -450,12 +559,6 @@ class SpeedFit:
     horizon: float  # the time the run covered
 
 
-def _ls_slope(t, y):
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 def estimate_lambda(trace: CellTrace) -> SpeedFit:
     """The effective speed of a trace; ``converged`` records whether its
     uncertainty is at most FIT_TOL.
@@ -475,10 +578,10 @@ def estimate_lambda(trace: CellTrace) -> SpeedFit:
             raise ValueError("fit window contains fewer than 16 samples")
         t = trace.times[sel]
         y = trace.means[sel]
-        speed, intercept = _ls_slope(t, y)
+        speed, intercept = _fit_line(t, y)
         mid = t.size // 2
-        s1, _ = _ls_slope(t[:mid], y[:mid])
-        s2, _ = _ls_slope(t[mid:], y[mid:])
+        s1, _ = _fit_line(t[:mid], y[:mid])
+        s2, _ = _fit_line(t[mid:], y[mid:])
         unc = abs(s1 - s2)
         resid = y - (speed * t + intercept)
         amp = 0.5 * float(resid.max() - resid.min())

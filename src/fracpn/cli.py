@@ -253,8 +253,10 @@ def _error(message, code: int) -> int:
 
 def main(argv=None) -> int:
     # the import-time heap lives until exit: keep it out of every collection,
-    # the interpreter's final one and those of forked table workers included
-    gc.freeze()
+    # the interpreter's final one and those of forked table workers included;
+    # once per process, so a later in-process call freezes none of its caller's garbage
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = runio.parse_config(args.config)

@@ -476,7 +476,8 @@ def _hurwitz_zeta(sigma: float, a):
 
 class PeriodicPlan:
     """Precomputed circulant quadrature for n samples of a torus of fixed
-    (n, period, s, g, r)."""
+    (n, period, s, g, r).  ``multiplier`` is I's rfft multiplier, the name
+    both torus plans give it."""
 
     def __init__(self, n: int, period: float, s: float, g_const: float, m_inner: int):
         self.n = n
@@ -509,28 +510,29 @@ class PeriodicPlan:
         kappa[0] = -2.0 * c.sum()
         khat = np.fft.rfft(kappa)
         khat[0] = 0.0  # constants are annihilated exactly
-        self.kernel_hat = khat
+        self.multiplier = khat
         self.stiffness = 2.0 * c.sum()  # Gershgorin bound on -I
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         v = v - v.mean()
-        return np.fft.irfft(np.fft.rfft(v) * self.kernel_hat, n=self.n)
+        return np.fft.irfft(np.fft.rfft(v) * self.multiplier, n=self.n)
 
 
 class SpectralPlan:
     """The exact symbol on an n-point torus: mode k is multiplied by
-    -(g/C(1,s)) |2 pi k / period|^(2s).  Spectrally accurate, but with no
-    nonnegative weights, so it serves solves, not explicit Euler steps."""
+    ``multiplier[k]`` = -(g/C(1,s)) |2 pi k / period|^(2s).  Spectrally
+    accurate, but with no nonnegative weights, so it serves solves, not
+    explicit Euler steps."""
 
     def __init__(self, n: int, period: float, s: float, g_const: float):
         self.n = n
         self.period = period
         k = np.arange(n // 2 + 1, dtype=float)
-        self.symbol = -(g_const / normalization_constant(s)) * (2.0 * np.pi * k / period) ** (2.0 * s)
+        self.multiplier = -(g_const / normalization_constant(s)) * (2.0 * np.pi * k / period) ** (2.0 * s)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(values) * self.symbol, n=self.n)
+        return np.fft.irfft(np.fft.rfft(values) * self.multiplier, n=self.n)
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,20 @@ def _fit_amplitude(x, y, beta):
     return float(np.dot(y, basis) / np.dot(basis, basis))
 
 
+def _fit_line(x, y):
+    """(slope, intercept) of the least-squares line y ~ slope x + intercept,
+    in closed form about the means of x and y."""
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    dx = x - x_mean
+    slope = float(np.dot(dx, y - y_mean) / np.dot(dx, dx))
+    return slope, y_mean - slope * x_mean
+
+
 def _fit_exponent(x, y):
     """Log-log least-squares decay exponent of |y| ~ C x^-p (p > 0)."""
     mask = np.abs(y) > 0
-    lx = np.log(x[mask])
-    ly = np.log(np.abs(y[mask]))
-    A = np.vstack([np.ones_like(lx), -lx]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(coef[1]), float(math.exp(coef[0]))
+    slope, intercept = _fit_line(np.log(x[mask]), np.log(np.abs(y[mask])))
+    return -slope, math.exp(intercept)
 
 
 @dataclass(eq=False)

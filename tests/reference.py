@@ -9,7 +9,10 @@ None of these is on a command's path; the tests use them to check what is:
   through the Euler-Maclaurin closures ``hull._em_pair`` and
   ``fracop._em_tail`` that the hull's lattice sums use;
 - ``check_layer_decay``: fitted far-field decay exponents of a layer (and
-  corrector) from ``solve_layer``, with factor-2 envelope checks.
+  corrector) from ``solve_layer``, with factor-2 envelope checks;
+- ``dense_travelling_wave``: the travelling wave by Newton with each step
+  solved densely (LAPACK), so it checks the matrix-free
+  ``cell.travelling_wave``.
 
 It also builds two test inputs: ``standard_potential``, the curvature-one
 well, and ``identity_law``, the drive law whose speed is the drive; and
@@ -22,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fracpn.cell import CERTIFY_RTOL, WAVE_MAX_ITER, WAVE_STEP_TOL
 from fracpn.fracop import _em_tail
 from fracpn.homog import DriveLaw
 from fracpn.hull import _em_pair
 from fracpn.layer import _fit_exponent
-from fracpn.potential import PeriodicPotential
+from fracpn.potential import PeriodicPotential, eval_potential
 
 
 def standard_potential() -> PeriodicPotential:
@@ -238,3 +242,69 @@ def check_layer_decay(layer, psi=None) -> DecayReport:
                          ax[outer], psi_prime[outer])
         )
     return DecayReport(entries=tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# dense travelling wave
+# ---------------------------------------------------------------------------
+
+
+def dense_travelling_wave(plan, W, px, slope, drive):
+    """``cell.travelling_wave`` from V = 0, c = |drive| / p, with each Newton
+    step solved by ``np.linalg.solve``: the Jacobian c D - I + diag
+    W''(p x + V), bordered by p + D V and the mean row, is a circulant plus
+    a diagonal, copied into one (m + 1)^2 array from a strided view of its
+    first column.  The same stop and certificate: (V, (speed, uncertainty,
+    0)), or None."""
+    n = plan.n
+    p = float(slope)
+    a = abs(drive)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    i_col = plan.apply(e0)
+    d_hat = (2j * math.pi / plan.period) * np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        d_hat[-1] = 0.0
+    d_col = np.fft.irfft(d_hat, n=n)
+
+    J = np.empty((n + 1, n + 1))
+    J[n, :n] = 1.0 / n
+    J[n, n] = 0.0
+    diag = J.reshape(-1)[: n * (n + 2): n + 2]
+    r = np.empty(n + 1)
+    V, c = np.zeros(n), a / p
+    converged = False
+    for _ in range(WAVE_MAX_ITER):
+        up = p + np.fft.irfft(np.fft.rfft(V) * d_hat, n=n)
+        col = c * d_col - i_col
+        # circulant: J[j, k] = col[(j - k) mod n]
+        J[:n, :n] = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((col[1:], col)), n)[:, ::-1]
+        J[:n, n] = up
+        r[:n] = plan.apply(V) + a - c * up
+        r[n] = -V.mean()
+        if W is not None:
+            arg = px + V
+            r[:n] -= eval_potential(W, arg, 1)
+            diag += eval_potential(W, arg, 2)
+        try:
+            step = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        V += step[:n]
+        c += step[n]
+        if converged:
+            break
+        converged = float(np.max(np.abs(step))) <= WAVE_STEP_TOL * max(1.0, abs(c))
+    else:
+        return None
+    lam, unc = float(p * c), float(abs(p * step[n]))
+    if unc > CERTIFY_RTOL * max(1.0, abs(lam)):
+        return None
+    if drive == 0.0:
+        return V, (0.0, 0.0, 0.0)
+    if drive < 0.0:
+        return -np.roll(V[::-1], 1), (-lam, unc, 0.0)
+    return V, (lam, unc, 0.0)

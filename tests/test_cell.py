@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fracpn.cell import (
 )
 from fracpn.fracop import AnisotropyKernel, plan_for
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, eval_potential
-from reference import standard_potential
+from reference import dense_travelling_wave, standard_potential
 
 W_STD = standard_potential()
 SUP_WP = 1.0 / (2.0 * math.pi)  # sup |W'| for the standard potential
@@ -399,23 +400,121 @@ def test_unconverged_wave_falls_back_to_stepping(monkeypatch):
 @pytest.mark.parametrize("q", [20, 40])
 def test_divergent_wave_is_stepped_after_its_first_grid(monkeypatch, q):
     """At s = 3/4, slope 1/q and drive q^-1.5, undamped Newton from V = 0
-    diverges: the row makes at most WAVE_MAX_ITER solves, all on its first
-    spectral grid (8q points), and is then stepped."""
-    sizes = []
-    solve = np.linalg.solve
+    diverges: the row makes at most WAVE_MAX_ITER Newton steps, all on its
+    first spectral grid (8q points), and is then stepped.  Each step is one
+    Krylov solve over the m + 2 floats of the step's m / 2 + 1 complex
+    modes, the speed's step in mode 0's imaginary part."""
+    grids = []
+    gmres = fracpn.cell._gmres
 
-    def counting(a, b):
-        sizes.append(a.shape)
-        return solve(a, b)
+    def counting(matvec, b, rtol):
+        grids.append(b.size - 2)
+        return gmres(matvec, b, rtol)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(fracpn.cell, "_gmres", counting)
     spec = CellProblemSpec(s=0.75, slope=Fraction(1, q), drive=q ** -1.5, potential=W_STD,
                            n=64, horizon=1.0)
     trace = solve_cell_evolution(spec)
-    assert 0 < len(sizes) <= fracpn.cell.WAVE_MAX_ITER
-    assert set(sizes) == {(8 * q + 1, 8 * q + 1)}
+    assert 0 < len(grids) <= fracpn.cell.WAVE_MAX_ITER
+    assert set(grids) == {8 * q}
     assert trace.certified is None
     assert trace.horizon == spec.horizon
+
+
+def test_gmres_meets_its_tolerance_across_restarts():
+    """_gmres returns x with |b - A x| <= rtol |b| on a nonsymmetric system
+    that needs more than one cycle of WAVE_KRYLOV iterations, and None on a
+    cyclic shift, where every residual of fewer than n iterations is b."""
+    rng = np.random.default_rng(3)
+    n = 200
+    A = np.eye(n) + 0.7 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    calls = []
+
+    def matvec(y, out):
+        calls.append(1)
+        return np.matmul(A, y, out=out)
+
+    x = fracpn.cell._gmres(matvec, b, 1e-10)
+    assert len(calls) > fracpn.cell.WAVE_KRYLOV
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    shift = np.roll(np.eye(n), 1, axis=0)
+    assert fracpn.cell._gmres(lambda y, out: np.matmul(shift, y, out=out), b, 1e-10) is None
+
+
+def _spectral_wave_args(s, p, m):
+    """(plan, px) of the spectral grid of m points at slope p."""
+    q = p.denominator
+    return plan_for("spectral", m, 0.5 * q, s), float(p) * ((q / m) * np.arange(m))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("q", [1, 2, 5, 20, 64])
+def test_matrix_free_wave_matches_the_dense_reference(s, q):
+    """On the direct route's grid pair m = max(16, 8q), 2m (m <= 1024),
+    every speed the dense bordered Newton solve certifies at drive 0,
+    +-0.3 and +-1 the matrix-free one certifies too, equal within
+    CERTIFY_RTOL max(1, |lambda|) (the drive -F is the reflected solve at
+    |F|).  Where only the matrix-free solve converges (undamped Newton from
+    V = 0 at drive 0 takes other iterates), its wave is stationary: a
+    residual at roundoff."""
+    p = Fraction(1, q)
+    m0 = max(16, 8 * q)
+    for F in (0.0, 0.3, 1.0):
+        for m in (m0, 2 * m0):
+            plan, px = _spectral_wave_args(s, p, m)
+            dense = dense_travelling_wave(plan, W_STD, px, p, F)
+            for sign in ((1.0, -1.0) if F else (1.0,)):
+                wave = travelling_wave(plan, W_STD, px, p, sign * F)
+                if dense is None:
+                    if wave is not None:
+                        assert F == 0.0
+                        V = wave[0]
+                        stationary = plan.apply(V) - eval_potential(W_STD, px + V, 1)
+                        assert np.max(np.abs(stationary)) <= 1e-12
+                    continue
+                lam = sign * dense[1][0]
+                assert wave is not None, (s, q, sign * F, m)
+                assert abs(wave[1][0] - lam) <= fracpn.cell.CERTIFY_RTOL * max(1.0, abs(lam))
+            if dense is None:
+                break
+
+
+def test_finer_grid_starts_from_the_coarse_wave(monkeypatch):
+    """Each finer grid of a row's pair starts from the coarser wave,
+    interpolated: its Newton run is the converged step and the certifying
+    one (at most three steps), shorter than the first grid's from V = 0."""
+    steps = {}
+    gmres = fracpn.cell._gmres
+
+    def counting(matvec, b, rtol):
+        steps[b.size - 2] = steps.get(b.size - 2, 0) + 1
+        return gmres(matvec, b, rtol)
+
+    monkeypatch.setattr(fracpn.cell, "_gmres", counting)
+    for p, F in DIRECT_ROWS + [(Fraction(1, 2), 0.0)]:
+        steps.clear()
+        trace = solve_cell_evolution(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD))
+        assert trace.horizon == 0.0
+        first, *finer = (steps[m] for m in sorted(steps))
+        assert finer and all(k <= min(3, first - 1) for k in finer), steps
+
+
+def test_wave_memory_is_linear_in_m():
+    """One wave's traced peak memory stays under 1 kB per grid point at
+    m = 1024, 2048 and 4096 (s = 1/2, slope 8/m, drive 0.3); the dense
+    bordered solve held (m + 1)^2 floats twice, 32 MB at m = 2048."""
+    for m in (1024, 2048, 4096):
+        p = Fraction(8, m)
+        plan, px = _spectral_wave_args(0.5, p, m)
+        tracemalloc.start()
+        try:
+            wave = travelling_wave(plan, W_STD, px, p, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wave is not None
+        assert peak <= 1024 * m, (m, peak)
 
 
 def test_forcing_free_sloped_rows_take_no_time_step(monkeypatch):
@@ -611,7 +710,7 @@ def test_uncovered_row_runs_to_the_cap():
     assert trace.times[-1] >= spec.horizon
     assert fit.horizon == spec.horizon
     assert fit.speed == 0.009527448291138715
-    assert fit.uncertainty == 6.938893903907228e-18
+    assert fit.uncertainty == 5.204170427930421e-18
     assert abs(fit.speed - speed) == pytest.approx(2.3e-8, rel=0.05)
 
 

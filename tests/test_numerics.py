@@ -1,8 +1,10 @@
-"""The package's numpy ports of scipy routines, checked against scipy itself.
+"""The package's numpy ports of scipy and LAPACK routines, checked against
+them.
 
 fracpn imports no scipy at run time; scipy (declared in the `test` extra) is
 the oracle here for the Hurwitz zeta, the gamma-based normalization, the
-not-a-knot spline, the golden-section search and preconditioned CG.
+not-a-knot spline, the golden-section search and preconditioned CG, and
+numpy's LAPACK-backed ``lstsq`` for the closed-form least-squares line.
 """
 
 import json
@@ -22,7 +24,8 @@ from scipy.special import zeta as scipy_zeta
 
 import fracpn
 from fracpn.fracop import CubicSpline, _hurwitz_zeta, normalization_constant
-from fracpn.layer import _cg
+from fracpn.cell import CellProblemSpec, solve_cell_evolution
+from fracpn.layer import _cg, _fit_line
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min, eval_potential
 from reference import standard_potential
 
@@ -150,6 +153,33 @@ def test_cg_reports_max_iter_when_unconverged():
     A = np.diag(np.arange(1.0, 31.0))
     x, info = _cg(lambda v: A @ v, np.ones(30), lambda v: v, 1e-12, 3, lambda xk: None)
     assert info == 3
+
+
+def _lstsq_line(x, y):
+    (slope, intercept), *_ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    return slope, intercept
+
+
+def test_fit_line_matches_lstsq_on_the_fit_data(psi_s03, psi_s075):
+    """The closed-form line equals lstsq's to 1e-12 relative on the data of
+    both fits that used lstsq: the corrector's log-log tail windows, and a
+    stepped row's mean over [T/2, T] and its two halves."""
+    data = []
+    for psi in (psi_s03, psi_s075):
+        x, R = psi.field.nodes, psi.field.half_width
+        for side in (1.0, -1.0):
+            sel = (side * x >= 0.5 * R) & (side * x <= 0.8 * R)
+            data.append((np.log(side * x[sel]), np.log(np.abs(psi.field.values[sel]))))
+    trace = solve_cell_evolution(CellProblemSpec(s=0.5, slope=0.5, drive=0.01,
+                                                 potential=standard_potential(), n=32,
+                                                 horizon=5.0, dt=0.01))
+    sel = trace.times >= 0.5 * trace.times[-1]
+    t, y = trace.times[sel], trace.means[sel]
+    mid = t.size // 2
+    data += [(t, y), (t[:mid], y[:mid]), (t[mid:], y[mid:])]
+    for x, y in data:
+        for ours, ref in zip(_fit_line(x, y), _lstsq_line(x, y)):
+            assert ours == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def _src_env():

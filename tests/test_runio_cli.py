@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -406,6 +407,40 @@ def test_cli_hbar_free_case_and_byte_identity(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["speed"] == pytest.approx(0.7, abs=1e-9)
     assert rows[0]["converged"] is True
+
+
+def test_second_in_process_main_freezes_nothing(tmp_path, capsys):
+    """main freezes the import-time heap once per process: a later call in
+    the same process leaves its caller's objects to the collector."""
+    cfg = write_cfg(tmp_path, hbar_cfg_dict())
+    assert cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    frozen = gc.get_freeze_count()
+    made_between = [[k] for k in range(1000)]
+    assert cli.main(["hbar", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert len(made_between) == 1000
+
+
+# numpy's LAPACK-backed solvers
+LAPACK = ("solve", "lstsq", "inv", "pinv", "det", "slogdet", "eig", "eigh", "eigvals",
+          "eigvalsh", "svd", "qr", "cholesky")
+
+
+def test_readme_chain_calls_no_lapack(tmp_path, capsys, monkeypatch):
+    """With numpy's LAPACK entry points patched to raise, the six commands
+    of the README chain (the standing workload's layer, corrector,
+    ansatz-residual and Orowan steps among them) all run and exit 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called LAPACK")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    configs = SHIPPED_CONFIGS[0].parent
+    for stem in ("layer-half", "corrector-half", "ansatz-half", "orowan-half",
+                 "hbar-drive-s03", "homogenize-sub"):
+        path = configs / f"{stem}.json"
+        command = json.loads(path.read_text())["command"]
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0, stem
 
 
 def test_cli_hbar_with_forcing_constant_in_t(tmp_path, capsys):
