@@ -12,8 +12,13 @@ import gc
 import os
 import sys
 
-from . import layer, runio
-from .fracop import kernel_constant
+# no command calls LAPACK, so an OpenBLAS thread pool only costs start-up
+# (~65 ms at import numpy); set before the first numpy import, and a value
+# the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import layer, runio  # noqa: E402
+from .fracop import kernel_constant  # noqa: E402
 
 
 def _input(cfg, name: str, base) -> str:

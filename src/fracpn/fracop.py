@@ -46,10 +46,10 @@ function: a direct sum of its first 64 terms plus the Euler-Maclaurin tail
 (``GridField``) carry an explicit power-law tail model and close the far
 field with a Gauss-Legendre rule after the substitution z = Z t^(-1/2s)
 (which maps [Z, inf) to (0, 1] with a constant Jacobian factor).  That
-closure is affine in the tail's constants, slope and power amplitudes, so a
-line plan caches its basis once per (side, exponent) and an application
-costs one FFT convolution of length n + 2K (rounded up to a power of two)
-plus a few n-length vector operations.
+closure is affine in the tail's constants, slope and power amplitudes, and
+so are the tail pads; a line plan caches their responses once per (side,
+exponent), and an application costs one product of length 2n with the
+operator's circulant plus a few n-length vector operations.
 """
 
 from __future__ import annotations
@@ -583,11 +583,7 @@ class LinePlan:
               + sum_(+) a_i B(+, beta_i) + sum_(-) a_i B(-, beta_i),
 
     with B(+, beta) = sum_j w_j (z_j + x)^(-beta) and B(-, beta) =
-    sum_j w_j (z_j - x)^(-beta).  B and the tail-pad powers |pad|^(-beta)
-    depend only on the plan, so they are cached per (side, beta) on first
-    use.  The convolution keeps only the n central outputs of the padded
-    field, which a circular FFT of length n + 2K (rounded up to a power of
-    two) gives free of wrap-around.
+    sum_j w_j (z_j - x)^(-beta).
 
     With the zero tail the operator is a symmetric Toeplitz matrix on the
     window: coeffs[k-1] at distance k and -(2 sum(coeffs) + 2 far_coeff
@@ -596,6 +592,18 @@ class LinePlan:
     field to 2n, multiplying by ``symbol`` in Fourier and keeping the first
     n outputs gives -apply(v, TailModel()).  The layer and corrector
     solves precondition with (alpha + symbol)^-1.
+
+    ``apply`` runs on that circulant alone.  It subtracts the affine part
+    a x + b of the field (a the tail's slope, b the mean of the rest), so the
+    window holds u - a x - b and the K pads on each side hold the reduced
+    tail, c_side - b plus its powers.  Every window-to-window distance is
+    below n, so the window's share is the 2n product with ``symbol``.  The
+    pads enter affinely: their constants through the tail sums
+    S(i) = sum_(k > i) coeffs[k-1] of the ``kernel`` stencil (one reversed
+    cumulative sum), and each power |pad|^(-beta) through the window's
+    response to it, cached per (side, beta) together with B(side, beta).
+    Once a tail has been applied, no application transforms more than 2n
+    points.
     """
 
     def __init__(self, n: int, half_width: float, s: float, g_const: float, m_inner: int):
@@ -618,8 +626,9 @@ class LinePlan:
         kernel[:K] = c[::-1]
         kernel[K] = -2.0 * c.sum()
         self.kernel = kernel
-        self.fft_len = 1 << int(math.ceil(math.log2(n + 2 * K)))
-        self.kernel_hat = np.fft.rfft(kernel, self.fft_len)
+        # _tail_sums[i] = sum of coeffs at distances i+1 .. K: the weight of
+        # the left pad's constant at window node i (reversed, of the right's)
+        self._tail_sums = np.cumsum(c[::-1])[::-1][:n]
 
         # far-field closure: int_Z^inf f(z) z^(-1-2s) dz
         #                  = Z^(-2s)/(2s) * int_0^1 f(Z t^(-1/(2s))) dt
@@ -643,20 +652,44 @@ class LinePlan:
             1: x[-1] + h * np.arange(1, K + 1),
             -1: h * np.arange(K, 0, -1) - x[0],
         }
-        self._powers = {}  # (side, beta) -> (|pad|^(-beta), B(side, beta))
+        self._responses = {}  # (side, beta) -> the window's response to one tail power
 
     def _power_basis(self, side: int, beta: float):
-        """|pad|^(-beta) and B(side, beta) for one tail power, cached; B is
-        summed over blocks of _BASIS_ROWS nodes, not as one n x 32 array."""
+        """|pad|^(-beta) and B(side, beta) for one tail power; B is summed
+        over blocks of _BASIS_ROWS nodes, not as one n x 32 array."""
+        x = self.nodes
+        basis = np.empty(self.n)
+        for lo in range(0, self.n, _BASIS_ROWS):
+            far_dist = self.far_z[None, :] + side * x[lo:lo + _BASIS_ROWS, None]
+            basis[lo:lo + _BASIS_ROWS] = far_dist ** (-beta) @ self.far_w
+        return self._pad_dist[side] ** (-beta), basis
+
+    def _pad_response(self, side: int, beta: float) -> np.ndarray:
+        """What the tail power |x|^(-beta) on one side adds to ``apply`` per
+        unit amplitude: the pad's share of the stencil plus far_coeff B, cached.
+
+        Number the pad nodes j = 0, 1, ... outwards from the window edge and
+        the window nodes m = 1..n inwards from it: they are m + j nodes
+        apart, so the pad's share is the correlation
+        r(m) = sum_j kernel[K + m + j] |pad_j|^(-beta).  It is summed over
+        pad blocks of n nodes, each a product of length 2n whose circular
+        wrap misses the lags 1..n."""
         key = (side, beta)
-        if key not in self._powers:
-            x = self.nodes
-            basis = np.empty(self.n)
-            for lo in range(0, self.n, _BASIS_ROWS):
-                far_dist = self.far_z[None, :] + side * x[lo:lo + _BASIS_ROWS, None]
-                basis[lo:lo + _BASIS_ROWS] = far_dist ** (-beta) @ self.far_w
-            self._powers[key] = (self._pad_dist[side] ** (-beta), basis)
-        return self._powers[key]
+        if key not in self._responses:
+            n, K = self.n, self.K
+            pad_pow, basis = self._power_basis(side, beta)
+            if side == -1:
+                pad_pow = pad_pow[::-1]  # from the window edge outwards
+            stencil = self.kernel[K:]  # stencil[d]: the weight at distance d
+            r = np.zeros(n)
+            for lo in range(0, K, n):
+                seg = np.fft.rfft(stencil[lo:lo + 2 * n], 2 * n)
+                seg *= np.fft.rfft(pad_pow[lo:lo + n], 2 * n).conj()
+                r += np.fft.irfft(seg, 2 * n)[1:n + 1]
+            if side == 1:
+                r = r[::-1]  # node i is n - i nodes in from the right edge
+            self._responses[key] = r + self.far_coeff * basis
+        return self._responses[key]
 
     def apply(self, values: np.ndarray, tail: TailModel) -> np.ndarray:
         if tail is None:
@@ -664,31 +697,26 @@ class LinePlan:
         u = np.asarray(values, dtype=float)
         if u.size != self.n:
             raise ValueError(f"expected {self.n} samples (got {u.size})")
-        x = self.nodes
+        n = self.n
 
         # subtract the affine part so that exactly-affine data maps to exact
-        # zeros (no catastrophic cancellation in the convolution); the
-        # reduced tail has zero slope and constants c_side - b on the pads
-        a = tail.slope
-        ured = u - a * x
+        # zeros (no catastrophic cancellation in the product); the reduced
+        # tail has zero slope and constants c_side - b on the pads
+        ured = u - tail.slope * self.nodes
         b = float(np.mean(ured))
         ured -= b
-        pad_left = np.full(self.K, tail.c_minus - b)
-        pad_right = np.full(self.K, tail.c_plus - b)
-        # far field on the original (unreduced) tail, slope terms of the
-        # pair u(x+z) + u(x-z) summed analytically to 2 slope x
-        far = (tail.c_plus + tail.c_minus + 2.0 * a * x - 2.0 * u) * self._w_sum
-        for side, powers, pad in ((1, tail.powers_plus, pad_right),
-                                  (-1, tail.powers_minus, pad_left)):
+        # the pads' constants, and the far field's: on the unreduced tail its
+        # pair u(x+z) + u(x-z) - 2u(x) sums to c_+ + c_- - 2b - 2 ured(x),
+        # whose last term is on the diagonal of the symbol
+        out = (tail.c_minus - b) * self._tail_sums
+        out += (tail.c_plus - b) * self._tail_sums[::-1]
+        out += self.far_coeff * self._w_sum * (tail.c_plus + tail.c_minus - 2.0 * b)
+        for side, powers in ((1, tail.powers_plus), (-1, tail.powers_minus)):
             for amp, beta in powers:
-                pad_pow, basis = self._power_basis(side, beta)
-                pad += amp * pad_pow
-                far += amp * basis
-
-        U = np.concatenate([pad_left, ured, pad_right])
-        conv = np.fft.irfft(np.fft.rfft(U, self.fft_len) * self.kernel_hat, n=self.fft_len)
-        out = conv[2 * self.K : 2 * self.K + self.n]
-        out += self.far_coeff * far
+                out += amp * self._pad_response(side, beta)
+        spec = np.fft.rfft(ured, 2 * n)
+        spec *= self.symbol
+        out -= np.fft.irfft(spec, 2 * n)[:n]
         return out
 
 

@@ -17,8 +17,10 @@ layer equation, and both solves run on one deflated PCG (``_deflated_pcg``):
 M is a singular M-matrix with near-kernel phi' > 0, hence positive
 semidefinite, so CG runs on the complement of phi', preconditioned by the
 circulant inverse (alpha + sigma)^-1 of the plan's zero-tail symbol sigma.
-A Newton step is solved to relative tolerance _NEWTON_RTOL, and each
-corrector solve to CORRECTOR_RTOL.
+Each Krylov product applies I with the zero tail (``LinePlan.apply``), the
+product with -sigma: one transform pair of length 2n, as in the
+preconditioner.  A Newton step is solved to relative tolerance
+_NEWTON_RTOL, and each corrector solve to CORRECTOR_RTOL.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ code 2 is left to the CLI).  Parse -> serialize -> parse is the identity.
 
 Outputs are written atomically (temp file + os.replace in the same
 directory) and are byte-identical across repeated runs of the same config:
-JSON is dumped with sorted keys, CSV rows are formatted with repr floats in
-a fixed column order, and table rows are merged in sorted key order
-regardless of worker count.  Every output embeds a metadata block: a tag
+JSON is encoded with sorted keys straight into the temp file, CSV rows are
+formatted with repr floats in a fixed column order, and table rows are
+merged in sorted key order regardless of worker count.  Every output embeds a metadata block: a tag
 for the quantity, the sha256 of the canonical config, the tolerances used,
 and the operator normalization constant.
 """
@@ -21,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from .layer import MIN_HALF_WIDTH, MIN_N, _power_of_two
@@ -408,13 +409,18 @@ def make_meta(cfg: RunConfig, g_const: float, tolerances: dict) -> dict:
     return meta
 
 
-def atomic_write_text(path, text: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """A text file to write ``path`` through: a temporary file in the same
+    directory, renamed over ``path`` once the block exits cleanly and
+    removed if it raises, so ``path`` holds either its old bytes or all of
+    the new ones."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -422,9 +428,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
+
+
 def write_json_result(path, meta: dict, result: dict) -> None:
-    text = json.dumps({"meta": meta, "result": result}, sort_keys=True, indent=2)
-    atomic_write_text(path, text + "\n")
+    """The bytes of json.dumps({"meta": meta, "result": result},
+    sort_keys=True, indent=2) + "\n", encoded straight into the file: the
+    encoder's pieces are written as they come, never joined into one text."""
+    with _atomic_open(path) as f:
+        json.dump({"meta": meta, "result": result}, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def read_json_result(path) -> dict:

@@ -118,17 +118,13 @@ def _line_apply_reference(plan, u, tail):
     return out + plan.far_coeff * ((pair - 2.0 * u[:, None]) @ plan.far_w)
 
 
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
-def test_line_apply_matches_direct_reference(s):
-    """The cached far-field basis and the shortened FFT reproduce the direct
-    formula; alternating tails on one plan catches a stale or mis-keyed
-    cache entry."""
-    n, R = 1024, 20.0
-    g = normalization_constant(s)
-    plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
+def _line_cases(plan, s):
+    """(tail, field) pairs: the zero tail, the layer's two-sided tail, a
+    sloped tail with two powers on its right only, one with two powers on
+    its left only, and a one-sided tail with a third exponent."""
     x = plan.nodes
-    amp = g / (2 * s * 0.4)
-    cases = [
+    amp = plan.g_const / (2 * s * 0.4)
+    return [
         (TailModel(), np.exp(-x * x / 4) * np.sin(x)),
         (TailModel(c_minus=0.0, c_plus=1.0,
                    powers_minus=((amp, 2 * s),), powers_plus=((-amp, 2 * s),)),
@@ -136,11 +132,53 @@ def test_line_apply_matches_direct_reference(s):
         (TailModel(c_minus=-0.5, c_plus=2.0, slope=0.3,
                    powers_plus=((0.7, 0.8), (-0.2, 1.9))),
          0.3 * x + 0.75 + 1.25 * np.tanh(x)),
+        (TailModel(c_minus=1.5, powers_minus=((0.4, 0.8), (0.25, 1.9))),
+         0.75 - 0.75 * np.tanh(x)),
+        (TailModel(c_plus=-1.0, powers_plus=((0.3, 2 * s),)),
+         -0.5 - 0.5 * np.tanh(x) + 0.1 * np.exp(-x * x)),
     ]
-    for tail, u in cases + cases[::-1] + cases:
-        ref = _line_apply_reference(plan, u, tail)
-        got = plan.apply(u, tail)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_line_apply_matches_direct_reference(s):
+    """The cached pad responses and far-field basis and the 2n product
+    reproduce the direct formula, also at the layer fixtures' n = 4096,
+    R = 40 (s = 0.3 and 0.75), where the pads (K > n) reach past a whole
+    window; alternating tails on one plan catches a stale or mis-keyed
+    cache entry."""
+    grids = [(1024, 20.0)] + ([(4096, 40.0)] if s != 0.5 else [])
+    for n, R in grids:
+        g = normalization_constant(s)
+        plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
+        assert plan.K > n
+        cases = _line_cases(plan, s)
+        for tail, u in cases + cases[::-1] + cases:
+            ref = _line_apply_reference(plan, u, tail)
+            got = plan.apply(u, tail)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75])
+def test_line_apply_transforms_at_most_2n_points(s, monkeypatch):
+    """Once a tail has been applied, a further application of it calls
+    np.fft on no more than 2n points, at the layer fixtures' n = 4096."""
+    plan = LinePlan(4096, 40.0, s, normalization_constant(s), 51)
+    lengths = []
+
+    def recording(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return transform(a, n, *args, **kwargs)
+        return call
+
+    for tail, u in _line_cases(plan, s):
+        plan.apply(u, tail)
+        with monkeypatch.context() as m:
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                m.setattr(np.fft, name, recording(getattr(np.fft, name)))
+            plan.apply(u, tail)
+        assert lengths and max(lengths) <= 2 * plan.n
+        lengths.clear()
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])

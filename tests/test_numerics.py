@@ -227,6 +227,20 @@ print(code, heavy())
     assert (tmp_path / "run" / "t-layer.json").is_file()
 
 
+def test_cli_import_caps_blas_threads_unless_set():
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    and keeps a value the caller set."""
+    script = "import os, fracpn.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    for preset, expected in ((None, "1"), ("3", "3")):
+        env = _src_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == expected, preset
+
+
 # per command: numeric keys, inputs, and the fracpn modules it loads beyond cli,
 # fracop, layer, potential and runio, which every command loads
 COMMAND_MODULES = [

@@ -342,6 +342,39 @@ def test_atomic_write_and_byte_identity(tmp_path):
     assert sorted(q.name for q in tmp_path.iterdir()) == ["out.json"]
 
 
+def test_streamed_json_result_has_the_joined_bytes(tmp_path):
+    """A layer-sized result is written byte for byte as json.dumps with
+    sorted keys and indent 2, plus a newline."""
+    rng = np.random.default_rng(3)
+    meta = {"quantity": "layer-profile", "tolerances": {"tol": 1e-7}, "s": 0.3,
+            "potential_coeffs": [A1]}
+    result = {
+        "values": (rng.normal(size=4096) * 10.0 ** rng.integers(-300, 300, 4096)).tolist(),
+        "tail": {"c_minus": 0.0, "c_plus": 1.0, "slope": -0.0,
+                 "powers_minus": [[0.37, 0.6]], "powers_plus": [[-0.37, 0.6]]},
+        "half_width": 40.0, "c0": 8.115645404024807, "flags": [True, False, None],
+        "label": "x\u00b2 \"quoted\"", "count": 4096, "empty": {}, "none": [],
+        "special": [float("inf"), -float("inf")],
+    }
+    p = tmp_path / "t-layer.json"
+    runio.write_json_result(p, meta, result)
+    want = json.dumps({"meta": meta, "result": result}, sort_keys=True, indent=2) + "\n"
+    assert p.read_bytes() == want.encode("utf-8")
+
+
+def test_failed_json_result_keeps_the_previous_file(tmp_path):
+    """A value the encoder rejects deep in the result raises, leaves the
+    previous file byte-identical and leaves no temporary file behind."""
+    p = tmp_path / "t-layer.json"
+    runio.write_json_result(p, {"a": 1}, {"values": [0.5, 1.5]})
+    before = p.read_bytes()
+    bad = {"values": list(range(5000)), "tail": {"zz": [1.0, {"deep": object()}]}}
+    with pytest.raises(TypeError):
+        runio.write_json_result(p, {"a": 1}, bad)
+    assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["t-layer.json"]
+
+
 def test_csv_round_trip(tmp_path):
     p = tmp_path / "table.csv"
     cols = ("name", "count", "value", "flag")
