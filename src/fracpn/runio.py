@@ -9,9 +9,9 @@ Outputs are written atomically (temp file + os.replace in the same
 directory) and are byte-identical across repeated runs of the same config:
 JSON is encoded with sorted keys straight into the temp file, CSV rows are
 formatted with repr floats in a fixed column order, and table rows are
-merged in sorted key order regardless of worker count.  Every output embeds a metadata block: a tag
-for the quantity, the sha256 of the canonical config, the tolerances used,
-and the operator normalization constant.
+merged in sorted key order regardless of worker count.  Every output embeds
+a metadata block: a tag for the quantity, the sha256 of the canonical
+config, the tolerances used, and the operator normalization constant.
 """
 
 from __future__ import annotations

