@@ -126,7 +126,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fracop import plan_for
+from .fracop import MIN_TORUS_N, plan_for
 from .layer import _fit_line
 from .potential import Forcing, PeriodicPotential, eval_potential, sup_norms
 
@@ -218,8 +218,8 @@ class CellProblemSpec:
         object.__setattr__(self, "slope", as_rational(self.slope))
         if not math.isfinite(self.drive):
             raise ValueError("drive must be finite")
-        if self.n < 16:
-            raise ValueError(f"n must be at least 16 (got {self.n})")
+        if self.n < MIN_TORUS_N:
+            raise ValueError(f"n must be at least {MIN_TORUS_N} (got {self.n})")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
         if self.dt is not None and not 0.0 < self.dt:

@@ -142,21 +142,14 @@ def _run_homogenize(cfg, path, base, workers):
     profile = homog.InitialProfile(
         terms=tuple((float(a), int(m), k) for a, m, k in cfg.option("profile"))
     )
-    specs = [
-        homog.EpsProblemSpec(
-            branch=branch,
-            eps=float(e),
-            s=cfg.s,
-            slope=float(num["slope"]),
-            profile=profile,
-            potential=runio.build_potential(cfg),
-            forcing=runio.build_forcing(cfg),
-            n=cfg.option("n"),
-            horizon=cfg.option("horizon"),
-            g_const=cfg.g_const,
-        )
-        for e in num["eps_list"]
-    ]
+    try:  # validation leaves only the periodicity rules, which each eps must meet
+        specs = [homog.EpsProblemSpec(
+            branch=branch, eps=float(e), s=cfg.s, slope=float(num["slope"]), profile=profile,
+            potential=runio.build_potential(cfg), forcing=runio.build_forcing(cfg),
+            n=cfg.option("n"), horizon=cfg.option("horizon"), g_const=cfg.g_const,
+        ) for e in num["eps_list"]]
+    except ValueError as exc:
+        raise runio.ConfigError([f"numeric.eps_list: {exc}"]) from exc
     report = homog.convergence_report(specs, law)
     meta = runio.make_meta(
         cfg, kernel_constant(cfg.s, cfg.g_const), {"law_coverage": law.coverage}
@@ -201,6 +194,8 @@ def _run_ansatz_residual(cfg, path, base, workers):
 def _run_orowan(cfg, path, base, workers):
     from . import cell, hull
     num = cfg.numeric
+    for d in num["delta_list"]:  # each cell row runs at slope delta p0
+        _slope(float(d) * float(num["p0"]), "delta_list")
     lay = _load_layer(cfg, base)
     rep = hull.orowan_check(
         [float(d) for d in num["delta_list"]],

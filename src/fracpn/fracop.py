@@ -43,7 +43,8 @@ uniformly in s.
 The periodic plan folds the kernel over all images using the Hurwitz zeta
 function: a direct sum of its first 64 terms plus the Euler-Maclaurin tail
 (``_em_tail``, shared with the hull's lattice sums).  Line fields
-(``GridField``) carry an explicit power-law tail model and close the far
+(``GridField``) are read between nodes by local cubics through four
+samples, carry an explicit power-law tail model and close the far
 field with a Gauss-Legendre rule after the substitution z = Z t^(-1/2s)
 (which maps [Z, inf) to (0, 1] with a constant Jacobian factor).  That
 closure is affine in the tail's constants, slope and power amplitudes, and
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -196,83 +197,6 @@ def _coerce_g_const(g) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cubic spline
-# ---------------------------------------------------------------------------
-
-
-def _tridiagonal_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve sub[i] m[i-1] + diag[i] m[i] + sup[i] m[i+1] = rhs[i] (arrays,
-    sub[0] = sup[-1] = 0) by cyclic reduction: each level eliminates the
-    even-indexed unknowns from the odd-indexed rows, which halves the system
-    in a few vectorised operations.  Stable for strictly diagonally dominant
-    rows."""
-    n = diag.size
-    if n == 1:
-        return rhs / diag
-    if n % 2 == 0:  # a decoupled last row (m = 0) makes the length odd
-        sub, diag, sup, rhs = (np.append(v, e) for v, e in
-                               ((sub, 0.0), (diag, 1.0), (sup, 0.0), (rhs, 0.0)))
-    alpha = -sub[1::2] / diag[:-1:2]
-    gamma = -sup[1::2] / diag[2::2]
-    odd = _tridiagonal_solve(
-        alpha * sub[:-1:2],
-        diag[1::2] + alpha * sup[:-1:2] + gamma * sub[2::2],
-        gamma * sup[2::2],
-        rhs[1::2] + alpha * rhs[:-1:2] + gamma * rhs[2::2],
-    )
-    m = np.empty(diag.size)
-    m[1::2] = odd
-    m[::2] = (rhs[::2] - sub[::2] * np.concatenate(([0.0], odd))
-              - sup[::2] * np.concatenate((odd, [0.0]))) / diag[::2]
-    return m[:n]
-
-
-class CubicSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing, n >= 4.
-
-    Reproduces scipy.interpolate.CubicSpline(x, y) to roundoff: the same
-    linear system for the node derivatives (scipy's not-a-knot rows at both
-    ends), the same piecewise cubics, extrapolated past both ends, and the
-    same evaluation order.  Call with nu = 0 for values and nu = 1 for first
-    derivatives.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        # end rows dx[1] m[0] + d0 m[1] = r0 and d1 m[-2] + dx[-2] m[-1] = r1;
-        # eliminating m[0] and m[-1] with them leaves a strictly diagonally
-        # dominant system for the interior derivatives
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        r0 = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        r1 = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        diag = 2.0 * (dx[:-1] + dx[1:])
-        diag[0] -= d0
-        diag[-1] -= d1
-        rhs = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs[0] -= r0
-        rhs[-1] -= r1
-        m = _tridiagonal_solve(np.concatenate(([0.0], dx[2:])), diag,
-                               np.concatenate((dx[:-2], [0.0])), rhs)
-        m = np.concatenate(([(r0 - d0 * m[0]) / dx[1]], m, [(r1 - d1 * m[-1]) / dx[-2]]))
-        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
-        self.x = x
-        self.coeffs = np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]))
-
-    def __call__(self, xp, nu: int = 0):
-        xp = np.asarray(xp, dtype=float)
-        i = np.clip(np.searchsorted(self.x, xp, side="right") - 1, 0, self.x.size - 2)
-        z = xp - self.x[i]
-        c3, c2, c1, c0 = self.coeffs[:, i]
-        # ascending powers, summed in scipy's PPoly order
-        if nu == 0:
-            return c0 + c1 * z + c2 * (z * z) + c3 * (z * z * z)
-        return c1 + c2 * z * 2.0 + c3 * (z * z) * 3.0
-
-
-# ---------------------------------------------------------------------------
 # tail models and grid fields
 # ---------------------------------------------------------------------------
 
@@ -319,7 +243,8 @@ class TailModel:
 @dataclass
 class GridField:
     """A field sampled at n (even) uniform nodes of the line window
-    [-half_width, half_width), with its far-field ``tail`` model."""
+    [-half_width, half_width), with its far-field ``tail`` model; ``eval``
+    interpolates the samples by local cubics, with no stored coefficients."""
 
     values: np.ndarray
     half_width: float
@@ -349,17 +274,18 @@ class GridField:
     def nodes(self) -> np.ndarray:
         return self.h * (np.arange(self.n) - self.n // 2)
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.nodes, self.values)
-
     def eval(self, x):
-        """The field anywhere: the cubic spline through the samples
-        for |x| <= half_width - 2h, the tail model beyond."""
+        """The field anywhere: for |x| <= half_width - 2h the Lagrange cubic
+        through the four nearest samples, the tail model beyond."""
         x = np.asarray(x, dtype=float)
         inside = np.abs(x) <= self.half_width - 2.0 * self.h
         out = np.empty_like(x)
-        out[inside] = self._spline(x[inside])
+        u = (x[inside] + self.half_width) / self.h  # x = node j + t h, cubic on j-1..j+2
+        j = np.clip(np.floor(u).astype(np.intp), 1, self.n - 3)
+        t = u - j
+        v = self.values
+        out[inside] = ((t + 1.0) * (t - 2.0) * ((t - 1.0) * v[j] - t * v[j + 1]) / 2.0
+                       + t * (t - 1.0) * ((t + 1.0) * v[j + 2] - (t - 2.0) * v[j - 1]) / 6.0)
         out[~inside] = self.tail.eval(x[~inside])
         return out
 
@@ -472,6 +398,8 @@ def _hurwitz_zeta(sigma: float, a):
 # ---------------------------------------------------------------------------
 # periodic plan
 # ---------------------------------------------------------------------------
+
+MIN_TORUS_N = 16  # fewest nodes of a cell or eps problem's torus grid
 
 
 class PeriodicPlan:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cell import euler_steps, torus_flow
-from .fracop import plan_for
+from .fracop import MIN_TORUS_N, plan_for
 from .potential import Forcing, PeriodicPotential, sup_norms
 
 __all__ = [
@@ -129,8 +129,8 @@ class EpsProblemSpec:
                        "slope / eps^a_W (pinning periodicity)")
         if self.forcing is not None and not self.forcing.is_zero:
             _check_integer(1.0 / self.eps, "1/eps (forcing periodicity)")
-        if self.n < 16:
-            raise ValueError(f"n must be at least 16 (got {self.n})")
+        if self.n < MIN_TORUS_N:
+            raise ValueError(f"n must be at least {MIN_TORUS_N} (got {self.n})")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
 

@@ -3,7 +3,8 @@ mobility constant, and the first-order corrector.
 
 The layer profile solves I[phi] = W'(phi) on the line with phi(-inf) = 0,
 phi(+inf) = 1 and phi(0) = 1/2, computed by Newton's method in three
-closure passes (theory tail, then two amplitude refits).  Far-field
+closure passes (theory tail, then two amplitude refits); each Newton step
+is pinned to phi(0) = 1/2 along the translation mode phi'.  Far-field
 behavior: phi - H ~ -(g/(2 s alpha)) x/|x|^(1+2s) with alpha = W''(0), so
 tail models carry the exponent 2s with least-squares-fitted amplitudes.
 
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .fracop import CubicSpline, GridField, TailModel, plan_for
+from .fracop import GridField, TailModel, plan_for
 from .potential import PeriodicPotential, eval_potential
 
 __all__ = [
@@ -115,25 +116,6 @@ def _monotone(values: np.ndarray) -> bool:
     return bool(np.all(d[edge:-edge] > -1e-12) and np.all(d > -1e-6))
 
 
-def _recenter(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Shift so that the interpolated profile crosses 1/2 at x = 0."""
-    n = values.size
-    i0 = n // 2
-    # bracket the crossing near the center
-    j = i0 + int(np.argmin(np.abs(values[i0 - 8 : i0 + 8] - 0.5))) - 8
-    sp = CubicSpline(x, values)
-    x0 = x[j]
-    for _ in range(4):  # Newton on the spline
-        f = sp(x0) - 0.5
-        d = sp(x0, 1)
-        if d == 0:
-            break
-        x0 -= f / d
-    # x + x0 reaches |x0| past one window end; the spline extrapolates its
-    # end cubic there (no clamp)
-    return sp(x + x0)
-
-
 def solve_layer(
     s: float,
     W: PeriodicPotential,
@@ -151,10 +133,11 @@ def solve_layer(
     (W''(phi) - I) delta = I[phi] - W'(phi) with zero-tail perturbations,
     solved to relative tolerance _NEWTON_RTOL by ``_deflated_pcg``
     (circulant-preconditioned CG on the complement of phi'), then
-    phi <- phi + delta recentered to phi(0) = 1/2, which fixes the
-    translation the deflation leaves free.  A pass ends once the residual on
-    the inner 80% of the window is <= tol; one whose residual stops
-    decreasing, or that needs more than _NEWTON_MAX steps, raises
+    phi <- phi + delta + t phi', with t such that phi = 1/2 at the node x = 0:
+    phi' is the translation the deflation leaves free, and phi'(0) <= 0
+    raises LayerConvergenceError(monotone=False).  A pass ends once the
+    residual on the inner 80% of the window is <= tol; one whose residual
+    stops decreasing, or that needs more than _NEWTON_MAX steps, raises
     LayerConvergenceError.  ``steps`` counts the Newton steps and
     ``diagnostics["passes"]`` the PCG iterations of each.
     """
@@ -171,7 +154,8 @@ def solve_layer(
     two_s = 2.0 * s
 
     h = 2.0 * R_dom / n
-    x = h * (np.arange(n) - n // 2)
+    c = n // 2  # the node at x = 0
+    x = h * (np.arange(n) - c)
     inner = slice(n // 10, n - n // 10)
 
     A_theory = g / (two_s * alpha)
@@ -203,14 +187,18 @@ def solve_layer(
                     last_residual=res,
                     monotone=_monotone(phi),
                 )
-            delta, its = _deflated_pcg(plan, eval_potential(W, phi, 2), alpha,
-                                       np.gradient(phi, h), F, _NEWTON_RTOL)
-            phi = _recenter(phi + delta, x)
+            mode = np.gradient(phi, h)  # phi', the translation mode
+            delta, its = _deflated_pcg(plan, eval_potential(W, phi, 2), alpha, mode, F,
+                                       _NEWTON_RTOL)
+            if not mode[c] > 0.0:
+                raise LayerConvergenceError(f"layer Newton solve ({label}) reached phi'(0) = "
+                                            f"{mode[c]:.3e}", last_residual=res, monotone=False)
+            phi = phi + delta + ((0.5 - phi[c] - delta[c]) / mode[c]) * mode  # phi(0) = 1/2
             prev = res
             pcg.append(its)
         passes.append({"newton_steps": len(pcg), "pcg_iterations": pcg})
 
-    phi[n // 2] = 0.5  # crossing normalized exactly (each step recentered)
+    phi[c] = 0.5  # crossing normalized exactly (each step pinned it to roundoff)
     if not _monotone(phi):
         raise LayerConvergenceError(
             "layer profile lost monotonicity", last_residual=res, monotone=False

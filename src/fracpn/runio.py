@@ -24,6 +24,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
+from .fracop import MIN_TORUS_N
 from .layer import MIN_HALF_WIDTH, MIN_N, _power_of_two
 from .potential import MAX_FORCING_MODE, Forcing, ForcingTerm, PeriodicPotential
 
@@ -263,9 +264,17 @@ def validate_raw(raw: dict) -> list:
                           f"(got {hw!r})")
         if _is_count(numeric.get("n")) and not _power_of_two(numeric["n"]):
             errors.append(f"numeric.n: must be a power of two >= {MIN_N} (got {numeric['n']})")
+    elif _is_count(numeric.get("n")) and numeric["n"] < MIN_TORUS_N:  # a cell command's torus
+        errors.append(f"numeric.n: must be at least {MIN_TORUS_N} (got {numeric['n']})")
     if command == "ansatz-residual":  # nl_residual's plan needs 2 cells in a quarter period
         if _is_count(numeric.get("n_grid")) and numeric["n_grid"] < 8:
             errors.append(f"numeric.n_grid: must be at least 8 (got {numeric['n_grid']})")
+        delta, p0 = numeric.get("delta"), numeric.get("p0")
+        if _is_num(p0) and p0 == 0:
+            errors.append("numeric.p0: must be nonzero")
+        elif _is_num(delta) and _is_num(p0) and not 0 < delta * abs(p0) <= 0.5:
+            errors.append(f"numeric.delta: delta |p0| must lie in (0, 1/2], a lattice "
+                          f"spacing of at least 2 (got {delta * abs(p0)!r})")
     for key in ("eps_list", "delta_list", "drives", "slopes"):
         if key in numeric:
             v = numeric[key]
@@ -275,11 +284,16 @@ def validate_raw(raw: dict) -> list:
                 b >= a for a, b in zip(v, v[1:])
             ):
                 errors.append(f"numeric.{key}: must be strictly decreasing")
+            elif key == "eps_list" and (len(v) < 2 or v[-1] <= 0 or v[0] > 1):
+                errors.append("numeric.eps_list: needs at least two values in (0, 1]")
     if command == "homogenize":
-        if numeric.get("branch") not in ("super", "sub", None):
-            errors.append(
-                f"numeric.branch: must be 'super' or 'sub' (got {numeric.get('branch')!r})"
-            )
+        branch = numeric.get("branch")
+        s = op.get("s") if isinstance(op, dict) else None
+        if branch not in ("super", "sub", None):
+            errors.append(f"numeric.branch: must be 'super' or 'sub' (got {branch!r})")
+        elif _is_num(s) and (branch == "super" and s < 0.5 or branch == "sub" and s > 0.5):
+            bound = ">=" if branch == "super" else "<="
+            errors.append(f"numeric.branch: '{branch}' needs s {bound} 1/2 (got s = {s!r})")
         prof = numeric.get("profile")
         if prof is not None and (
             not isinstance(prof, list)
@@ -414,11 +428,15 @@ def _atomic_open(path):
     """A text file to write ``path`` through: a temporary file in the same
     directory, renamed over ``path`` once the block exits cleanly and
     removed if it raises, so ``path`` holds either its old bytes or all of
-    the new ones."""
+    the new ones.  The file gets the mode open(path, "w") would give it,
+    not mkstemp's 0600."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
+        umask = os.umask(0)  # the only way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             yield f
         os.replace(tmp, path)

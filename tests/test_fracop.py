@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracpn.fracop import (
     AnisotropyKernel,
+    GridField,
     LinePlan,
     PeriodicPlan,
     TailModel,
@@ -220,6 +221,34 @@ def test_tail_model_eval_and_shift():
     assert shifted.eval(np.array([8.0]))[0] == pytest.approx(
         t.eval(np.array([8.0]))[0] - 2.0 - 0.5 * 8.0
     )
+
+
+def test_grid_field_eval_is_the_local_cubic():
+    """Inside R - 2h, eval is the Lagrange cubic through the four nearest
+    samples: it reproduces cubics and the samples themselves, and its error
+    on arctan stays below the 4-point remainder bound (3/128) h^4 max|f^(4)|;
+    beyond R - 2h it is the tail model."""
+    n, R = 4096, 40.0
+    tail = TailModel(c_minus=0.0, c_plus=1.0, powers_minus=((0.3, 1.0),),
+                     powers_plus=((-0.3, 1.0),))
+    x = GridField(np.zeros(n), R, tail).nodes
+    h = x[1] - x[0]
+    z = np.linspace(-R + 2.0 * h, R - 2.0 * h, 200_001)
+
+    def cubic(v):
+        return 2e-3 * v**3 - 0.4 * v**2 + 1.5 * v - 3.0
+
+    field = GridField(cubic(x), R, tail)
+    assert np.max(np.abs(field.eval(z) - cubic(z))) <= 1e-13 * np.max(np.abs(field.values))
+    np.testing.assert_array_equal(field.eval(x[2:-2]), field.values[2:-2])
+
+    v = np.linspace(-2.0, 2.0, 400_001)  # |arctan^(4)| peaks at |v| = 0.325
+    f4 = np.max(np.abs(24.0 * v * (1.0 - v**2) / (1.0 + v**2) ** 4))
+    err = np.max(np.abs(GridField(np.arctan(x), R, tail).eval(z) - np.arctan(z)))
+    assert err <= 3.0 / 128.0 * h**4 * f4 + 1e-14
+
+    far = np.array([-R - 1.0, -R + 1.9 * h, R - 1.9 * h, R, 3.0 * R])
+    np.testing.assert_array_equal(field.eval(far), tail.eval(far))
 
 
 def test_gauss_legendre_table_matches_leggauss():

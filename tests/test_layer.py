@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracpn import layer
 from fracpn.fracop import normalization_constant
 from fracpn.layer import (
     LayerConvergenceError,
@@ -74,6 +75,22 @@ def test_solve_layer_input_validation(W_std):
 def test_unreachable_tolerance_raises(W_std):
     with pytest.raises(LayerConvergenceError):
         solve_layer(0.5, W_std, n=1024, tol=1e-14)
+
+
+def test_step_without_crossing_slope_raises(W_std, monkeypatch):
+    """A Newton step is pinned to phi(0) = 1/2 along phi'; where phi'(0) <= 0
+    it cannot be, and the solve raises with monotone=False."""
+    solve = layer._deflated_pcg
+
+    def flat_at_zero(plan, wpp, alpha, mode, b, tol, x0=None):
+        out = solve(plan, wpp, alpha, mode, b, tol, x0)
+        mode[mode.size // 2] = 0.0  # the translation mode the step is pinned with
+        return out
+
+    monkeypatch.setattr(layer, "_deflated_pcg", flat_at_zero)
+    with pytest.raises(LayerConvergenceError, match="phi'\\(0\\)") as exc:
+        solve_layer(0.5, W_std, n=512)
+    assert exc.value.monotone is False
 
 
 @pytest.mark.parametrize("fix,s", [("layer_s075", 0.75), ("layer_s03", 0.3)])

@@ -3,8 +3,8 @@ them.
 
 fracpn imports no scipy at run time; scipy (declared in the `test` extra) is
 the oracle here for the Hurwitz zeta, the gamma-based normalization, the
-not-a-knot spline, the golden-section search and preconditioned CG, and
-numpy's LAPACK-backed ``lstsq`` for the closed-form least-squares line.
+golden-section search and preconditioned CG, and numpy's LAPACK-backed
+``lstsq`` for the closed-form least-squares line.
 """
 
 import json
@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline as ScipyCubicSpline
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
@@ -23,7 +22,7 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta as scipy_zeta
 
 import fracpn
-from fracpn.fracop import CubicSpline, _hurwitz_zeta, normalization_constant
+from fracpn.fracop import _hurwitz_zeta, normalization_constant
 from fracpn.cell import CellProblemSpec, solve_cell_evolution
 from fracpn.layer import _cg, _fit_line
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min, eval_potential
@@ -45,29 +44,6 @@ def test_normalization_constant_matches_scipy_gamma():
             assert normalization_constant(s, dim) == pytest.approx(ref, rel=1e-15, abs=0.0)
     # sqrt(pi) * Gamma(1/2) rounds to one ulp above pi, so 1/pi is met to an ulp
     assert abs(normalization_constant(0.5) - 1.0 / math.pi) <= math.ulp(1.0 / math.pi)
-
-
-_U = np.linspace(-1.0, 1.0, 257)
-_JITTER = np.arange(200) + np.random.default_rng(3).uniform(-0.3, 0.3, 200)
-SPLINE_CASES = {
-    "uniform-arctan": (np.linspace(-41.0, 41.0, 4096), np.arctan),
-    "uniform-few": (np.linspace(0.0, 3.0, 5), lambda x: np.exp(x) - 4.0 * x**2),
-    "stretched": (np.sinh(3.0 * _U), lambda x: 2.0 * np.arctan(x) + np.cos(x)),
-    "jittered": (0.05 * _JITTER, lambda x: np.sin(3.0 * x) + x**2),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SPLINE_CASES))
-def test_spline_matches_scipy(case):
-    x, f = SPLINE_CASES[case]
-    y = f(x)
-    ours, ref = CubicSpline(x, y), ScipyCubicSpline(x, y)
-    pad = 2.0 * max(x[1] - x[0], x[-1] - x[-2])  # the end cubics, two cells out
-    xe = np.concatenate((np.linspace(x[0] - pad, x[-1] + pad, 5001), x))
-    scale = max(1.0, float(np.max(np.abs(y))))
-    assert np.max(np.abs(ours(xe) - ref(xe))) <= 1e-13 * scale
-    assert np.max(np.abs(ours(xe, 1) - ref(xe, 1))) <= 1e-13 * scale
-    assert np.max(np.abs(ours(xe, 1) - ref.derivative()(xe))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("f,bracket", [

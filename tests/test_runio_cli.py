@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +239,9 @@ def test_forcing_term_validation():
     assert "kind_t" in str(exc.value)
 
 
+_TABLE = "t-hbar-table.csv"
+
+
 def _hbar_bad(**edits):
     d = hbar_cfg_dict()
     for key, value in edits.items():
@@ -269,10 +274,41 @@ def _hbar_bad(**edits):
       "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "n_grid": 2}}, "numeric.n_grid"),
     ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
       "numeric": {"delta": 0.25, "p0": 1.0, "L0": 0.0, "n_grid": 4}}, "numeric.n_grid"),
+    ({"numeric": {"slope": 0.5, "drive": 0.7, "n": 8}}, "numeric.n"),
+    ({"command": "hbar-table", "numeric": {"slopes": [0.5], "drives": [0.7], "n": 8}},
+     "numeric.n"),
+    ({"command": "orowan", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta_list": [0.2, 0.1], "p0": 1.0, "L0": 1.0, "n": 8}}, "numeric.n"),
+    ({"command": "homogenize", "inputs": {"hbar_table": _TABLE},
+      "numeric": {"branch": "super", "eps_list": [0.5, 0.25], "slope": 0.5, "n": 8}},
+     "numeric.n"),
+    ({"command": "homogenize", "inputs": {"hbar_table": _TABLE},
+      "numeric": {"branch": "super", "eps_list": [0.5], "slope": 0.5}}, "numeric.eps_list"),
+    ({"command": "homogenize", "inputs": {"hbar_table": _TABLE},
+      "numeric": {"branch": "super", "eps_list": [2.0, 0.5], "slope": 0.5}},
+     "numeric.eps_list"),
+    ({"command": "homogenize", "operator": {"s": 0.75}, "inputs": {"hbar_table": _TABLE},
+      "numeric": {"branch": "sub", "eps_list": [0.5, 0.25], "slope": 0.5}}, "numeric.branch"),
+    ({"command": "homogenize", "inputs": {"hbar_table": _TABLE},
+      "forcing": {"terms": [{"amp": 0.1, "mode_t": 1, "mode_x": 1,
+                             "kind_t": "cos", "kind_x": "cos"}]},
+      "numeric": {"branch": "super", "eps_list": [0.4, 0.2], "slope": 0.4}},
+     "numeric.eps_list"),
+    ({"command": "orowan", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta_list": [0.2, 0.013], "p0": 1.0, "L0": 1.0}}, "numeric.delta_list"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.25, "p0": 0.0, "L0": 0.0}}, "numeric.p0"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.75, "p0": 1.0, "L0": 0.0}}, "numeric.delta"),
 ], ids=["terms-int", "terms-null", "mode_t", "mode_x", "mode-cap", "cosine-empty", "cosine-zero",
         "command-list", "horizon-negative", "horizon-zero", "layer-half-width", "layer-n-1000",
-        "layer-n-4", "layer-tol", "cauchy-tol", "ansatz-n-grid-2", "ansatz-n-grid-4"])
+        "layer-n-4", "layer-tol", "cauchy-tol", "ansatz-n-grid-2", "ansatz-n-grid-4",
+        "hbar-n-8", "hbar-table-n-8", "orowan-n-8", "homogenize-n-8", "eps-list-one",
+        "eps-list-above-1", "sub-branch-s075", "forcing-eps", "orowan-slope", "ansatz-p0-zero",
+        "ansatz-delta-p0"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
+    # the weak-branch law a homogenize config reads once it passes validation
+    _write_drive_table(tmp_path / _TABLE, [((0, 1), [0.0], 1.0), ((1, 2), [0.0], 1.0)])
     d = _hbar_bad(**edits)
     cfg = write_cfg(tmp_path, d)
     command = d["command"] if isinstance(d["command"], str) else "hbar"
@@ -340,6 +376,20 @@ def test_atomic_write_and_byte_identity(tmp_path):
     assert p.read_bytes() == first
     # no stray temp files left behind
     assert sorted(q.name for q in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_result_files_get_the_umask_mode(tmp_path):
+    """Result files are created as open(path, "w") would create them, not
+    with the 0600 of the temporary file they are renamed from."""
+    old = os.umask(0o022)
+    try:
+        runio.write_json_result(tmp_path / "r.json", {"a": 1}, {"b": 2})
+        runio.write_csv(tmp_path / "r.csv", ["x"], [[1.5]], {"a": 1})
+        runio.atomic_write_text(tmp_path / "r.txt", "hello\n")
+    finally:
+        os.umask(old)
+    for name in ("r.json", "r.csv", "r.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
 
 def test_streamed_json_result_has_the_joined_bytes(tmp_path):
