@@ -244,7 +244,7 @@ class TailModel:
 class GridField:
     """A field sampled at n (even) uniform nodes of the line window
     [-half_width, half_width), with its far-field ``tail`` model; ``eval``
-    interpolates the samples by local cubics, with no stored coefficients."""
+    interpolates the samples by local cubics."""
 
     values: np.ndarray
     half_width: float

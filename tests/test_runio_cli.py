@@ -300,12 +300,14 @@ def _hbar_bad(**edits):
       "numeric": {"delta": 0.25, "p0": 0.0, "L0": 0.0}}, "numeric.p0"),
     ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
       "numeric": {"delta": 0.75, "p0": 1.0, "L0": 0.0}}, "numeric.delta"),
+    ({"command": "ansatz-residual", "inputs": {"layer": "half-layer.json"},
+      "numeric": {"delta": 0.0, "p0": 1.0, "L0": 0.0}}, "numeric.delta"),
 ], ids=["terms-int", "terms-null", "mode_t", "mode_x", "mode-cap", "cosine-empty", "cosine-zero",
         "command-list", "horizon-negative", "horizon-zero", "layer-half-width", "layer-n-1000",
         "layer-n-4", "layer-tol", "cauchy-tol", "ansatz-n-grid-2", "ansatz-n-grid-4",
         "hbar-n-8", "hbar-table-n-8", "orowan-n-8", "homogenize-n-8", "eps-list-one",
         "eps-list-above-1", "sub-branch-s075", "forcing-eps", "orowan-slope", "ansatz-p0-zero",
-        "ansatz-delta-p0"])
+        "ansatz-delta-p0", "ansatz-delta-0"])
 def test_cli_config_errors_exit_2(tmp_path, capsys, edits, field):
     # the weak-branch law a homogenize config reads once it passes validation
     _write_drive_table(tmp_path / _TABLE, [((0, 1), [0.0], 1.0), ((1, 2), [0.0], 1.0)])
