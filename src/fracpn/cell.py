@@ -30,7 +30,7 @@ Direct route.  A row with no forcing (none, or no live term, see
 trace holds one sample at t = 0 and ``horizon`` 0.0, and ``certified``
 holds (speed, uncertainty, corrector amplitude), which ``estimate_lambda``
 reports as they stand.  The values are free of time-step error, and the
-sloped ones of the quadrature's grid error too.
+sloped ones of the periodic plan's O(h^2) grid error too.
 
 (a) Slope 0: the uniform orbit.  The state from v = 0 stays uniform, and
     v = c solves the scalar ODE c' = F - W'(c) (I vanishes on constants).
@@ -101,7 +101,7 @@ sloped ones of the quadrature's grid error too.
 
 Stepped route.  Every other row -- with forcing, with an explicit ``dt``
 or ``initial`` state, or a direct solve that failed -- takes Euler steps
-on the quadrature plan at ``spec.n`` (comparison needs its nonnegative
+on the periodic plan at ``spec.n`` (comparison needs its nonnegative
 weights) to ``spec.horizon``, checked only against the mean-drift
 envelope above.  Its speed is the least-squares slope of mean(v) over the
 second half [T/2, T] of the run, T the last step's time; the uncertainty

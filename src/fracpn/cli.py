@@ -125,20 +125,7 @@ def _run_hbar_table(cfg, path, base, workers):
 def _run_homogenize(cfg, path, base, workers):
     from . import homog
     num = cfg.numeric
-    table_path = _input(cfg, "hbar_table", base)
-    _, _, rows = runio.read_csv(table_path)
     branch = num["branch"]
-    if branch == homog.BRANCH_WEAK:
-        if not any(r["drive"] == 0.0 for r in rows):
-            raise runio.ConfigError([f"inputs.hbar_table: {table_path} has no rows at drive 0.0"])
-        law = homog.SlopeLaw.from_rows(rows)
-    else:
-        p = _slope(num["slope"], "slope")
-        if not any(r["slope_num"] == p.numerator and r["slope_den"] == p.denominator
-                   for r in rows):
-            raise runio.ConfigError(
-                [f"numeric.slope: {table_path} has no rows at slope {p}"])
-        law = homog.DriveLaw.from_rows(rows, slope_num=p.numerator, slope_den=p.denominator)
     profile = homog.InitialProfile(
         terms=tuple((float(a), int(m), k) for a, m, k in cfg.option("profile"))
     )
@@ -150,6 +137,19 @@ def _run_homogenize(cfg, path, base, workers):
         ) for e in num["eps_list"]]
     except ValueError as exc:
         raise runio.ConfigError([f"numeric.eps_list: {exc}"]) from exc
+    table_path = _input(cfg, "hbar_table", base)
+    _, _, rows = runio.read_csv(table_path)
+    if branch == homog.BRANCH_WEAK:
+        if not any(r["drive"] == 0.0 for r in rows):
+            raise runio.ConfigError([f"inputs.hbar_table: {table_path} has no rows at drive 0.0"])
+        law = homog.SlopeLaw.from_rows(rows)
+    else:
+        p = _slope(num["slope"], "slope")
+        if not any(r["slope_num"] == p.numerator and r["slope_den"] == p.denominator
+                   for r in rows):
+            raise runio.ConfigError(
+                [f"numeric.slope: {table_path} has no rows at slope {p}"])
+        law = homog.DriveLaw.from_rows(rows, slope_num=p.numerator, slope_den=p.denominator)
     report = homog.convergence_report(specs, law)
     meta = runio.make_meta(
         cfg, kernel_constant(cfg.s, cfg.g_const), {"law_coverage": law.coverage}

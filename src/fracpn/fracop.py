@@ -25,32 +25,37 @@ e = (cos phi, sin phi) this is the closed form
 
 and the isotropic density C(2,s) gives g_e = C(1,s).
 
-Discretisation: pairing +-y symmetrises the integrand into second differences
+Torus fields (period P, n nodes) take (-Delta_h)^s, the s-th power of the
+3-point discrete Laplacian: mode k is multiplied by
+-(g/C(1,s)) (2 n/P sin(pi k/n))^(2s), the exact symbol with xi h replaced
+by 2 sin(xi h/2), so the error is O(h^2) on smooth fields.  Its weights on
+the lattice hZ,
 
-    D_k = u(x + k h) + u(x - k h) - 2 u(x),
+    (g/C(1,s)) h^(-2s) 4^s Gamma(1/2+s) Gamma(|m|-s)
+        / ( sqrt(pi) |Gamma(-s)| Gamma(|m|+1+s) ) > 0   (m != 0),
 
+decay like g |m h|^(-1-2s) h, and the torus weights are their
+periodization (Ciaurri, Roncal, Stinga, Torrea and Varona, Adv. Math.
+2018).  Nonnegative weights make explicit Euler updates monotone, which
+the evolution modules rely on.
+
+Line fields (``GridField``) use a quadrature.  Pairing +-y symmetrises the
+integrand into second differences D_k = u(x + k h) + u(x - k h) - 2 u(x),
 and the quadrature is a single weight vector c_k >= 0 with
-I[u](x) ~= sum_k c_k D_k (+ closures).  Nonnegative weights make explicit
-Euler updates monotone, which the evolution modules rely on.
-
-Inner cells (below the split radius r) subtract the local curvature:
-the integrand is written as D(z) = (D_1/h^2) z^2 + E(z) with E(h) = 0 and
-E = O(z^3); the z^2 part is integrated in closed form and E is handled by
-piecewise-linear interpolation against exact kernel moments.  This removes
-the O(h^(2-2s)) error of naive cell-mass rules and restores O(h^2) accuracy
-uniformly in s.
-
-The periodic plan folds the kernel over all images using the Hurwitz zeta
-function: a direct sum of its first 64 terms plus the Euler-Maclaurin tail
-(``_em_tail``, shared with the hull's lattice sums).  Line fields
-(``GridField``) are read between nodes by local cubics through four
-samples, carry an explicit power-law tail model and close the far
-field with a Gauss-Legendre rule after the substitution z = Z t^(-1/2s)
-(which maps [Z, inf) to (0, 1] with a constant Jacobian factor).  That
-closure is affine in the tail's constants, slope and power amplitudes, and
-so are the tail pads; a line plan caches their responses once per (side,
-exponent), and an application costs one product of length 2n with the
-operator's circulant plus a few n-length vector operations.
+I[u](x) ~= sum_k c_k D_k (+ closures).  Inner cells (below the split
+radius min(1, half_width/2)) subtract the local curvature: the integrand is
+written as D(z) = (D_1/h^2) z^2 + E(z) with E(h) = 0 and E = O(z^3); the
+z^2 part is integrated in closed form and E is handled by piecewise-linear
+interpolation against exact kernel moments.  This removes the O(h^(2-2s))
+error of naive cell-mass rules and restores O(h^2) accuracy uniformly in s.
+The fields are read between nodes by local cubics through four samples,
+carry an explicit power-law tail model and close the far field with a
+Gauss-Legendre rule after the substitution z = Z t^(-1/2s) (which maps
+[Z, inf) to (0, 1] with a constant Jacobian factor).  That closure is
+affine in the tail's constants, slope and power amplitudes, and so are the
+tail pads; a line plan caches their responses once per (side, exponent),
+and an application costs one product of length 2n with the operator's
+circulant plus a few n-length vector operations.
 """
 
 from __future__ import annotations
@@ -290,15 +295,6 @@ class GridField:
         return out
 
 
-def _coerce_r(r) -> float:
-    """The split radius, which separates the gradient-compensated inner
-    quadrature from the plain-difference outer one, as a positive float."""
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"split radius must be positive (got {r})")
-    return r
-
-
 # ---------------------------------------------------------------------------
 # quadrature weights
 # ---------------------------------------------------------------------------
@@ -358,44 +354,6 @@ def _pair_weights(s: float, h: float, n_pairs: int, m_inner: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin sums
-# ---------------------------------------------------------------------------
-
-
-def _em_tail(a: int, c, beta: float):
-    """sum_{i=a}^inf (i+c)^-beta for beta > 1, |c| < a: the integral from
-    a + c plus the Euler-Maclaurin corrections through the B_6 term."""
-    if beta <= 1.0:
-        raise ValueError(f"one-sided tail needs beta > 1 (got {beta})")
-    t = a + np.asarray(c, dtype=float)
-    return (
-        t ** (1.0 - beta) / (beta - 1.0)
-        + 0.5 * t ** (-beta)
-        + beta * t ** (-beta - 1.0) / 12.0
-        - beta * (beta + 1.0) * (beta + 2.0) * t ** (-beta - 3.0) / 720.0
-        + beta * (beta + 1.0) * (beta + 2.0) * (beta + 3.0) * (beta + 4.0)
-        * t ** (-beta - 5.0) / 30240.0
-    )
-
-
-_ZETA_TERMS = 64
-
-
-def _hurwitz_zeta(sigma: float, a):
-    """Hurwitz zeta sum_{k>=0} (k+a)^-sigma for sigma > 1 and 0 < a < 64,
-    elementwise in a; the value of scipy.special.zeta(sigma, a).
-
-    64 direct terms plus the Euler-Maclaurin tail from k = 64.  For sigma in
-    (1, 3) and a in [1/2, 3/2] (the periodic plan's range) the neglected
-    term is below 1e-16 relative, so the result is exact to roundoff.
-    """
-    a = np.asarray(a, dtype=float)
-    k = np.arange(_ZETA_TERMS, dtype=float)
-    head = np.sum((a[..., None] + k) ** (-sigma), axis=-1)
-    return head + _em_tail(_ZETA_TERMS, a, sigma)
-
-
-# ---------------------------------------------------------------------------
 # periodic plan
 # ---------------------------------------------------------------------------
 
@@ -403,43 +361,19 @@ MIN_TORUS_N = 16  # fewest nodes of a cell or eps problem's torus grid
 
 
 class PeriodicPlan:
-    """Precomputed circulant quadrature for n samples of a torus of fixed
-    (n, period, s, g, r).  ``multiplier`` is I's rfft multiplier, the name
-    both torus plans give it."""
+    """(-Delta_h)^s on an n-point torus of fixed (n, period, s, g), with
+    positive off-diagonal weights (see the module docstring).
+    ``multiplier`` is I's rfft multiplier, the name both torus plans give
+    it; ``stiffness`` is minus its diagonal, so Euler steps of size
+    dt <= 1/stiffness are monotone."""
 
-    def __init__(self, n: int, period: float, s: float, g_const: float, m_inner: int):
+    def __init__(self, n: int, period: float, s: float, g_const: float):
         self.n = n
         self.period = period
-        self.s = s
-        self.g_const = g_const
-        self.m_inner = m_inner
-        h = period / n
-        self.h = h
-        K = n // 2
-        two_s = 2.0 * s
-
-        c = _pair_weights(s, h, K, m_inner)
-        # kernel images |z + m*period|, m != 0, folded with the Hurwitz zeta;
-        # smooth on [0, period/2], integrated by the trapezoid rule
-        zk = h * np.arange(1, K + 1)
-        u = zk / period
-        smooth = period ** (-1.0 - two_s) * (
-            _hurwitz_zeta(1.0 + two_s, 1.0 + u) + _hurwitz_zeta(1.0 + two_s, 1.0 - u)
-        )
-        w_tr = np.full(K, h)
-        w_tr[-1] = 0.5 * h
-        c = c + smooth * w_tr
-        c = g_const * c
-
-        self.coeffs = c
-        kappa = np.zeros(n)
-        np.add.at(kappa, np.arange(1, K + 1), c)
-        np.add.at(kappa, n - np.arange(1, K + 1), c)
-        kappa[0] = -2.0 * c.sum()
-        khat = np.fft.rfft(kappa)
-        khat[0] = 0.0  # constants are annihilated exactly
-        self.multiplier = khat
-        self.stiffness = 2.0 * c.sum()  # Gershgorin bound on -I
+        k = np.arange(n // 2 + 1, dtype=float)
+        self.multiplier = -(g_const / normalization_constant(s)) * (
+            (2.0 * n / period) * np.sin(np.pi * k / n)) ** (2.0 * s)
+        self.stiffness = -float(np.fft.irfft(self.multiplier, n)[0])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -497,7 +431,7 @@ _BASIS_ROWS = 256  # nodes per block of the far-field basis (256 x 32 temporarie
 
 
 class LinePlan:
-    """Precomputed quadrature for line fields of fixed (n, half_width, s, g, r).
+    """Precomputed quadrature for line fields of fixed (n, half_width, s, g, m_inner).
 
     Covers (0, Z] by paired-difference weights (Z ~ 2.2 * half_width, so both
     arguments x +- z leave the window before the closure takes over) and
@@ -658,30 +592,25 @@ def kernel_constant(s, g=None) -> float:
     return normalization_constant(_coerce_s(s)) if g is None else _coerce_g_const(g)
 
 
-def _split_radius(r, extent: float) -> float:
-    """The split radius: ``r`` when given, else min(1, extent/2)."""
-    return min(1.0, 0.5 * extent) if r is None else _coerce_r(r)
+def plan_for(geometry: str, n: int, extent: float, s, g=None):
+    """The plan for an n-point grid, and the only plan factory.
 
-
-def plan_for(geometry: str, n: int, extent: float, s, g=None, r=None):
-    """The plan for an n-point grid: the one place that picks a quadrature
-    plan's split radius and inner-cell count, and the only plan factory.
-
-    ``extent`` is half the period for ``geometry="periodic"`` and
-    ``"spectral"`` (the exact symbol; no ``r``), and the half-width for
-    ``"line"``.  ``g=None`` is C(1,s); ``r=None`` is min(1, extent/2).  The
-    inner-cell count round(r/h) is clamped to [2, extent/h], so a grid with
-    h > r/2 gets two cells.  Equal normalised arguments give the same plan.
+    ``extent`` is half the period for ``geometry="periodic"``
+    ((-Delta_h)^s) and ``"spectral"`` (the exact symbol), and the
+    half-width for ``"line"``.  ``g=None`` is C(1,s).  The line plan's split
+    radius is r = min(1, extent/2), and its inner-cell count round(r/h) is
+    clamped to [2, extent/h], so a grid with h > r/2 gets two cells.  Equal
+    normalised arguments give the same plan.
     """
     s = _coerce_s(s)
     g_const = kernel_constant(s, g)
+    if geometry == "periodic":
+        return _plan(PeriodicPlan, n, 2.0 * extent, s, g_const)
     if geometry == "spectral":
         return _plan(SpectralPlan, n, 2.0 * extent, s, g_const)
-    h = 2.0 * extent / n
-    m = max(2, min(int(round(_split_radius(r, extent) / h)), int(extent / h)))
-    if geometry == "periodic":
-        return _plan(PeriodicPlan, n, 2.0 * extent, s, g_const, m)
     if geometry == "line":
+        h = 2.0 * extent / n
+        m = max(2, min(int(round(min(1.0, 0.5 * extent) / h)), int(extent / h)))
         return _plan(LinePlan, n, float(extent), s, g_const, m)
     raise ValueError(f"geometry must be 'periodic', 'spectral' or 'line' (got {geometry!r})")
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracop import _em_tail, plan_for
+from .fracop import plan_for
 from .layer import CorrectorSolution, LayerSolution, _fit_amplitude
 from .potential import eval_potential
 
@@ -72,6 +72,22 @@ class HullTailError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _em_tail(a: int, c, beta: float):
+    """sum_{i=a}^inf (i+c)^-beta for beta > 1, |c| < a: the integral from
+    a + c plus the Euler-Maclaurin corrections through the B_6 term."""
+    if beta <= 1.0:
+        raise ValueError(f"one-sided tail needs beta > 1 (got {beta})")
+    t = a + np.asarray(c, dtype=float)
+    return (
+        t ** (1.0 - beta) / (beta - 1.0)
+        + 0.5 * t ** (-beta)
+        + beta * t ** (-beta - 1.0) / 12.0
+        - beta * (beta + 1.0) * (beta + 2.0) * t ** (-beta - 3.0) / 720.0
+        + beta * (beta + 1.0) * (beta + 2.0) * (beta + 3.0) * (beta + 4.0)
+        * t ** (-beta - 5.0) / 30240.0
+    )
+
+
 def _em_pair(a: int, gamma, beta: float):
     """sum_{i=a}^inf [(i+gamma)^-beta - (i-gamma)^-beta] for |gamma| < a.
 
@@ -102,6 +118,12 @@ def _em_pair(a: int, gamma, beta: float):
 # ---------------------------------------------------------------------------
 
 
+def _smoothstep(t):
+    """The quintic rising from 0 at t = 0 to 1 at t = 1 with zero first and
+    second derivatives at both ends, for t in [0, 1]."""
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
 @dataclass(frozen=True)
 class CutoffFunction:
     """C^2 bump: 1 on [-R, R], 0 outside [-2R, 2R], quintic in between."""
@@ -114,14 +136,31 @@ class CutoffFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        t = np.clip((np.abs(z) - self.R) / self.R, 0.0, 1.0)
-        smooth = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-        return 1.0 - smooth
+        return 1.0 - _smoothstep(np.clip((np.abs(z) - self.R) / self.R, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # layer/corrector far-field models used by the lattice sums
 # ---------------------------------------------------------------------------
+
+
+def _blend(z, inner, outer, z_start: float, z_switch: float):
+    """inner(z) for |z| <= z_start, outer(z) for |z| >= z_switch, and the
+    two mixed by the quintic ``_smoothstep`` in between, so the result is
+    as smooth as both; each is evaluated only where it has weight."""
+    z = np.asarray(z, dtype=float)
+    near = np.abs(z) < z_switch
+    far = ~near
+    out = np.empty_like(z)
+    out[far] = outer(z[far])
+    zn = z[near]
+    vals = inner(zn)
+    band = np.abs(zn) > z_start
+    zb = zn[band]
+    w = _smoothstep((np.abs(zb) - z_start) / (z_switch - z_start))
+    vals[band] += w * (outer(zb) - vals[band])
+    out[near] = vals
+    return out
 
 
 class _OddTailModel:
@@ -138,6 +177,7 @@ class _OddTailModel:
         self.A = layer.g_const / (2.0 * s * alpha)
         self._field = layer.field
         R = layer.field.half_width
+        self.z_start = 0.7 * R
         self.z_switch = 0.85 * R
         x = layer.field.nodes
         phi = layer.field.values
@@ -150,17 +190,16 @@ class _OddTailModel:
         self.B = 0.5 * (b_plus + b_minus)
 
     def phi_tilde(self, z):
-        """phi - H everywhere: profile inside the window, model outside."""
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        inside = np.abs(z) <= self.z_switch
-        out[inside] = self._field.eval(z[inside]) - (z[inside] >= 0.0)
-        zo = z[~inside]
-        az = np.abs(zo)
-        out[~inside] = -np.sign(zo) * (
-            self.A * az ** (-self.two_s) + self.B * az ** (-self.q2)
-        )
-        return out
+        """phi - H everywhere: the profile up to |z| = z_start, the model
+        from z_switch on, blended in between (``_blend``)."""
+        return _blend(z, self._profile, self._model, self.z_start, self.z_switch)
+
+    def _profile(self, z):
+        return self._field.eval(z) - (z >= 0.0)
+
+    def _model(self, z):
+        az = np.abs(z)
+        return -np.sign(z) * (self.A * az ** (-self.two_s) + self.B * az ** (-self.q2))
 
     def pair_closure(self, x, scale: float, a: int):
         """sum_{i=a}^inf [phi_tilde((x+i)/scale) + phi_tilde((x-i)/scale)]
@@ -180,6 +219,7 @@ class _EvenTailModel:
         self.q = 0.5 * (bm + bp)
         self.amp_minus = am
         self.amp_plus = ap
+        self.z_start = 0.7 * psi.field.half_width
         self.z_switch = 0.85 * psi.field.half_width
         self._field = psi.field
         # a tail fitted to solver noise (e.g. the corrector vanishes
@@ -192,14 +232,13 @@ class _EvenTailModel:
             self.q = 2.0
 
     def eval(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.empty_like(z)
-        inside = np.abs(z) <= self.z_switch
-        out[inside] = self._field.eval(z[inside])
-        zo = z[~inside]
-        amp = np.where(zo >= 0.0, self.amp_plus, self.amp_minus)
-        out[~inside] = amp * np.abs(zo) ** (-self.q)
-        return out
+        """The corrector everywhere: the profile up to |z| = z_start, the
+        tail from z_switch on, blended in between (``_blend``)."""
+        return _blend(z, self._field.eval, self._model, self.z_start, self.z_switch)
+
+    def _model(self, z):
+        amp = np.where(z >= 0.0, self.amp_plus, self.amp_minus)
+        return amp * np.abs(z) ** (-self.q)
 
     def sum_closure(self, x, scale: float, a: int):
         """sum_{i=a}^inf [psi((x+i)/scale) + psi((x-i)/scale)]."""
@@ -380,7 +419,7 @@ def nl_residual(ansatz: HullAnsatz) -> ResidualReport:
         raise HullTailError("h - x is not bounded on the grid; closure invalid")
     n = g.size
     hx = _PERIOD / n
-    plan = plan_for("periodic", n, 0.5 * _PERIOD, s, layer.g_const, r=0.25)
+    plan = plan_for("periodic", n, 0.5 * _PERIOD, s, layer.g_const)
     Ih = plan.apply(g)
     hp = 1.0 + (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * hx)
     h = ansatz.grid + g

@@ -266,7 +266,7 @@ def validate_raw(raw: dict) -> list:
             errors.append(f"numeric.n: must be a power of two >= {MIN_N} (got {numeric['n']})")
     elif _is_count(numeric.get("n")) and numeric["n"] < MIN_TORUS_N:  # a cell command's torus
         errors.append(f"numeric.n: must be at least {MIN_TORUS_N} (got {numeric['n']})")
-    if command == "ansatz-residual":  # nl_residual's plan needs 2 cells in a quarter period
+    if command == "ansatz-residual":  # n_grid: four points per period of the residual grid
         if _is_count(numeric.get("n_grid")) and numeric["n_grid"] < 8:
             errors.append(f"numeric.n_grid: must be at least 8 (got {numeric['n_grid']})")
         delta, p0 = numeric.get("delta"), numeric.get("p0")

@@ -7,7 +7,7 @@ None of these is on a command's path; the tests use them to check what is:
   quadrature, so it checks ``LinePlan.apply``;
 - ``claim1_series``: the lattice kernel sums at x = i0 + gamma, summed
   through the Euler-Maclaurin closures ``hull._em_pair`` and
-  ``fracop._em_tail`` that the hull's lattice sums use;
+  ``hull._em_tail`` that the hull's lattice sums use;
 - ``check_layer_decay``: fitted far-field decay exponents of a layer (and
   corrector) from ``solve_layer``, with factor-2 envelope checks;
 - ``dense_travelling_wave``: the travelling wave by Newton with each step
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracpn.cell import CERTIFY_RTOL, WAVE_MAX_ITER, WAVE_STEP_TOL
-from fracpn.fracop import _em_tail
 from fracpn.homog import DriveLaw
-from fracpn.hull import _em_pair
+from fracpn.hull import _em_pair, _em_tail
 from fracpn.layer import _fit_exponent
 from fracpn.potential import PeriodicPotential, eval_potential
 

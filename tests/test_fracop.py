@@ -74,9 +74,41 @@ def test_spectral_plan_scales_with_g_like_the_quadrature_plan(s):
 
 def test_periodic_apply_kills_constants():
     n, q = 128, 1.0
-    plan = PeriodicPlan(n, q, 0.4, normalization_constant(0.4), 8)
+    plan = PeriodicPlan(n, q, 0.4, normalization_constant(0.4))
     out = plan.apply(np.full(n, 3.7))
     assert np.max(np.abs(out)) == 0.0
+
+
+@pytest.mark.parametrize("s", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_periodic_plan_is_a_monotone_power_of_the_discrete_laplacian(s):
+    """(-Delta_h)^s on the torus: every off-diagonal weight is nonnegative,
+    and ``stiffness`` is minus the diagonal, which lies at or below the
+    lattice's closed form (g/C)(n/P)^(2s) 4^s Gamma(1/2+s) / (sqrt(pi)
+    Gamma(1+s)) (the torus drops the images at multiples of the period)."""
+    c = normalization_constant(s)
+    g = 1.5 * c
+    for n in (16, 17, 64, 512, 4096):
+        for period in (1.0, 2.0, 7.0):
+            plan = PeriodicPlan(n, period, s, g)
+            weights = np.fft.irfft(plan.multiplier, n)
+            assert np.all(weights[1:] >= 0.0)
+            assert plan.stiffness == -weights[0]
+            lattice = (g / c) * (n / period) ** (2 * s) * 4**s * math.gamma(0.5 + s) / (
+                math.sqrt(math.pi) * math.gamma(1.0 + s))
+            assert plan.stiffness <= lattice
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_periodic_plan_error_is_second_order(s):
+    """Against the exact symbol, the error on exp(cos 2 pi x) and
+    sin 2 pi x falls by 4 per doubling of n from 64 to 512."""
+    for f in (lambda x: np.exp(np.cos(2 * np.pi * x)), lambda x: np.sin(2 * np.pi * x)):
+        errs = []
+        for n in (64, 128, 256, 512):
+            v = f(np.arange(n) / n)
+            exact = plan_for("spectral", n, 0.5, s).apply(v)
+            errs.append(np.max(np.abs(plan_for("periodic", n, 0.5, s).apply(v) - exact)))
+        np.testing.assert_allclose(np.array(errs[:-1]) / errs[1:], 4.0, atol=0.05)
 
 
 def test_arctan_profile_solves_half_order_layer_equation():
@@ -196,21 +228,6 @@ def test_line_plan_symbol_is_zero_tail_operator(s):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_split_radius_consistency_smooth_field():
-    """Two split radii differ by quadrature error alone, which shrinks when
-    the grid is refined (native grid against every second node)."""
-    q, s = 1.0, 0.6
-
-    def sup_diff(n):
-        x = q * np.arange(n) / n
-        f = np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x)
-        a = plan_for("periodic", n, q / 2, s, r=0.1).apply(f)
-        b = plan_for("periodic", n, q / 2, s, r=0.25).apply(f)
-        return float(np.max(np.abs(a - b)))
-
-    assert sup_diff(256) <= 0.6 * sup_diff(128)
-
-
 def test_tail_model_eval_and_shift():
     t = TailModel(c_minus=0.0, c_plus=1.0,
                   powers_minus=((0.2, 1.5),), powers_plus=((-0.2, 1.5),))
@@ -297,30 +314,24 @@ def test_line_plan_rejects_bad_sizes():
 
 
 @pytest.mark.parametrize(
-    "geometry, n, extent, r, m_inner",
+    "n, extent, m_inner",
     [
-        ("periodic", 512, 1.0, None, 128),   # cell torus q = 2
-        ("periodic", 512, 10.0, None, 26),   # cell torus q = 20
-        ("periodic", 256, 0.5, None, 64),    # eps and effective problems, period 1
-        ("line", 2048, 20.0, None, 51),      # s = 1/2 layer
-        ("line", 4096, 40.0, None, 51),      # s = 0.75 and s = 0.3 layers
-        ("periodic", 1024, 1.0, 0.25, 128),  # hull lattice grid, period 2
+        (2048, 20.0, 51),  # s = 1/2 layer
+        (4096, 40.0, 51),  # s = 0.75 and s = 0.3 layers
     ],
 )
-def test_plan_for_inner_cells(geometry, n, extent, r, m_inner):
-    plan = plan_for(geometry, n, extent, 0.5, r=r)
+def test_plan_for_inner_cells(n, extent, m_inner):
+    plan = plan_for("line", n, extent, 0.5)
     assert plan.m_inner == m_inner
     assert plan.g_const == normalization_constant(0.5)
-    if geometry == "periodic":
-        assert plan.period == 2.0 * extent
-    else:
-        assert plan.half_width == extent
+    assert plan.half_width == extent
 
 
 def test_plan_for_clamps_coarse_grids():
-    # a q = 20 cell torus on 16 nodes has h = 1.25 > r/2: the solvers get
-    # two inner cells
-    assert plan_for("periodic", 16, 10.0, 0.5).m_inner == 2
+    # a line window of half-width 10 on 16 nodes has h = 1.25 > r/2: the
+    # quadrature gets two inner cells
+    assert plan_for("line", 16, 10.0, 0.5).m_inner == 2
+    assert plan_for("periodic", 16, 10.0, 0.5).period == 20.0
     with pytest.raises(ValueError, match="geometry"):
         plan_for("torus", 64, 0.5, 0.5)
 
@@ -336,7 +347,7 @@ def test_periodic_apply_is_linear(a, b, s):
     x = np.arange(n) / n
     u = np.sin(2 * np.pi * x)
     v = np.cos(4 * np.pi * x) ** 2
-    plan = PeriodicPlan(n, q, s, normalization_constant(s), 4)
+    plan = PeriodicPlan(n, q, s, normalization_constant(s))
     lhs = plan.apply(a * u + b * v)
     rhs = a * plan.apply(u) + b * plan.apply(v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1.0 + abs(a) + abs(b)) * plan.stiffness

@@ -231,6 +231,33 @@ def test_residual_shrinks_with_delta(layer_s075, psi_s075):
     assert reports[1].over_d2s < reports[0].over_d2s
 
 
+@pytest.mark.parametrize("tag", ["s075", "s03"])
+def test_tail_models_are_continuous_at_the_blend(request, tag):
+    """Each lattice term hands over from the profile to its far-field model
+    through the quintic blend on [0.7 R, 0.85 R], with no jump at either
+    end of it, on either side."""
+    layer = request.getfixturevalue(f"layer_{tag}")
+    psi = request.getfixturevalue(f"psi_{tag}")
+    odd, even = hull._OddTailModel(layer), hull._EvenTailModel(psi)
+    for evaluate, model in ((odd.phi_tilde, odd), (even.eval, even)):
+        for z0 in (model.z_start, model.z_switch):
+            for z in (z0, -z0):
+                vals = evaluate(np.array([np.nextafter(z, 0.0), z, np.nextafter(z, 2.0 * z)]))
+                assert np.ptp(vals) <= 1e-12
+
+
+def test_residual_is_grid_converged_at_s075(layer_s075, psi_s075):
+    """The order-1.5 operator turns a jump of the lattice terms into a peak
+    that grows like n_grid^1.5; with the blended tail models the residual
+    at delta = 0.2 is settled by 1024 points."""
+    over_d2s = [
+        nl_residual(build_ansatz(0.2, 1.0, 1.0, layer_s075, psi=psi_s075, n_terms=64,
+                                 n_grid=n_grid, cauchy_tol=1e-6)).over_d2s
+        for n_grid in (1024, 2048)
+    ]
+    assert over_d2s[1] == pytest.approx(over_d2s[0], rel=1e-3)
+
+
 def test_orowan_quick(layer_half):
     rep = orowan_check((0.25, 0.125), 1.0, 1.0, layer_half, n=256, horizon=100.0)
     assert rep.target == pytest.approx(2.0 * math.pi, rel=0.01)

@@ -2,9 +2,10 @@
 them.
 
 fracpn imports no scipy at run time; scipy (declared in the `test` extra) is
-the oracle here for the Hurwitz zeta, the gamma-based normalization, the
-golden-section search and preconditioned CG, and numpy's LAPACK-backed
-``lstsq`` for the closed-form least-squares line.
+the oracle here for the hull's Euler-Maclaurin lattice tail (a Hurwitz
+zeta), the gamma-based normalization, the golden-section search and
+preconditioned CG, and numpy's LAPACK-backed ``lstsq`` for the closed-form
+least-squares line.
 """
 
 import json
@@ -22,7 +23,8 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import zeta as scipy_zeta
 
 import fracpn
-from fracpn.fracop import _hurwitz_zeta, normalization_constant
+from fracpn.fracop import normalization_constant
+from fracpn.hull import _em_tail
 from fracpn.cell import CellProblemSpec, solve_cell_evolution
 from fracpn.layer import _cg, _fit_line
 from fracpn.potential import Forcing, ForcingTerm, PeriodicPotential, _golden_min, eval_potential
@@ -31,9 +33,11 @@ from reference import standard_potential
 
 @pytest.mark.parametrize("sigma", [1.02, 1.2, 1.6, 2.0, 2.5, 2.98])
 def test_hurwitz_zeta_matches_scipy(sigma):
-    a = np.linspace(0.5, 1.5, 401)
-    ref = scipy_zeta(sigma, a)
-    assert np.max(np.abs(_hurwitz_zeta(sigma, a) / ref - 1.0)) <= 1e-14
+    """The hull's one-sided lattice tail ``_em_tail``, sum_{i>=64}
+    (i+c)^-sigma, is the Hurwitz zeta at 64 + c."""
+    c = np.linspace(-0.5, 0.5, 401)
+    ref = scipy_zeta(sigma, 64.0 + c)
+    assert np.max(np.abs(_em_tail(64, c, sigma) / ref - 1.0)) <= 1e-14
 
 
 def test_normalization_constant_matches_scipy_gamma():

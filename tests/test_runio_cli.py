@@ -733,11 +733,20 @@ def test_cli_homogenize_sub_uses_rows_at_config_slope(tmp_path, capsys):
 
 def test_cli_homogenize_sub_missing_slope_exits_2(tmp_path, capsys):
     _write_drive_table(tmp_path / "t-hbar-table.csv", [((0, 1), [-1.0, 0.0, 1.0], 1.0)])
-    cfg = write_cfg(tmp_path, _homog_sub_cfg_dict(0.25))
+    cfg = write_cfg(tmp_path, _homog_sub_cfg_dict(1.0))
     rc = cli.main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "numeric.slope" in err and "slope 1/4" in err
+    assert "numeric.slope" in err and "slope 1" in err
+
+
+def test_cli_homogenize_checks_eps_before_reading_the_table(tmp_path, capsys):
+    """slope 1/4 / eps 1/2 is no integer: the eps list is refused (exit 2)
+    before the missing table is looked for."""
+    cfg = write_cfg(tmp_path, _homog_sub_cfg_dict(0.25))
+    rc = cli.main(["homogenize", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "numeric.eps_list" in capsys.readouterr().err
 
 
 def test_cli_homogenize_super_without_drive_0_exits_2(tmp_path, capsys):
