@@ -15,10 +15,10 @@ corrector term is cut off by a C^2 quintic bump supported in |z| <= 2R with
 R = 1/(2 d |p0|); at any x at most three cutoff terms are nonzero.
 
 The lattice sums are evaluated over blocks of 64 grid points (_BLOCK_ROWS),
-so their temporaries hold 64 x n_terms values whatever the grid size:
-building on 1024 points with n_terms = 64 (128 in the Cauchy pass)
-allocates at most about 1 MB at once.  Each point's terms are added in the
-same order as by whole-grid sums, so the blocks change no bit of h - x.
+each block's 2 n_terms terms once for both truncations of the Cauchy check,
+so building on 1024 points with n_terms = 64 allocates at most about 1 MB
+at once.  Each point's terms are added in the same order as by whole-grid
+sums, so the blocks change no bit of h - x.
 
 The residual operator is
 
@@ -284,46 +284,47 @@ class HullAnsatz:
 
 
 def _assemble_g(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
-    """h(x) - x for the lattice ansatz at points x, in blocks of _BLOCK_ROWS."""
-    out = np.empty(x.shape)
+    """h(x) - x for the lattice ansatz at points x, truncated at n_terms (row
+    0) and at 2 n_terms (row 1), in blocks of _BLOCK_ROWS."""
+    out = np.empty((2,) + x.shape)
     for lo in range(0, x.size, _BLOCK_ROWS):
-        out[lo:lo + _BLOCK_ROWS] = _assemble_block(ansatz, x[lo:lo + _BLOCK_ROWS], n_terms)
+        out[:, lo:lo + _BLOCK_ROWS] = _assemble_block(ansatz, x[lo:lo + _BLOCK_ROWS], n_terms)
     return out
 
 
 def _assemble_block(ansatz: HullAnsatz, x: np.ndarray, n_terms: int) -> np.ndarray:
-    """h(x) - x at a block of points, each lattice sum as block x n_terms arrays."""
+    """Both truncations of h(x) - x at a block of points; each lattice sum's
+    terms are one block x 2 n_terms array, summed over its first m columns."""
     scale = ansatz.scale
-    s = ansatz.s
-    two_s = 2.0 * s
-    d2s = ansatz.delta**two_s
+    d2s = ansatz.delta ** (2.0 * ansatz.s)
     phi_model = ansatz.phi_model
-    out = np.full(x.shape, ansatz.delta**two_s * ansatz.L0 / ansatz.alpha)
-
-    # layer stack: phi(x/scale) + sum pairs [phi tilde(+) + phi tilde(-)];
-    # the Heaviside parts of the pairs sum to floor(x) + 1 exactly
-    out += phi_model.phi_tilde(x / scale) + np.floor(x) + 1.0 - x
-    i = np.arange(1, n_terms + 1, dtype=float)
+    i = np.arange(1, 2 * n_terms + 1, dtype=float)
     zp = (x[:, None] + i[None, :]) / scale
     zm = (x[:, None] - i[None, :]) / scale
-    out += np.sum(phi_model.phi_tilde(zp) + phi_model.phi_tilde(zm), axis=1)
-    out += phi_model.pair_closure(x, scale, n_terms + 1)
-
+    # (factor, term) in order of addition: own term, lattice sum (2-D) or the
+    # closure from index a; the layer pairs' Heaviside parts sum to floor(x) + 1
+    terms = [(1.0, phi_model.phi_tilde(x / scale) + np.floor(x) + 1.0 - x),
+             (1.0, phi_model.phi_tilde(zp) + phi_model.phi_tilde(zm)),
+             (1.0, lambda a: phi_model.pair_closure(x, scale, a))]
     if ansatz.psi is not None and ansatz.L0 != 0.0:
         if ansatz.cutoff is None:
             psi_model = ansatz.psi_model
-            out += d2s * psi_model.eval(x / scale)
-            out += d2s * np.sum(psi_model.eval(zp) + psi_model.eval(zm), axis=1)
-            out += d2s * psi_model.sum_closure(x, scale, n_terms + 1)
+            terms += [(d2s, psi_model.eval(x / scale)),
+                      (d2s, psi_model.eval(zp) + psi_model.eval(zm)),
+                      (d2s, lambda a: psi_model.sum_closure(x, scale, a))]
         else:
-            tau = ansatz.cutoff
             for z in (x / scale, zp, zm):
-                t = tau(z)
+                t = ansatz.cutoff(z)
                 mask = t > 0.0
                 vals = np.zeros_like(z)
                 if np.any(mask):
                     vals[mask] = ansatz.psi.field.eval(z[mask]) * t[mask]
-                out += d2s * (vals if vals.ndim == 1 else np.sum(vals, axis=1))
+                terms.append((d2s, vals))
+    out = np.full((2,) + x.shape, d2s * ansatz.L0 / ansatz.alpha)
+    for row, m in zip(out, (n_terms, 2 * n_terms)):
+        for factor, t in terms:
+            row += factor * (t(m + 1) if callable(t) else
+                             t if t.ndim == 1 else np.sum(t[:, :m], axis=1))
     return out
 
 
@@ -340,8 +341,8 @@ def build_ansatz(
     """Assemble the hull ansatz on a two-period evaluation grid.
 
     For s < 1/2 the corrector terms are cut off at R = 1/(2 delta |p0|).
-    The closure is validated by rebuilding with 2 n_terms: the sup change
-    must be below cauchy_tol, else HullTailError (with the observed
+    The closure is validated against the 2 n_terms truncation: the sup
+    change must be below cauchy_tol, else HullTailError (with the observed
     difference, which estimates the tail error).
     """
     if p0 == 0.0:
@@ -371,8 +372,7 @@ def build_ansatz(
         psi_model=_EvenTailModel(psi) if L0 != 0.0 and cutoff is None else None,
     )
 
-    g_n = _assemble_g(ans, x, n_terms)
-    g_2n = _assemble_g(ans, x, 2 * n_terms)
+    g_n, g_2n = _assemble_g(ans, x, n_terms)
     diff = float(np.max(np.abs(g_2n - g_n)))
     if diff > cauchy_tol:
         raise HullTailError(

@@ -91,7 +91,7 @@ def test_lattice_reflection_symmetry(layer_half):
     g(x) + g(-x) is constant."""
     ans = build_ansatz(0.25, 1.0, 0.0, layer_half, n_terms=64, n_grid=256)
     x = np.array([0.1, 0.3, 0.45, 0.7])
-    total = hull._assemble_g(ans, x, ans.n_terms) + hull._assemble_g(ans, -x, ans.n_terms)
+    total = hull._assemble_g(ans, x, ans.n_terms)[0] + hull._assemble_g(ans, -x, ans.n_terms)[0]
     assert np.max(total) - np.min(total) < 1e-6
 
 
@@ -132,8 +132,9 @@ def _unblocked_g(ans, x, n_terms):
 
 @pytest.mark.parametrize("tag, cutoff", [("s075", False), ("s03", True)])
 def test_streamed_lattice_sums_match_unblocked(request, tag, cutoff):
-    """Row blocks change no bit of h - x, on either corrector branch and on
-    point counts that leave a short last block."""
+    """Row blocks, and one pass for both truncations, change no bit of
+    h - x, on either corrector branch and on point counts that leave a
+    short last block."""
     lay = request.getfixturevalue(f"layer_{tag}")
     psi = request.getfixturevalue(f"psi_{tag}")
     n_grid = 7 * hull._BLOCK_ROWS + 13
@@ -142,13 +143,15 @@ def test_streamed_lattice_sums_match_unblocked(request, tag, cutoff):
     assert (ans.cutoff is not None) == cutoff
     assert np.array_equal(ans.g_values, _unblocked_g(ans, ans.grid, 2 * ans.n_terms))
     x = np.linspace(-0.7, 2.3, 2 * hull._BLOCK_ROWS + 5)
-    assert np.array_equal(hull._assemble_g(ans, x, ans.n_terms), _unblocked_g(ans, x, ans.n_terms))
+    g_n, g_2n = hull._assemble_g(ans, x, ans.n_terms)
+    assert np.array_equal(g_n, _unblocked_g(ans, x, ans.n_terms))
+    assert np.array_equal(g_2n, _unblocked_g(ans, x, 2 * ans.n_terms))
 
 
 @pytest.mark.parametrize("tag", ["s075", "s03"])
 def test_build_ansatz_memory_is_bounded(request, tag):
     """The lattice sums stream in row blocks: building on 1024 points with
-    64 (and, in the Cauchy pass, 128) terms allocates at most 2 MB at once."""
+    64 and 128 terms (one pass for both) allocates at most 2 MB at once."""
     lay = request.getfixturevalue(f"layer_{tag}")
     psi = request.getfixturevalue(f"psi_{tag}")
     tracemalloc.start()
