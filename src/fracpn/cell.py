@@ -670,7 +670,8 @@ def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
 
     ``base`` supplies everything except the grid axes.  With workers > 1 the
     rows run in min(workers, rows) forked children (a single row, or a
-    platform without ``os.fork``, runs here); the merged rows are sorted
+    platform without ``os.fork``, runs here), which share the periodic plan
+    of each slope denominator, built here first; the merged rows are sorted
     either way, so output order is deterministic.
     """
     slopes = [as_rational(p) for p in slopes]
@@ -681,6 +682,8 @@ def hbar_table(base: CellProblemSpec, slopes, drives, workers: int = 1) -> list:
     ]
     workers = min(workers, len(jobs))
     if workers > 1 and hasattr(os, "fork"):
+        for q in {job.torus_period for job in jobs}:
+            plan_for("periodic", base.n, 0.5 * q, base.s, base.g_const)
         rows = _fork_rows(jobs, workers)
     else:
         rows = [_table_worker(j) for j in jobs]

@@ -31,31 +31,29 @@ Torus fields (period P, n nodes) take (-Delta_h)^s, the s-th power of the
 by 2 sin(xi h/2), so the error is O(h^2) on smooth fields.  Its weights on
 the lattice hZ,
 
-    (g/C(1,s)) h^(-2s) 4^s Gamma(1/2+s) Gamma(|m|-s)
-        / ( sqrt(pi) |Gamma(-s)| Gamma(|m|+1+s) ) > 0   (m != 0),
+    c_m = (g/C(1,s)) h^(-2s) 4^s Gamma(1/2+s) Gamma(|m|-s)
+              / ( sqrt(pi) |Gamma(-s)| Gamma(|m|+1+s) )
+        = g h^(-2s) Gamma(|m|-s) / Gamma(|m|+1+s) > 0   (m != 0),
 
 decay like g |m h|^(-1-2s) h, and the torus weights are their
 periodization (Ciaurri, Roncal, Stinga, Torrea and Varona, Adv. Math.
 2018).  Nonnegative weights make explicit Euler updates monotone, which
 the evolution modules rely on.
 
-Line fields (``GridField``) use a quadrature.  Pairing +-y symmetrises the
-integrand into second differences D_k = u(x + k h) + u(x - k h) - 2 u(x),
-and the quadrature is a single weight vector c_k >= 0 with
-I[u](x) ~= sum_k c_k D_k (+ closures).  Inner cells (below the split
-radius min(1, half_width/2)) subtract the local curvature: the integrand is
-written as D(z) = (D_1/h^2) z^2 + E(z) with E(h) = 0 and E = O(z^3); the
-z^2 part is integrated in closed form and E is handled by piecewise-linear
-interpolation against exact kernel moments.  This removes the O(h^(2-2s))
-error of naive cell-mass rules and restores O(h^2) accuracy uniformly in s.
-The fields are read between nodes by local cubics through four samples,
-carry an explicit power-law tail model and close the far field with a
-Gauss-Legendre rule after the substitution z = Z t^(-1/2s) (which maps
-[Z, inf) to (0, 1] with a constant Jacobian factor).  That closure is
-affine in the tail's constants, slope and power amplitudes, and so are the
-tail pads; a line plan caches their responses once per (side, exponent),
-and an application costs one product of length 2n with the operator's
-circulant plus a few n-length vector operations.
+Line fields (``GridField``) take the same lattice weights.  Pairing +-y
+symmetrises the integrand into second differences
+D_k = u(x + k h) + u(x - k h) - 2 u(x), and I[u](x) ~= sum_(k<=K) c_k D_k
+plus a far-field closure, with c_(k+1) = c_k (k-s)/(k+1+s) and c_K halved:
+the trapezoid end where the lattice sum meets the closure at Z = K h.  The
+error is O(h^2) on smooth fields, as on the torus.  The fields are read
+between nodes by local cubics through four samples, carry an explicit
+power-law tail model and close the far field with a Gauss-Legendre rule
+after the substitution z = Z t^(-1/2s) (which maps [Z, inf) to (0, 1] with
+a constant Jacobian factor).  That closure is affine in the tail's
+constants, slope and power amplitudes, and so are the tail pads; a line
+plan caches their responses once per (side, exponent), and an application
+costs one product of length 2n with the operator's circulant plus a few
+n-length vector operations.
 """
 
 from __future__ import annotations
@@ -296,64 +294,6 @@ class GridField:
 
 
 # ---------------------------------------------------------------------------
-# quadrature weights
-# ---------------------------------------------------------------------------
-
-
-def _cell_moments(s: float, a: np.ndarray, b: np.ndarray):
-    """(M0, M1) with M0 = int_a^b z^(-1-2s) dz and M1 = int_a^b (z-a) z^(-1-2s) dz."""
-    two_s = 2.0 * s
-    M0 = (a ** (-two_s) - b ** (-two_s)) / two_s
-    if s == 0.5:
-        Mlin = np.log(b / a)
-    else:
-        Mlin = (b ** (1.0 - two_s) - a ** (1.0 - two_s)) / (1.0 - two_s)
-    M1 = Mlin - a * M0
-    return M0, M1
-
-
-def _pair_weights(s: float, h: float, n_pairs: int, m_inner: int) -> np.ndarray:
-    """Weights c[k] (k = 1..n_pairs) such that
-
-        int_0^(n_pairs*h) D(z) z^(-1-2s) dz  ~=  sum_k c[k] D_k
-
-    for smooth even-in-z integrands D with D(0) = D'(0) = 0.  Cells below
-    m_inner*h use the curvature-subtracted representation (see module
-    docstring); outer cells use piecewise-linear D against exact moments.
-    All weights are nonnegative.
-    """
-    K = int(n_pairs)
-    m = int(m_inner)
-    if not 2 <= m <= K:
-        raise ValueError(f"inner cell count must satisfy 2 <= m <= {K} (got {m})")
-    c = np.zeros(K + 2)
-    z = h * np.arange(0, K + 2)
-
-    if K > m:
-        a, b = z[m:K], z[m + 1 : K + 1]
-        M0, M1 = _cell_moments(s, a, b)
-        c[m:K] += M0 - M1 / h
-        c[m + 1 : K + 1] += M1 / h
-
-    # inner cells [kh, (k+1)h], k = 1..m-1, applied to E_k = D_k - k^2 D_1
-    a, b = z[1:m], z[2 : m + 1]
-    M0, M1 = _cell_moments(s, a, b)
-    nu = np.zeros(m + 1)
-    nu[1:m] += M0 - M1 / h
-    nu[2 : m + 1] += M1 / h
-    c[2 : m + 1] += nu[2 : m + 1]
-    # curvature mass int_0^(mh) z^2 z^(-1-2s) dz carried by D_1 / h^2
-    M2 = (m * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    kk = np.arange(2, m + 1, dtype=float)
-    c[1] += M2 / h**2 - np.dot(nu[2 : m + 1], kk**2)
-
-    c = c[1 : K + 1]
-    if c.min() < -1e-12 * max(c.max(), 1.0):
-        raise RuntimeError("quadrature produced a negative weight; monotonicity lost")
-    return np.maximum(c, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # periodic plan
 # ---------------------------------------------------------------------------
 
@@ -431,12 +371,13 @@ _BASIS_ROWS = 256  # nodes per block of the far-field basis (256 x 32 temporarie
 
 
 class LinePlan:
-    """Precomputed quadrature for line fields of fixed (n, half_width, s, g, m_inner).
+    """I on line fields of fixed (n, half_width, s, g).
 
-    Covers (0, Z] by paired-difference weights (Z ~ 2.2 * half_width, so both
-    arguments x +- z leave the window before the closure takes over) and
-    closes [Z, inf) with a 32-point Gauss-Legendre rule in the variable
-    t = (Z/z)^(2s), evaluating the integrand on the field's tail model.
+    Covers (0, Z] by the paired-difference weights of (-Delta_h)^s (module
+    docstring; Z = K h ~ 2.2 * half_width, so both arguments x +- z leave
+    the window before the closure takes over) and closes [Z, inf) with a
+    32-point Gauss-Legendre rule in the variable t = (Z/z)^(2s), evaluating
+    the integrand on the field's tail model.
 
     The closure is affine in the tail parameters:
 
@@ -468,12 +409,11 @@ class LinePlan:
     points.
     """
 
-    def __init__(self, n: int, half_width: float, s: float, g_const: float, m_inner: int):
+    def __init__(self, n: int, half_width: float, s: float, g_const: float):
         self.n = n
         self.half_width = half_width
         self.s = s
         self.g_const = g_const
-        self.m_inner = m_inner
         h = 2.0 * half_width / n
         self.h = h
         K = int(math.ceil(1.1 * n)) + 2
@@ -481,7 +421,14 @@ class LinePlan:
         self.z_max = K * h
         two_s = 2.0 * s
 
-        c = g_const * _pair_weights(s, h, K, m_inner)
+        # c_k = g h^(-2s) Gamma(k-s) / Gamma(k+1+s) by its recurrence, with
+        # c_K halved at the trapezoid end where the closure takes over
+        c = np.empty(K)
+        c[0] = g_const * h ** (-two_s) * math.gamma(1.0 - s) / math.gamma(2.0 + s)
+        k = np.arange(1.0, K)
+        c[1:] = (k - s) / (k + 1.0 + s)
+        c = np.cumprod(c)
+        c[-1] *= 0.5
         self.coeffs = c
         kernel = np.zeros(2 * K + 1)
         kernel[K + 1 :] = c
@@ -555,7 +502,7 @@ class LinePlan:
 
     def apply(self, values: np.ndarray, tail: TailModel) -> np.ndarray:
         if tail is None:
-            raise ValueError("line quadrature requires a tail model")
+            raise ValueError("line plans require a tail model")
         u = np.asarray(values, dtype=float)
         if u.size != self.n:
             raise ValueError(f"expected {self.n} samples (got {u.size})")
@@ -597,10 +544,9 @@ def plan_for(geometry: str, n: int, extent: float, s, g=None):
 
     ``extent`` is half the period for ``geometry="periodic"``
     ((-Delta_h)^s) and ``"spectral"`` (the exact symbol), and the
-    half-width for ``"line"``.  ``g=None`` is C(1,s).  The line plan's split
-    radius is r = min(1, extent/2), and its inner-cell count round(r/h) is
-    clamped to [2, extent/h], so a grid with h > r/2 gets two cells.  Equal
-    normalised arguments give the same plan.
+    half-width for ``"line"`` (the same lattice weights, with a far-field
+    closure).  ``g=None`` is C(1,s).  Equal normalised arguments give the
+    same plan.
     """
     s = _coerce_s(s)
     g_const = kernel_constant(s, g)
@@ -609,9 +555,7 @@ def plan_for(geometry: str, n: int, extent: float, s, g=None):
     if geometry == "spectral":
         return _plan(SpectralPlan, n, 2.0 * extent, s, g_const)
     if geometry == "line":
-        h = 2.0 * extent / n
-        m = max(2, min(int(round(min(1.0, 0.5 * extent) / h)), int(extent / h)))
-        return _plan(LinePlan, n, float(extent), s, g_const, m)
+        return _plan(LinePlan, n, float(extent), s, g_const)
     raise ValueError(f"geometry must be 'periodic', 'spectral' or 'line' (got {geometry!r})")
 
 

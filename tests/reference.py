@@ -4,7 +4,7 @@ None of these is on a command's path; the tests use them to check what is:
 
 - ``bilinear_form_B``: the paired-difference form that makes the product
   identity I[fg] = f I[g] + g I[f] - B(f, g) exact for a line plan's
-  quadrature, so it checks ``LinePlan.apply``;
+  weights, so it checks ``LinePlan.apply``;
 - ``claim1_series``: the lattice kernel sums at x = i0 + gamma, summed
   through the Euler-Maclaurin closures ``hull._em_pair`` and
   ``hull._em_tail`` that the hull's lattice sums use;
@@ -60,7 +60,7 @@ def identity_law(radius: float) -> DriveLaw:
 def bilinear_form_B(plan, f_values, f_tail, g_values, indices):
     """B(f, g) at the node indices, for g with the zero tail (0 outside the
     window), such that I[fg] = f I[g] + g I[f] - B(f, g) holds to rounding
-    for the plan's quadrature:
+    for the plan's weights:
 
         -sum_k c_k [ (f(x+kh)-f(x)) (g(x+kh)-g(x)) + (f(x-kh)-f(x)) (g(x-kh)-g(x)) ]
 

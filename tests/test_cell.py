@@ -160,6 +160,29 @@ def test_table_without_fork_runs_its_rows_here(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_table_pool_builds_each_periodic_plan_once_here(monkeypatch, tmp_path):
+    """A pool's children share the periodic plans built in this process:
+    with two slope denominators at workers=2, each plan is built once and
+    here, however the children claim the rows."""
+    import fracpn.fracop as fracop
+
+    log, init = tmp_path / "builds", fracop.PeriodicPlan.__init__
+
+    def recording(self, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {args[1]}\n")
+        init(self, *args)
+
+    monkeypatch.setattr(fracop.PeriodicPlan, "__init__", recording)
+    fracop._plan.cache_clear()
+    base = CellProblemSpec(s=0.5, slope=Fraction(0), drive=0.0, potential=W_STD,
+                           n=32, horizon=10.0)
+    hbar_table(base, slopes=[Fraction(0), Fraction(1, 2)], drives=[0.3, 0.6], workers=2)
+    fracop._plan.cache_clear()  # drop the plans built by the recording __init__
+    records = sorted(tuple(line.split()) for line in log.read_text().splitlines())
+    assert records == [(str(os.getpid()), "1.0"), (str(os.getpid()), "2.0")]
+
+
 def _cheap_row(spec):
     return {"slope_num": spec.slope.numerator, "slope_den": spec.slope.denominator,
             "drive": spec.drive}
@@ -231,8 +254,8 @@ GRID_SPEEDS = {Fraction(1, 2): 0.9898579924310285, Fraction(1): 0.99368756280274
                Fraction(2): 0.9974739132502972}
 
 
-def _quadrature_wave(spec):
-    """travelling_wave on the quadrature plan at spec.n: (V, (speed,
+def _periodic_wave(spec):
+    """travelling_wave on the periodic plan at spec.n: (V, (speed,
     uncertainty, corrector amplitude)), or None."""
     q, n = spec.torus_period, spec.n
     plan = plan_for("periodic", n, 0.5 * q, spec.s, spec.g_const)
@@ -260,7 +283,7 @@ def test_travelling_wave_rows_are_solved_without_stepping(grid_rows):
     for p in GRID_SLOPES:
         for F in (-1.0, 1.0):
             spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD, n=512)
-            _, (speed, unc, amp) = _quadrature_wave(spec)
+            _, (speed, unc, amp) = _periodic_wave(spec)
             assert speed == pytest.approx(F * GRID_SPEEDS[p], abs=1e-12)
             assert unc <= 1e-12
             assert amp == 0.0
@@ -313,13 +336,13 @@ OROWAN_ROWS = [(Fraction(1, 5), 0.2), (Fraction(1, 10), 0.1), (Fraction(1, 20), 
 def test_travelling_wave_identity(p, F):
     """c sum h (U')^2 = F p q on cell-grid's six moving rows and on
     criterion 05's three Orowan rows (s = 1/2, drive = delta), for the wave
-    on the quadrature plan at n = 512 and for the direct route, which
+    on the periodic plan at n = 512 and for the direct route, which
     solves on the spectral plan's grid (the size of v_final)."""
     spec = CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD, n=512, horizon=200.0)
     trace = solve_cell_evolution(spec)
     assert trace.horizon == 0.0
     q = p.denominator
-    for V, (speed, _, _) in (_quadrature_wave(spec), (trace.v_final, trace.certified)):
+    for V, (speed, _, _) in (_periodic_wave(spec), (trace.v_final, trace.certified)):
         c = speed / float(p)
         lhs = c * (q / V.size) * float(np.sum(_u_prime(p, V) ** 2))
         assert lhs == pytest.approx(F * float(p) * q, rel=1e-12, abs=0.0)
@@ -347,18 +370,18 @@ def test_direct_speeds_are_grid_converged(p, F):
 
 @pytest.mark.parametrize("p, F", DIRECT_ROWS)
 def test_direct_speeds_are_the_quadrature_richardson_limit(p, F):
-    """The quadrature wave converges as O(h^2); with R(n) = (4 lambda(2n) -
-    lambda(n)) / 3, the direct speed lies within |R(256) - R(512)| of
-    R(512)."""
-    lam = [_quadrature_wave(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD,
-                                            n=n))[1][0] for n in (256, 512, 1024)]
+    """The periodic plan's wave converges as O(h^2); with R(n) =
+    (4 lambda(2n) - lambda(n)) / 3, the direct speed lies within
+    |R(256) - R(512)| of R(512)."""
+    lam = [_periodic_wave(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD,
+                                          n=n))[1][0] for n in (256, 512, 1024)]
     r1, r2 = (4.0 * lam[1] - lam[0]) / 3.0, (4.0 * lam[2] - lam[1]) / 3.0
     direct = hbar(CellProblemSpec(s=0.5, slope=p, drive=F, potential=W_STD)).speed
     assert abs(direct - r2) <= abs(r1 - r2)
 
 
 def test_direct_speeds_are_exactly_odd_in_drive():
-    """Exactly odd for the wave on the quadrature plan at n and for the
+    """Exactly odd for the wave on the periodic plan at n and for the
     direct route on its spectral grid."""
     for p, F, n in ((Fraction(1, 2), 0.01, 32), (Fraction(1, 2), 0.9, 128),
                     (Fraction(-3, 2), 0.3, 64), (Fraction(1, 20), 0.05, 512)):
@@ -367,7 +390,7 @@ def test_direct_speeds_are_exactly_odd_in_drive():
         up, down = (solve_cell_evolution(spec) for spec in specs)
         assert up.horizon == down.horizon == 0.0
         waves = [(up.v_final, up.certified), (down.v_final, down.certified)]
-        for (v_up, c_up), (v_down, c_down) in (waves, [_quadrature_wave(sp) for sp in specs]):
+        for (v_up, c_up), (v_down, c_down) in (waves, [_periodic_wave(sp) for sp in specs]):
             assert c_down[0] == -c_up[0]
             assert c_down[1] == c_up[1]
             # v(x) -> -v(-x)
@@ -377,17 +400,17 @@ def test_direct_speeds_are_exactly_odd_in_drive():
 def test_unconverged_wave_falls_back_to_stepping(monkeypatch):
     """A Newton solve that does not converge within the iteration cap, or
     a spectral grid pair (16, 32 here) that does not fit under WAVE_MAX_N,
-    certifies nothing: the row is stepped on the quadrature plan at n."""
+    certifies nothing: the row is stepped on the periodic plan at n."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.6, potential=W_STD,
                            n=64, horizon=40.0)
     assert solve_cell_evolution(spec).horizon == 0.0
-    assert _quadrature_wave(spec) is not None
+    assert _periodic_wave(spec) is not None
     for name, value in (("WAVE_MAX_ITER", 2), ("WAVE_MAX_N", 16)):
         with monkeypatch.context() as m:
             m.setattr(fracpn.cell, name, value)
             trace = solve_cell_evolution(spec)
             if name == "WAVE_MAX_ITER":
-                assert _quadrature_wave(spec) is None
+                assert _periodic_wave(spec) is None
         assert trace.certified is None
         assert trace.v_final.size == spec.n
         assert 0.0 < trace.horizon <= spec.horizon
@@ -551,7 +574,7 @@ def test_weak_table_rows_are_newton_stationary_states():
         trace = solve_cell_evolution(spec)
         assert trace.certified == (0.0, 0.0, 0.0)
         assert trace.horizon == 0.0
-        V, certified = _quadrature_wave(spec)
+        V, certified = _periodic_wave(spec)
         assert certified == (0.0, 0.0, 0.0)
         plan = plan_for("periodic", 256, 0.5 * q, 0.75)
         px = float(p) * q * np.arange(256) / 256
@@ -698,14 +721,14 @@ def test_uncovered_row_runs_to_the_cap():
     """p != 0 with a small F != 0.  From rest at the CFL step, the direct
     route solves the slowly creeping travelling wave.  Stepped with an
     explicit dt (the same CFL step), the row runs to the cap and is fitted;
-    the fit is off the quadrature wave's speed at n = 32, its dt -> 0
+    the fit is off the periodic plan's wave speed at n = 32, its dt -> 0
     limit, by its Euler bias, 2.15e-8."""
     spec = CellProblemSpec(s=0.5, slope=Fraction(1, 2), drive=0.01, potential=W_STD,
                            n=32, horizon=20.0)
     direct = hbar(spec)
     assert direct.uncertainty <= 1e-12
     assert direct.horizon == 0.0
-    _, (speed, _, _) = _quadrature_wave(spec)
+    _, (speed, _, _) = _periodic_wave(spec)
     assert speed == pytest.approx(0.0095274921, abs=1e-10)
     dt = 0.9 / (plan_for("periodic", 32, 1.0, 0.5).stiffness + W_STD.derivative_bound(2))
     trace = solve_cell_evolution(replace(spec, dt=dt))

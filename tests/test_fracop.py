@@ -120,7 +120,7 @@ def test_arctan_profile_solves_half_order_layer_equation():
     phi = 0.5 + np.arctan(x) / np.pi
     tail = TailModel(c_minus=0.0, c_plus=1.0,
                      powers_minus=((INV_PI, 1.0),), powers_plus=((-INV_PI, 1.0),))
-    plan = LinePlan(n, R, 0.5, INV_PI, int(round(1.0 / h)))
+    plan = LinePlan(n, R, 0.5, INV_PI)
     got = plan.apply(phi, tail)
     want = -x / (np.pi * (1.0 + x * x))
     inner = slice(n // 10, n - n // 10)
@@ -182,7 +182,7 @@ def test_line_apply_matches_direct_reference(s):
     g = normalization_constant(s)
     grids = [(1024, 20.0)] + ([(4096, 40.0)] if s != 0.5 else [])
     for n, R in grids:
-        plan = LinePlan(n, R, s, g, int(round(1.0 / (2 * R / n))))
+        plan = LinePlan(n, R, s, g)
         cases = _line_cases(plan, s)
         for tail, u in cases + cases[::-1] + cases:
             ref = _line_apply_reference(plan, u, tail)
@@ -194,7 +194,7 @@ def test_line_apply_matches_direct_reference(s):
 def test_line_apply_transforms_at_most_2n_points(s, monkeypatch):
     """Once a tail has been applied, a further application of it calls
     np.fft on no more than 2n points, at the layer fixtures' n = 4096."""
-    plan = LinePlan(4096, 40.0, s, normalization_constant(s), 51)
+    plan = LinePlan(4096, 40.0, s, normalization_constant(s))
     lengths = []
 
     def recording(transform):
@@ -288,7 +288,7 @@ def test_line_plan_power_basis_is_the_whole_grid_sum(side, beta):
     """The blocked far-field basis equals the n x 32 formula bit for bit, on
     a grid whose last block is short."""
     n = 600
-    plan = LinePlan(n, 20.0, 0.5, INV_PI, int(round(n / 40.0)))
+    plan = LinePlan(n, 20.0, 0.5, INV_PI)
     pad_pow, basis = plan._power_basis(side, beta)
     x = plan.nodes
     whole = (plan.far_z[None, :] + side * x[:, None]) ** (-beta) @ plan.far_w
@@ -298,7 +298,7 @@ def test_line_plan_power_basis_is_the_whole_grid_sum(side, beta):
 
 def test_line_plan_power_basis_memory():
     """At n = 4096 the basis allocates well under one n x 32 array (1 MB)."""
-    plan = LinePlan(4096, 40.0, 0.5, INV_PI, 51)
+    plan = LinePlan(4096, 40.0, 0.5, INV_PI)
     tracemalloc.start()
     try:
         plan._power_basis(1, 1.5)
@@ -308,29 +308,57 @@ def test_line_plan_power_basis_memory():
     assert peak < 0.5e6
 
 
-def test_line_plan_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        LinePlan(100, 10.0, 0.5, INV_PI, 0)
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("n", [16, 600, 4096])
+def test_line_plan_weights_are_the_discrete_laplacian_power(s, n):
+    """coeffs are the lattice weights of (-Delta_h)^s,
+    (g/C(1,s)) h^(-2s) 4^s Gamma(1/2+s) Gamma(k-s)
+    / (sqrt(pi) |Gamma(-s)| Gamma(k+1+s)), all positive, with the last
+    halved.  The reference is taken from math.lgamma, whose values carry
+    an absolute rounding of a few ulps (about 7e-12 at k ~ 4500); the
+    tolerance is 1e-12 relative on top of that."""
+    g = 1.5 * normalization_constant(s)
+    plan = LinePlan(n, 20.0, s, g)
+    K = plan.K
+    assert plan.coeffs.shape == (K,) and np.all(plan.coeffs > 0.0)
+
+    def closed_form(k):
+        log_w = (s * math.log(4.0) + math.lgamma(0.5 + s) + math.lgamma(k - s)
+                 - math.lgamma(k + 1 + s) - 0.5 * math.log(math.pi)
+                 - math.log(abs(math.gamma(-s))))
+        return g / normalization_constant(s) * plan.h ** (-2 * s) * math.exp(log_w)
+
+    for k, half in ((1, 1.0), (2, 1.0), (10, 1.0), (K - 1, 1.0), (K, 0.5)):
+        rtol = 1e-12 + 4 * math.ulp(math.lgamma(k + 1 + s))
+        assert plan.coeffs[k - 1] == pytest.approx(half * closed_form(k), rel=rtol, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "n, extent, m_inner",
-    [
-        (2048, 20.0, 51),  # s = 1/2 layer
-        (4096, 40.0, 51),  # s = 0.75 and s = 0.3 layers
-    ],
-)
-def test_plan_for_inner_cells(n, extent, m_inner):
+def test_layer_c0_is_second_order_at_half():
+    """At s = 1/2, R = 20 the layer's c0 converges to 2 pi as O(h^2):
+    successive errors for n = 1024, 2048, 4096 fall by 4 +- 0.3, and each
+    (h, h/2) Richardson value is within 1e-5 of 2 pi."""
+    from fracpn.layer import solve_layer
+    from reference import standard_potential
+
+    W = standard_potential()
+    c0 = [solve_layer(0.5, W, R_dom=20.0, n=n).c0 for n in (1024, 2048, 4096)]
+    err = np.array(c0) - 2.0 * np.pi
+    np.testing.assert_allclose(err[:-1] / err[1:], 4.0, atol=0.3)
+    richardson = (4.0 * np.array(c0[1:]) - c0[:-1]) / 3.0
+    assert np.max(np.abs(richardson - 2.0 * np.pi)) < 1e-5
+
+
+@pytest.mark.parametrize("n, extent", [(2048, 20.0), (4096, 40.0)])  # the layer fixtures
+def test_plan_for_builds_the_line_plan(n, extent):
     plan = plan_for("line", n, extent, 0.5)
-    assert plan.m_inner == m_inner
     assert plan.g_const == normalization_constant(0.5)
     assert plan.half_width == extent
 
 
 def test_plan_for_clamps_coarse_grids():
-    # a line window of half-width 10 on 16 nodes has h = 1.25 > r/2: the
-    # quadrature gets two inner cells
-    assert plan_for("line", 16, 10.0, 0.5).m_inner == 2
+    # a 16-node window of half-width 10 (h = 1.25, coarser than any layer
+    # grid) builds a plan whose weights are all positive
+    assert np.all(plan_for("line", 16, 10.0, 0.5).coeffs > 0.0)
     assert plan_for("periodic", 16, 10.0, 0.5).period == 20.0
     with pytest.raises(ValueError, match="geometry"):
         plan_for("torus", 64, 0.5, 0.5)
